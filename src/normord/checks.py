@@ -7,9 +7,15 @@ of combinatorial objects.  Comparisons happen on canonical polynomial
 renders, so a pass means byte-identical output and a fail carries the first
 differing pair verbatim.
 
-Each check declares the range of levels it covers and two feasibility caps:
-``full_cap`` is the largest level the check is designed to reach, and
-``quick_cap`` keeps a whole-registry run within interactive time.
+A check is a generator ``sides(n)`` that yields ``(note, left, right)`` for
+one level, registered with its metadata by the ``check`` decorator.  Each
+side is a polynomial, or a pre-rendered string for a side condition that is
+not one.  The runner built at registration walks the levels in order, hands
+every pair to ``_compare`` (the one place sides are rendered and compared)
+and stops at the first witness.  Each check declares the range of levels it
+covers and two feasibility caps: ``full_cap`` is the largest level the check
+is designed to reach, and ``quick_cap`` keeps a whole-registry run within
+interactive time.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .combinat import (
     list_partitions,
@@ -30,15 +36,17 @@ from .combinat import (
 from .forests import grow_forests
 from .grammar import Grammar
 from .normal_form import normal_order_power
-from .poly import Polynomial, mono, variable
-from .series import bessel_polynomial, catalan_number, verify_catalan_egf
+from .poly import Monomial, Polynomial, mono, variable
+from .series import bessel_polynomial, verify_catalan_egf
 from .triangles import (
     assemble,
     ctilde_xx,
     e_expand,
     family_row,
     gamma_expand,
+    indexed_polynomial,
     rising_factorial,
+    row_polynomial,
 )
 
 __all__ = [
@@ -46,7 +54,9 @@ __all__ = [
     "CheckResult",
     "CheckSpec",
     "REGISTRY",
+    "check",
     "check_ids",
+    "register",
     "run_check",
     "run_all",
     "render_report",
@@ -54,6 +64,7 @@ __all__ = [
 ]
 
 ONE = Polynomial.one()
+A, B, Q, U, W, X, Y, Z = (variable(s) for s in "abquwxyz")
 
 
 @dataclass(frozen=True)
@@ -122,11 +133,56 @@ class CheckSpec:
     runner: Runner
 
 
-def _diff(n: int, note: str, left: Polynomial, right: Polynomial) -> Optional[Witness]:
-    lr, rr = left.render(), right.render()
-    if lr != rr:
-        return Witness(n, note, lr, rr)
-    return None
+
+
+Side = Union[Polynomial, str]
+Sides = Callable[[int], Iterator[Tuple[str, Side, Side]]]
+
+
+def _render(side: Side) -> str:
+    return side if isinstance(side, str) else side.render()
+
+
+def _compare(n: int, note: str, left: Side, right: Side) -> Optional[Witness]:
+    """Render both sides once; a witness when the renders differ."""
+    lr, rr = _render(left), _render(right)
+    return None if lr == rr else Witness(n, note, lr, rr)
+
+
+def _level_runner(sides: Sides) -> Runner:
+    def run(lo: int, hi: int) -> Optional[Witness]:
+        for n in range(lo, hi + 1):
+            for note, left, right in sides(n):
+                witness = _compare(n, note, left, right)
+                if witness is not None:
+                    return witness
+        return None
+
+    return run
+
+
+REGISTRY: Dict[str, CheckSpec] = {}
+
+
+def register(spec: CheckSpec) -> CheckSpec:
+    """Add a spec to the registry; an id that is already taken raises ValueError."""
+    if spec.check_id in REGISTRY:
+        raise ValueError(f"duplicate check id {spec.check_id!r}")
+    REGISTRY[spec.check_id] = spec
+    return spec
+
+
+def check(check_id: str, summary: str, n_min: int, full_cap: int, quick_cap: int):
+    """Register the decorated ``sides(n)`` generator as a level-by-level check."""
+
+    def decorate(sides: Sides) -> Sides:
+        register(CheckSpec(check_id, summary, n_min, full_cap, quick_cap, _level_runner(sides)))
+        return sides
+
+    return decorate
+
+
+# -- shared side builders --------------------------------------------------
 
 
 def _tally_poly(counter: Counter, names: Tuple[str, ...]) -> Polynomial:
@@ -136,806 +192,379 @@ def _tally_poly(counter: Counter, names: Tuple[str, ...]) -> Polynomial:
     return acc
 
 
-def _row_poly(family: str, n: int, term: Callable[[tuple, int], Polynomial]) -> Polynomial:
-    acc = Polynomial()
-    for idx, value in family_row(family, n).items():
-        acc = acc + term(idx, value)
-    return acc
+def _forest_poly(flavor: str, n: int, names: Tuple[str, ...]) -> Polynomial:
+    """Forest tally: the first leaf counts, then the tree count, one symbol each."""
+    tally = Counter((*f.leaves[: len(names) - 1], f.k) for f in grow_forests(flavor, n))
+    return _tally_poly(tally, names)
 
 
-# ---------------------------------------------------------------------------
-# runners
-# ---------------------------------------------------------------------------
+def _slice_one_up(family: str, n: int) -> Polynomial:
+    """The k = 1 slice of a two-index family at level n + 1, as a polynomial in x^l."""
+    return row_polynomial(family, n + 1, lambda n, k, l: {"x": l} if k == 1 else None)
 
 
-def _run_stirling_second_dual(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("stirling-dual")
-    a = variable("a")
-    for n in range(lo, hi + 1):
-        left = g.derive_power(a, n)
-        right = a * _row_poly("S2", n, lambda idx, v: mono(v, b=idx[0]))
-        w = _diff(n, "iterated derivative vs set-partition triangle", left, right)
-        if w:
-            return w
-    return None
+# Exponent maps shared by several checks: exps(n, *index) -> {symbol: exponent}.
 
 
-def _run_stirling_second_normal_order(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("stirling-second")
-    x = variable("x")
-    for n in range(lo, hi + 1):
-        left = normal_order_power(x, g, n).specialize(variable("z"))
-        right = _row_poly("S2", n, lambda idx, v: mono(v, x=idx[0], z=idx[0]))
-        w = _diff(n, "normal order vs set-partition triangle", left, right)
-        if w:
-            return w
-    return None
+def _x_k(n: int, k: int, *_: int) -> Dict[str, int]:
+    return {"x": k}
 
 
-def _run_stirling_first_surrogate(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("exp-surrogate")
-    a = variable("a")
-    for n in range(lo, hi + 1):
-        left = normal_order_power(a, g, n).specialize(variable("z"))
-        row = _row_poly("S1", n, lambda idx, v: mono(v, z=idx[0]))
-        right = mono(1, a=n) * row
-        w = _diff(n, "normal order vs cycle-count triangle", left, right)
-        if w:
-            return w
-        w = _diff(n, "cycle-count triangle vs rising factorial", row, rising_factorial("z", n))
-        if w:
-            return w
-    return None
+def _z_k(n: int, k: int, *_: int) -> Dict[str, int]:
+    return {"z": k}
 
 
-def _run_eulerian_grammar_self_dual(lo: int, hi: int) -> Optional[Witness]:
+def _u_l_z_k(n: int, k: int, l: int) -> Dict[str, int]:
+    return {"u": l, "z": k}
+
+
+def _signed_descent_hom(n: int, k: int) -> Dict[str, int]:
+    return {"x": 2 * k + 1, "y": 2 * n + 1 - 2 * k}
+
+
+def _forest_triple(grammar: str, multiplier: Polynomial, assembly: str, flavor: str) -> Sides:
+    def sides(n: int):
+        op = normal_order_power(multiplier, Grammar.preset(grammar), n).specialize(Z)
+        tri = assemble(assembly, n)
+        yield "normal order vs triangle assembly", op, tri
+        yield ("triangle assembly vs forest enumeration", tri,
+               _forest_poly(flavor, n, ("x", "y", "z")))
+
+    return sides
+
+
+# -- checks ----------------------------------------------------------------
+
+
+@check("stirling-second-dual",
+       "iterated derivative of the growing symbol equals the set-partition row", 0, 10, 8)
+def _stirling_second_dual(n: int):
+    yield ("iterated derivative vs set-partition triangle",
+           Grammar.preset("stirling-dual").derive_power(A, n),
+           A * row_polynomial("S2", n, lambda n, k: {"b": k}))
+
+
+@check("stirling-second-normal-order",
+       "normal ordering over the constant rule matches set-partition counts", 0, 10, 8)
+def _stirling_second_normal_order(n: int):
+    yield ("normal order vs set-partition triangle",
+           normal_order_power(X, Grammar.preset("stirling-second"), n).specialize(Z),
+           row_polynomial("S2", n, lambda n, k: {"x": k, "z": k}))
+
+
+@check("stirling-first-surrogate",
+       "normal ordering over the self-reproducing rule matches cycle counts", 0, 10, 8)
+def _stirling_first_surrogate(n: int):
+    left = normal_order_power(A, Grammar.preset("exp-surrogate"), n).specialize(Z)
+    row = row_polynomial("S1", n, _z_k)
+    yield "normal order vs cycle-count triangle", left, mono(1, a=n) * row
+    yield "cycle-count triangle vs rising factorial", row, rising_factorial("z", n)
+
+
+@check("eulerian-grammar-self-dual",
+       "both symbols derive to the same descent polynomial, matched by enumeration", 1, 8, 6)
+def _eulerian_grammar_self_dual(n: int):
     g = Grammar.preset("eulerian-ab")
-    g2 = Grammar.preset("eulerian-full")
-    a, b = variable("a"), variable("b")
-    x, y = variable("x"), variable("y")
-    for n in range(lo, hi + 1):
-        da = g.derive_power(a, n)
-        db = g.derive_power(b, n)
-        w = _diff(n, "derivative of first symbol vs second symbol", da, db)
-        if w:
-            return w
-        row = _row_poly("eulerian", n, lambda idx, v: mono(v, a=idx[0], b=n + 1 - idx[0]))
-        w = _diff(n, "iterated derivative vs descent triangle", da, row)
-        if w:
-            return w
-        tally = Counter()
-        for rec in permutations(n):
-            tally[(rec.stats["des"] + 1,)] += 1
-        enum = Polynomial()
-        for (l,), c in tally.items():
-            enum = enum + mono(c, a=l, b=n + 1 - l)
-        w = _diff(n, "iterated derivative vs descent enumeration", da, enum)
-        if w:
-            return w
-        nf = normal_order_power(x * y, g2, n)
-        fx, fy = nf.apply_to(x), nf.apply_to(y)
-        hom = _row_poly("eulerian", n, lambda idx, v: mono(v, x=idx[0], y=n + 1 - idx[0]))
-        w = _diff(n, "product-multiplier action on x vs on y", fx, fy)
-        if w:
-            return w
-        w = _diff(n, "product-multiplier action vs descent triangle", fx, hom)
-        if w:
-            return w
-    return None
+    da = g.derive_power(A, n)
+    yield "derivative of first symbol vs second symbol", da, g.derive_power(B, n)
+    yield ("iterated derivative vs descent triangle", da,
+           row_polynomial("eulerian", n, lambda n, k: {"a": k, "b": n + 1 - k}))
+    tally = Counter((r.stats["des"] + 1, n - r.stats["des"]) for r in permutations(n))
+    yield "iterated derivative vs descent enumeration", da, _tally_poly(tally, ("a", "b"))
+    nf = normal_order_power(X * Y, Grammar.preset("eulerian-full"), n)
+    fx = nf.apply_to(X)
+    yield "product-multiplier action on x vs on y", fx, nf.apply_to(Y)
+    yield ("product-multiplier action vs descent triangle", fx,
+           row_polynomial("eulerian", n, lambda n, k: {"x": k, "y": n + 1 - k}))
 
 
-def _run_binary_forest_triple(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("eulerian-xy")
-    x, z = variable("x"), variable("z")
-    for n in range(lo, hi + 1):
-        op = normal_order_power(x, g, n).specialize(z)
-        tri = assemble("A", n)
-        w = _diff(n, "normal order vs triangle assembly", op, tri)
-        if w:
-            return w
-        tally = Counter()
-        for f in grow_forests("binary", n):
-            tally[(f.leaves[0], f.leaves[1], f.k)] += 1
-        w = _diff(n, "triangle assembly vs forest enumeration", tri, _tally_poly(tally, ("x", "y", "z")))
-        if w:
-            return w
-    return None
+check("binary-forest-triple",
+      "normal order, triangle recurrence and forest enumeration agree", 1, 9, 6,
+      )(_forest_triple("eulerian-xy", X, "A", "binary"))
 
 
-def _run_eulerian_specialization_chain(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        rows = family_row("A", n)
-        diag = Polynomial()
-        for (k, l), v in rows.items():
-            if l == k:
-                diag = diag + mono(v, z=k)
-        s2 = _row_poly("S2", n, lambda idx, v: mono(v, z=idx[0]))
-        w = _diff(n, "triangle diagonal vs set-partition triangle", diag, s2)
-        if w:
-            return w
-        xy1 = Polynomial()
-        z11 = Polynomial()
-        for (k, l), v in rows.items():
-            xy1 = xy1 + mono(v, x=l, y=n - l)
-            z11 = z11 + mono(v, z=k)
-        erow = _row_poly("eulerian", n, lambda idx, v: mono(v, x=idx[0], y=n - idx[0]))
-        w = _diff(n, "third-slot specialization vs descent triangle", xy1, erow)
-        if w:
-            return w
-        w = _diff(n, "first-two-slot specialization vs rising factorial", z11, rising_factorial("z", n))
-        if w:
-            return w
-        ex = assemble("eulerian-x", n)
-        row_x = _row_poly("eulerian", n, lambda idx, v: mono(v, x=idx[0]))
-        w = _diff(n, "descent recurrence polynomial vs triangle row", ex, row_x)
-        if w:
-            return w
-        rev = _row_poly("eulerian", n, lambda idx, v: mono(v, x=n + 1 - idx[0]))
-        w = _diff(n, "descent polynomial vs reversed-row symmetry", ex, rev)
-        if w:
-            return w
-        k1 = Polynomial()
-        for (k, l), v in family_row("A", n + 1).items():
-            if k == 1:
-                k1 = k1 + mono(v, x=l)
-        w = _diff(n, "single-slice row one level up vs descent polynomial", k1, ex)
-        if w:
-            return w
-    return None
+@check("eulerian-specialization-chain",
+       "triangle specializations reach set-partition, descent and cycle counts", 1, 8, 8)
+def _eulerian_specialization_chain(n: int):
+    yield ("triangle diagonal vs set-partition triangle",
+           row_polynomial("A", n, lambda n, k, l: {"z": k} if l == k else None),
+           row_polynomial("S2", n, _z_k))
+    yield ("third-slot specialization vs descent triangle",
+           row_polynomial("A", n, lambda n, k, l: {"x": l, "y": n - l}),
+           row_polynomial("eulerian", n, lambda n, k: {"x": k, "y": n - k}))
+    yield ("first-two-slot specialization vs rising factorial",
+           row_polynomial("A", n, _z_k), rising_factorial("z", n))
+    ex = assemble("eulerian-x", n)
+    yield "descent recurrence polynomial vs triangle row", ex, row_polynomial("eulerian", n, _x_k)
+    yield ("descent polynomial vs reversed-row symmetry", ex,
+           row_polynomial("eulerian", n, lambda n, k: {"x": n + 1 - k}))
+    yield "single-slice row one level up vs descent polynomial", _slice_one_up("A", n), ex
 
 
-def _run_pq_eulerian_cycle_stats(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("pq-eulerian")
-    x, z = variable("x"), variable("z")
-    for n in range(lo, hi + 1):
-        nf = normal_order_power(x, g, n)
-        spec = nf.specialize(z)
-        tri = assemble("Ap", n)
-        w = _diff(n, "normal order vs weighted triangle assembly", spec, tri)
-        if w:
-            return w
-        tally = Counter()
-        for rec in permutations(n):
-            tally[(n - rec.stats["exc"], rec.stats["exc"], rec.stats["cdes"], rec.stats["cyc"])] += 1
-        enum = _tally_poly(tally, ("x", "y", "p", "z"))
-        w = _diff(n, "normal order vs excedance-cycle enumeration", spec, enum)
-        if w:
-            return w
-        plain = spec.subs({"p": ONE})
-        w = _diff(n, "weight-one reduction vs plain triangle assembly", plain, assemble("A", n))
-        if w:
-            return w
-    return None
+@check("pq-eulerian-cycle-stats",
+       "weighted normal order tracks excedances, cycle descents and cycles", 1, 8, 6)
+def _pq_eulerian_cycle_stats(n: int):
+    spec = normal_order_power(X, Grammar.preset("pq-eulerian"), n).specialize(Z)
+    yield "normal order vs weighted triangle assembly", spec, assemble("Ap", n)
+    tally = Counter((n - r.stats["exc"], r.stats["exc"], r.stats["cdes"], r.stats["cyc"])
+                    for r in permutations(n))
+    yield ("normal order vs excedance-cycle enumeration", spec,
+           _tally_poly(tally, ("x", "y", "p", "z")))
+    yield "weight-one reduction vs plain triangle assembly", spec.subs({"p": ONE}), assemble("A", n)
 
 
-def _run_full_binary_forest_triple(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("eulerian-full")
-    x, y, z = variable("x"), variable("y"), variable("z")
-    for n in range(lo, hi + 1):
-        op = normal_order_power(x * y, g, n).specialize(z)
-        tri = assemble("a", n)
-        w = _diff(n, "normal order vs triangle assembly", op, tri)
-        if w:
-            return w
-        tally = Counter()
-        for f in grow_forests("full-binary", n):
-            tally[(f.leaves[0], f.leaves[1], f.k)] += 1
-        w = _diff(n, "triangle assembly vs forest enumeration", tri, _tally_poly(tally, ("x", "y", "z")))
-        if w:
-            return w
-    return None
+check("full-binary-forest-triple",
+      "normal order, triangle recurrence and two-child forest enumeration agree", 1, 6, 5,
+      )(_forest_triple("eulerian-full", X * Y, "a", "full-binary"))
 
 
-def _run_gamma_basis_expansion(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("pair-symmetric")
-    u, z = variable("u"), variable("z")
-    for n in range(lo, hi + 1):
-        rows = family_row("gamma", n)
-        grow = gamma_expand(assemble("a", n))
-        left = Polynomial()
-        for (k, l), v in grow.items():
-            left = left + mono(v, u=l, z=k)
-        right = Polynomial()
-        for (k, l), v in rows.items():
-            right = right + mono(v, u=l, z=k)
-        w = _diff(n, "basis expansion of assembly vs paired-symbol triangle", left, right)
-        if w:
-            return w
-        sur = normal_order_power(u, g, n).specialize(z)
-        hom = Polynomial()
-        for (k, l), v in rows.items():
-            hom = hom + mono(v, u=l, v=n + k - 2 * l, z=k)
-        w = _diff(n, "surrogate normal order vs paired-symbol triangle", sur, hom)
-        if w:
-            return w
-    return None
+@check("gamma-basis-expansion",
+       "paired-symbol expansion of the assembly matches its own recurrence", 1, 8, 6)
+def _gamma_basis_expansion(n: int):
+    yield ("basis expansion of assembly vs paired-symbol triangle",
+           indexed_polynomial(gamma_expand(assemble("a", n)), n, _u_l_z_k),
+           row_polynomial("gamma", n, _u_l_z_k))
+    yield ("surrogate normal order vs paired-symbol triangle",
+           normal_order_power(U, Grammar.preset("pair-symmetric"), n).specialize(Z),
+           row_polynomial("gamma", n, lambda n, k, l: {"u": l, "v": n + k - 2 * l, "z": k}))
 
 
-def _run_lah_closed_form(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        row = _row_poly("lah", n, lambda idx, v: mono(v, z=idx[0]))
-        closed = Polynomial()
-        for k in range(1, n + 1):
-            coeff = math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k)
-            closed = closed + mono(coeff, z=k)
-        w = _diff(n, "list-count triangle vs binomial-factorial closed form", row, closed)
-        if w:
-            return w
-        sums: Dict[int, int] = {}
-        for (k, l), v in family_row("a", n).items():
-            sums[k] = sums.get(k, 0) + v
-        margin = Polynomial()
-        for k, v in sorted(sums.items()):
-            margin = margin + mono(v, z=k)
-        w = _diff(n, "ascent-triangle row sums vs closed form", margin, closed)
-        if w:
-            return w
-    return None
+@check("lah-closed-form",
+       "list counts match the binomial-factorial closed form and row sums", 1, 10, 8)
+def _lah_closed_form(n: int):
+    closed = Polynomial(
+        (Monomial({"z": k}), math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k))
+        for k in range(1, n + 1)
+    )
+    yield ("list-count triangle vs binomial-factorial closed form",
+           row_polynomial("lah", n, _z_k), closed)
+    yield "ascent-triangle row sums vs closed form", row_polynomial("a", n, _z_k), closed
 
 
-def _run_list_partition_ascents(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        asc_tally = Counter()
-        block_tally = Counter()
-        for rec in list_partitions(n):
-            k = rec.stats["blocks"]
-            asc_tally[(rec.stats["asc"], k)] += 1
-            block_tally[(k,)] += 1
-        left = _tally_poly(asc_tally, ("x", "z"))
-        right = _row_poly("a", n, lambda idx, v: mono(v, x=idx[1], z=idx[0]))
-        w = _diff(n, "list-partition ascent enumeration vs triangle", left, right)
-        if w:
-            return w
-        blocks = _tally_poly(block_tally, ("z",))
-        lah = _row_poly("lah", n, lambda idx, v: mono(v, z=idx[0]))
-        w = _diff(n, "list-partition block counts vs list-count triangle", blocks, lah)
-        if w:
-            return w
-    return None
+@check("list-partition-ascents",
+       "ascent statistics over list partitions reproduce the triangle", 1, 6, 5)
+def _list_partition_ascents(n: int):
+    asc_tally, block_tally = Counter(), Counter()
+    for rec in list_partitions(n):
+        k = rec.stats["blocks"]
+        asc_tally[(rec.stats["asc"], k)] += 1
+        block_tally[(k,)] += 1
+    yield ("list-partition ascent enumeration vs triangle", _tally_poly(asc_tally, ("x", "z")),
+           row_polynomial("a", n, lambda n, k, l: {"x": l, "z": k}))
+    yield ("list-partition block counts vs list-count triangle", _tally_poly(block_tally, ("z",)),
+           row_polynomial("lah", n, _z_k))
 
 
-def _run_gamma_valley_enumeration(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        tally = Counter()
-        for rec in list_partitions(n):
-            if rec.stats["dd"] == 0:
-                k = rec.stats["blocks"]
-                tally[(k + rec.stats["val"], k)] += 1
-        left = _tally_poly(tally, ("u", "z"))
-        right = _row_poly("gamma", n, lambda idx, v: mono(v, u=idx[1], z=idx[0]))
-        w = _diff(n, "valley enumeration without double descents vs triangle", left, right)
-        if w:
-            return w
-    return None
+@check("gamma-valley-enumeration",
+       "valley counts without double descents reproduce the paired triangle", 1, 6, 5)
+def _gamma_valley_enumeration(n: int):
+    tally = Counter((r.stats["blocks"] + r.stats["val"], r.stats["blocks"])
+                    for r in list_partitions(n) if r.stats["dd"] == 0)
+    yield ("valley enumeration without double descents vs triangle", _tally_poly(tally, ("u", "z")),
+           row_polynomial("gamma", n, _u_l_z_k))
 
 
-def _run_second_order_row_polynomial(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("second-order")
-    x = variable("x")
-    for n in range(lo, hi + 1):
-        left = normal_order_power(x, g, n).apply_to(x)
-        right = _row_poly("eulerian2", n, lambda idx, v: mono(v, x=idx[0], y=2 * n + 1 - idx[0]))
-        w = _diff(n, "operator applied to its multiplier vs homogenized row", left, right)
-        if w:
-            return w
-    return None
+@check("second-order-row-polynomial",
+       "applying the operator power to its multiplier homogenizes the plateau row", 1, 10, 8)
+def _second_order_row_polynomial(n: int):
+    yield ("operator applied to its multiplier vs homogenized row",
+           normal_order_power(X, Grammar.preset("second-order"), n).apply_to(X),
+           row_polynomial("eulerian2", n, lambda n, k: {"x": k, "y": 2 * n + 1 - k}))
 
 
-def _run_ternary_forest_triple(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("second-order")
-    x, z = variable("x"), variable("z")
-    for n in range(lo, hi + 1):
-        op = normal_order_power(x, g, n).specialize(z)
-        tri = assemble("Ct", n)
-        w = _diff(n, "normal order vs triangle assembly", op, tri)
-        if w:
-            return w
-        tally = Counter()
-        for f in grow_forests("ternary", n):
-            tally[(f.leaves[0], f.leaves[1], f.k)] += 1
-        w = _diff(n, "triangle assembly vs forest enumeration", tri, _tally_poly(tally, ("x", "y", "z")))
-        if w:
-            return w
-    return None
+check("ternary-forest-triple",
+      "normal order, triangle recurrence and three-child forest enumeration agree", 1, 7, 5,
+      )(_forest_triple("second-order", X, "Ct", "ternary"))
 
 
-def _run_second_order_row_link(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        k1 = Polynomial()
-        for (k, l), v in family_row("C", n + 1).items():
-            if k == 1:
-                k1 = k1 + mono(v, x=l)
-        row = assemble("second-order-x", n)
-        w = _diff(n, "single-slice row one level up vs plateau triangle", k1, row)
-        if w:
-            return w
-    return None
+@check("second-order-row-link",
+       "the single-slice row one level up equals the plateau triangle row", 1, 9, 8)
+def _second_order_row_link(n: int):
+    yield ("single-slice row one level up vs plateau triangle",
+           _slice_one_up("C", n), assemble("second-order-x", n))
 
 
 def _run_catalan_egf(lo: int, hi: int) -> Optional[Witness]:
+    # The witness level comes from the series report, not from a level loop.
     report = verify_catalan_egf(hi)
     if report.matched:
         return None
-    return Witness(
-        report.first_mismatch,
-        "recurrence-built series vs exponential closed form",
-        report.lhs.render(),
-        report.rhs.render(),
-    )
+    return Witness(report.first_mismatch, "recurrence-built series vs exponential closed form",
+                   report.lhs.render(), report.rhs.render())
 
 
-def _run_ctilde_diagonal(lo: int, hi: int) -> Optional[Witness]:
-    x = variable("x")
-    for n in range(lo, hi + 1):
-        left = assemble("Ct", n).subs({"y": x})
-        right = ctilde_xx(n)
-        w = _diff(n, "triangle assembly on the diagonal vs diagonal recurrence", left, right)
-        if w:
-            return w
-    return None
+register(CheckSpec("catalan-egf",
+                   "the diagonal series equals the exponential of a Catalan argument",
+                   0, 10, 6, _run_catalan_egf))
 
 
-def _run_bessel_closed_form(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        left = ctilde_xx(n)
-        right = Polynomial()
-        for j in range(n):
-            num = math.factorial(n - 1 + j)
-            den = (2 ** j) * math.factorial(n - 1 - j) * math.factorial(j)
-            q, r = divmod(num, den)
-            if r:
-                return Witness(n, "factorial quotient fails to divide", str(num), str(den))
-            right = right + mono(q, x=n + j, z=n - j)
-        w = _diff(n, "diagonal recurrence vs factorial closed form", left, right)
-        if w:
-            return w
-        w = _diff(
-            n,
-            "diagonal at unit first slot vs weighted-pairing polynomial",
-            left.subs({"x": ONE}),
-            bessel_polynomial(n),
-        )
-        if w:
-            return w
-    return None
+@check("ctilde-diagonal-recurrence",
+       "the assembled diagonal satisfies its own first-order recurrence", 0, 10, 8)
+def _ctilde_diagonal(n: int):
+    yield ("triangle assembly on the diagonal vs diagonal recurrence",
+           assemble("Ct", n).subs({"y": X}), ctilde_xx(n))
 
 
-def _run_trivariate_second_order(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("trivariate-second-order")
-    x, y, z = variable("x"), variable("y"), variable("z")
-    for n in range(lo, hi + 1):
-        dum = assemble("second-order-xyz", n)
-        der = g.derive_power(x, n)
-        w = _diff(n, "product-rule recurrence vs iterated derivative", dum, der)
-        if w:
-            return w
-        enum = stat_polynomial(stirling_permutations(n), {"asc": "x", "des": "y", "plat": "z"})
-        w = _diff(n, "recurrence vs ascent-descent-plateau enumeration", dum, enum)
-        if w:
-            return w
-        tally = Counter()
-        for f in grow_forests("full-ternary", n):
-            if f.k == 1:
-                tally[f.leaves] += 1
-        w = _diff(n, "recurrence vs single-tree leaf enumeration", dum, _tally_poly(tally, ("x", "y", "z")))
-        if w:
-            return w
-        w = _diff(n, "symmetry under swapping first two slots", dum, dum.subs({"x": y, "y": x}))
-        if w:
-            return w
-        w = _diff(n, "symmetry under swapping outer slots", dum, dum.subs({"x": z, "z": x}))
-        if w:
-            return w
-    return None
+@check("bessel-closed-form",
+       "the diagonal matches the factorial closed form for weighted pairings", 1, 10, 8)
+def _bessel_closed_form(n: int):
+    left = ctilde_xx(n)
+    right = Polynomial()
+    for j in range(n):
+        num = math.factorial(n - 1 + j)
+        den = (2 ** j) * math.factorial(n - 1 - j) * math.factorial(j)
+        q, r = divmod(num, den)
+        if r:
+            yield "factorial quotient fails to divide", str(num), str(den)
+            return
+        right = right + mono(q, x=n + j, z=n - j)
+    yield "diagonal recurrence vs factorial closed form", left, right
+    yield ("diagonal at unit first slot vs weighted-pairing polynomial",
+           left.subs({"x": ONE}), bessel_polynomial(n))
 
 
-def _run_full_ternary_forest(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("full-ternary")
-    x, y, z, q = variable("x"), variable("y"), variable("z"), variable("q")
-    for n in range(lo, hi + 1):
-        op = normal_order_power(x * y * z, g, n).specialize(q)
-        tally = Counter()
-        for f in grow_forests("full-ternary", n):
-            tally[(f.leaves[0], f.leaves[1], f.leaves[2], f.k)] += 1
-        w = _diff(n, "normal order vs forest enumeration", op, _tally_poly(tally, ("x", "y", "z", "q")))
-        if w:
-            return w
-    return None
+@check("trivariate-second-order",
+       "four constructions of the symmetric trivariate polynomial coincide", 1, 6, 5)
+def _trivariate_second_order(n: int):
+    dum = assemble("second-order-xyz", n)
+    yield ("product-rule recurrence vs iterated derivative", dum,
+           Grammar.preset("trivariate-second-order").derive_power(X, n))
+    yield ("recurrence vs ascent-descent-plateau enumeration", dum,
+           stat_polynomial(stirling_permutations(n), {"asc": "x", "des": "y", "plat": "z"}))
+    tally = Counter(f.leaves for f in grow_forests("full-ternary", n) if f.k == 1)
+    yield "recurrence vs single-tree leaf enumeration", dum, _tally_poly(tally, ("x", "y", "z"))
+    yield "symmetry under swapping first two slots", dum, dum.subs({"x": Y, "y": X})
+    yield "symmetry under swapping outer slots", dum, dum.subs({"x": Z, "z": X})
 
 
-def _run_stirling_list_distribution(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("full-ternary")
-    x, y, z, q = variable("x"), variable("y"), variable("z"), variable("q")
-    for n in range(lo, hi + 1):
-        op = normal_order_power(x * y * z, g, n).specialize(q)
-        enum = stat_polynomial(
-            stirling_lists(n), {"asc": "x", "plat": "y", "des": "z", "blocks": "q"}
-        )
-        w = _diff(n, "normal order vs block-list enumeration", op, enum)
-        if w:
-            return w
-        slice1 = Polynomial()
-        for m, c in op.terms():
-            if m.exponent("q") == 1:
-                slice1 = slice1 + mono(c, x=m.exponent("x"), y=m.exponent("y"), z=m.exponent("z"))
-        w = _diff(
-            n,
-            "single-block slice vs ascent-descent-plateau polynomial",
-            slice1,
-            stat_polynomial(stirling_permutations(n), {"asc": "x", "plat": "y", "des": "z"}),
-        )
-        if w:
-            return w
-    return None
+@check("full-ternary-forest",
+       "normal order over three constant rules matches forest leaf tallies", 1, 6, 4)
+def _full_ternary_forest(n: int):
+    yield ("normal order vs forest enumeration",
+           normal_order_power(X * Y * Z, Grammar.preset("full-ternary"), n).specialize(Q),
+           _forest_poly("full-ternary", n, ("x", "y", "z", "q")))
 
 
-def _run_beta_e_expansion(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("full-ternary")
-    x, y, z = variable("x"), variable("y"), variable("z")
-    for n in range(lo, hi + 1):
-        nf = normal_order_power(x * y * z, g, n)
-        rows = family_row("beta", n)
-        for k in range(1, n + 1):
-            got = e_expand(nf.coefficient(k))
-            left = Polynomial()
-            for (i, j, m), c in got.items():
-                left = left + mono(c, u=i, v=j, w=m)
-            right = Polynomial()
-            for (kk, j, l), v in rows.items():
-                if kk == k:
-                    right = right + mono(v, u=2 * n - 2 * k - 2 * j - 3 * l, v=j, w=l + k)
-            w = _diff(n, f"elementary-symmetric expansion of slice {k} vs triangle", left, right)
-            if w:
-                return w
-    return None
+@check("stirling-list-distribution",
+       "normal order matches statistics over block partitions into repeated words", 1, 5, 4)
+def _stirling_list_distribution(n: int):
+    op = normal_order_power(X * Y * Z, Grammar.preset("full-ternary"), n).specialize(Q)
+    yield ("normal order vs block-list enumeration", op,
+           stat_polynomial(stirling_lists(n), {"asc": "x", "plat": "y", "des": "z", "blocks": "q"}))
+    yield ("single-block slice vs ascent-descent-plateau polynomial",
+           op.slices("q").get(1, Polynomial()),
+           stat_polynomial(stirling_permutations(n), {"asc": "x", "plat": "y", "des": "z"}))
 
 
-def _run_beta_positivity(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("elementary-symmetric")
-    wv, q = variable("w"), variable("q")
-    for n in range(lo, hi + 1):
-        op = normal_order_power(wv, g, n).specialize(q)
-        tri = assemble("beta", n)
-        w = _diff(n, "surrogate normal order vs triangle assembly", op, tri)
-        if w:
-            return w
-        for idx, v in family_row("beta", n).items():
-            if not isinstance(v, int) or v < 0:
-                return Witness(n, "negative or non-integer triangle entry", str(idx), str(v))
-    return None
+@check("beta-e-expansion",
+       "each operator slice expands positively in elementary symmetric functions", 1, 6, 4)
+def _beta_e_expansion(n: int):
+    nf = normal_order_power(X * Y * Z, Grammar.preset("full-ternary"), n)
+    for k in range(1, n + 1):
+        yield (f"elementary-symmetric expansion of slice {k} vs triangle",
+               indexed_polynomial(e_expand(nf.coefficient(k)), n,
+                                  lambda n, i, j, m: {"u": i, "v": j, "w": m}),
+               row_polynomial("beta", n, lambda n, kk, j, l: (
+                   {"u": 2 * n - 2 * k - 2 * j - 3 * l, "v": j, "w": l + k} if kk == k else None)))
 
 
-def _run_type_b_eulerian_numbers(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        row = _row_poly("eulerianB", n, lambda idx, v: mono(v, x=idx[0]))
-        poly = assemble("type-b-x", n)
-        w = _diff(n, "scatter recurrence row vs derivative recurrence", row, poly)
-        if w:
-            return w
-    return None
+@check("beta-positivity",
+       "the surrogate normal order reproduces the nonnegative triangle", 1, 8, 6)
+def _beta_positivity(n: int):
+    yield ("surrogate normal order vs triangle assembly",
+           normal_order_power(W, Grammar.preset("elementary-symmetric"), n).specialize(Q),
+           assemble("beta", n))
+    for idx, v in family_row("beta", n).items():
+        if not isinstance(v, int) or v < 0:
+            yield "negative or non-integer triangle entry", str(idx), str(v)
 
 
-def _run_signed_permutation_descents(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        enum = stat_polynomial(signed_permutations(n), {"des_b": "x"})
-        poly = assemble("type-b-x", n)
-        w = _diff(n, "signed-word descent enumeration vs recurrence", enum, poly)
-        if w:
-            return w
-    return None
+@check("type-b-eulerian-numbers",
+       "the signed-descent row recurrence matches the derivative recurrence", 0, 9, 7)
+def _type_b_eulerian_numbers(n: int):
+    yield ("scatter recurrence row vs derivative recurrence",
+           row_polynomial("eulerianB", n, _x_k), assemble("type-b-x", n))
 
 
-def _run_swap_grammar_expansion(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("swap")
-    x, y, z = variable("x"), variable("y"), variable("z")
-    for n in range(lo, hi + 1):
-        nf = normal_order_power(x * y, g, n)
-        w = _diff(n, "normal order vs triangle assembly", nf.specialize(z), assemble("B", n))
-        if w:
-            return w
-        applied = nf.apply_to(x * y)
-        hom = _row_poly(
-            "eulerianB", n, lambda idx, v: mono(v, x=2 * idx[0] + 1, y=2 * n + 1 - 2 * idx[0])
-        )
-        w = _diff(n, "operator applied to its multiplier vs homogenized row", applied, hom)
-        if w:
-            return w
-    return None
+@check("signed-permutation-descents",
+       "signed-word descent enumeration reproduces the recurrence polynomial", 0, 7, 5)
+def _signed_permutation_descents(n: int):
+    yield ("signed-word descent enumeration vs recurrence",
+           stat_polynomial(signed_permutations(n), {"des_b": "x"}), assemble("type-b-x", n))
 
 
-def _run_half_square_grammar_expansion(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("type-b-split")
-    x, y, z = variable("x"), variable("y"), variable("z")
-    for n in range(lo, hi + 1):
-        nf = normal_order_power(x, g, n)
-        w = _diff(n, "normal order vs triangle assembly", nf.specialize(z), assemble("E", n))
-        if w:
-            return w
-        applied = nf.apply_to(x * y)
-        hom = _row_poly(
-            "eulerianB", n, lambda idx, v: mono(v, x=2 * idx[0] + 1, y=2 * n + 1 - 2 * idx[0])
-        )
-        w = _diff(n, "operator applied to a product vs homogenized row", applied, hom)
-        if w:
-            return w
-    return None
+@check("swap-grammar-expansion",
+       "the swap-rule operator expands into the even-odd split triangle", 1, 9, 7)
+def _swap_grammar_expansion(n: int):
+    nf = normal_order_power(X * Y, Grammar.preset("swap"), n)
+    yield "normal order vs triangle assembly", nf.specialize(Z), assemble("B", n)
+    yield ("operator applied to its multiplier vs homogenized row",
+           nf.apply_to(X * Y), row_polynomial("eulerianB", n, _signed_descent_hom))
 
 
-def _run_type_b_normal_order_rows(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        k1 = Polynomial()
-        for (k, l), v in family_row("B", n + 1).items():
-            if k == 1:
-                k1 = k1 + mono(v, x=l)
-        row = _row_poly("eulerianB", n, lambda idx, v: mono(v, x=idx[0]))
-        w = _diff(n, "single-slice row one level up vs signed-descent row", k1, row)
-        if w:
-            return w
-    return None
+@check("half-square-grammar-expansion",
+       "the square-split operator expands into its own triangle and row form", 1, 9, 7)
+def _half_square_grammar_expansion(n: int):
+    nf = normal_order_power(X, Grammar.preset("type-b-split"), n)
+    yield "normal order vs triangle assembly", nf.specialize(Z), assemble("E", n)
+    yield ("operator applied to a product vs homogenized row",
+           nf.apply_to(X * Y), row_polynomial("eulerianB", n, _signed_descent_hom))
 
 
-def _run_flag_ascent_plateau(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        poly = assemble("flag-ascent-plateau-x", n)
-        enum = stat_polynomial(stirling_permutations(n), {"fap": "x"})
-        w = _diff(n, "derivative recurrence vs flagged-plateau enumeration", poly, enum)
-        if w:
-            return w
-        b11 = assemble("B", n).subs({"y": ONE, "z": ONE})
-        w = _diff(n, "triangle assembly at unit slots vs recurrence", b11, poly)
-        if w:
-            return w
-    return None
+@check("type-b-normal-order-rows",
+       "the single-slice row one level up equals the signed-descent row", 0, 9, 7)
+def _type_b_normal_order_rows(n: int):
+    yield ("single-slice row one level up vs signed-descent row",
+           _slice_one_up("B", n), row_polynomial("eulerianB", n, _x_k))
 
 
-def _run_ascent_plateau_rows(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        k1 = Polynomial()
-        for (k, l), v in family_row("E", n + 1).items():
-            if k == 1:
-                k1 = k1 + mono(v, x=l)
-        enum = stat_polynomial(stirling_permutations(n), {"ap": "x"})
-        w = _diff(n, "single-slice row one level up vs plateau-start enumeration", k1, enum)
-        if w:
-            return w
-    return None
+@check("flag-ascent-plateau",
+       "flagged plateau-start counts match the recurrence and the triangle", 0, 7, 5)
+def _flag_ascent_plateau(n: int):
+    poly = assemble("flag-ascent-plateau-x", n)
+    yield ("derivative recurrence vs flagged-plateau enumeration", poly,
+           stat_polynomial(stirling_permutations(n), {"fap": "x"}))
+    yield ("triangle assembly at unit slots vs recurrence",
+           assemble("B", n).subs({"y": ONE, "z": ONE}), poly)
 
 
-def _run_bessel_diagonal(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        left = assemble("E", n).subs({"x": ONE, "y": ONE})
-        right = bessel_polynomial(n)
-        w = _diff(n, "triangle assembly at unit slots vs weighted-pairing polynomial", left, right)
-        if w:
-            return w
-        w = _diff(
-            n,
-            "weighted-pairing polynomial vs diagonal recurrence at unit slot",
-            right,
-            ctilde_xx(n).subs({"x": ONE}),
-        )
-        if w:
-            return w
-    return None
+@check("ascent-plateau-rows",
+       "plateau-start counts match the single-slice row one level up", 0, 7, 5)
+def _ascent_plateau_rows(n: int):
+    yield ("single-slice row one level up vs plateau-start enumeration",
+           _slice_one_up("E", n), stat_polynomial(stirling_permutations(n), {"ap": "x"}))
 
 
-def _run_updown_runs(lo: int, hi: int) -> Optional[Witness]:
-    for n in range(lo, hi + 1):
-        poly = assemble("updown-run-x", n)
-        enum = stat_polynomial(permutations(n), {"udrun": "x"})
-        w = _diff(n, "derivative recurrence vs alternating-run enumeration", poly, enum)
-        if w:
-            return w
-    return None
+@check("bessel-diagonal",
+       "unit-slot assembly equals the weighted-pairing polynomial", 1, 10, 8)
+def _bessel_diagonal(n: int):
+    pairing = bessel_polynomial(n)
+    yield ("triangle assembly at unit slots vs weighted-pairing polynomial",
+           assemble("E", n).subs({"x": ONE, "y": ONE}), pairing)
+    yield ("weighted-pairing polynomial vs diagonal recurrence at unit slot",
+           pairing, ctilde_xx(n).subs({"x": ONE}))
 
 
-def _run_updown_normal_order(lo: int, hi: int) -> Optional[Witness]:
-    g = Grammar.preset("swap")
-    x, z = variable("x"), variable("z")
-    for n in range(lo, hi + 1):
-        nf = normal_order_power(x, g, n)
-        tri = assemble("W", n)
-        w = _diff(n, "normal order vs triangle assembly", nf.specialize(z), tri)
-        if w:
-            return w
-        w = _diff(
-            n,
-            "assembly at unit first slots vs rising factorial",
-            tri.subs({"x": ONE, "y": ONE}),
-            rising_factorial("z", n),
-        )
-        if w:
-            return w
-        t = assemble("updown-run-x", n)
-        hom = Polynomial()
-        for m, c in t.terms():
-            l = m.exponent("x")
-            hom = hom + mono(c, x=l, y=n - l)
-        w = _diff(
-            n,
-            "assembly at unit third slot vs homogenized alternating-run polynomial",
-            tri.subs({"z": ONE}),
-            hom,
-        )
-        if w:
-            return w
-    return None
+@check("updown-runs",
+       "alternating-run enumeration matches the derivative recurrence", 0, 8, 6)
+def _updown_runs(n: int):
+    yield ("derivative recurrence vs alternating-run enumeration",
+           assemble("updown-run-x", n), stat_polynomial(permutations(n), {"udrun": "x"}))
 
 
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-_SPECS: List[CheckSpec] = [
-    CheckSpec(
-        "stirling-second-dual",
-        "iterated derivative of the growing symbol equals the set-partition row",
-        0, 10, 8, _run_stirling_second_dual,
-    ),
-    CheckSpec(
-        "stirling-second-normal-order",
-        "normal ordering over the constant rule matches set-partition counts",
-        0, 10, 8, _run_stirling_second_normal_order,
-    ),
-    CheckSpec(
-        "stirling-first-surrogate",
-        "normal ordering over the self-reproducing rule matches cycle counts",
-        0, 10, 8, _run_stirling_first_surrogate,
-    ),
-    CheckSpec(
-        "eulerian-grammar-self-dual",
-        "both symbols derive to the same descent polynomial, matched by enumeration",
-        1, 8, 6, _run_eulerian_grammar_self_dual,
-    ),
-    CheckSpec(
-        "binary-forest-triple",
-        "normal order, triangle recurrence and forest enumeration agree",
-        1, 9, 6, _run_binary_forest_triple,
-    ),
-    CheckSpec(
-        "eulerian-specialization-chain",
-        "triangle specializations reach set-partition, descent and cycle counts",
-        1, 8, 8, _run_eulerian_specialization_chain,
-    ),
-    CheckSpec(
-        "pq-eulerian-cycle-stats",
-        "weighted normal order tracks excedances, cycle descents and cycles",
-        1, 8, 6, _run_pq_eulerian_cycle_stats,
-    ),
-    CheckSpec(
-        "full-binary-forest-triple",
-        "normal order, triangle recurrence and two-child forest enumeration agree",
-        1, 6, 5, _run_full_binary_forest_triple,
-    ),
-    CheckSpec(
-        "gamma-basis-expansion",
-        "paired-symbol expansion of the assembly matches its own recurrence",
-        1, 8, 6, _run_gamma_basis_expansion,
-    ),
-    CheckSpec(
-        "lah-closed-form",
-        "list counts match the binomial-factorial closed form and row sums",
-        1, 10, 8, _run_lah_closed_form,
-    ),
-    CheckSpec(
-        "list-partition-ascents",
-        "ascent statistics over list partitions reproduce the triangle",
-        1, 6, 5, _run_list_partition_ascents,
-    ),
-    CheckSpec(
-        "gamma-valley-enumeration",
-        "valley counts without double descents reproduce the paired triangle",
-        1, 6, 5, _run_gamma_valley_enumeration,
-    ),
-    CheckSpec(
-        "second-order-row-polynomial",
-        "applying the operator power to its multiplier homogenizes the plateau row",
-        1, 10, 8, _run_second_order_row_polynomial,
-    ),
-    CheckSpec(
-        "ternary-forest-triple",
-        "normal order, triangle recurrence and three-child forest enumeration agree",
-        1, 7, 5, _run_ternary_forest_triple,
-    ),
-    CheckSpec(
-        "second-order-row-link",
-        "the single-slice row one level up equals the plateau triangle row",
-        1, 9, 8, _run_second_order_row_link,
-    ),
-    CheckSpec(
-        "catalan-egf",
-        "the diagonal series equals the exponential of a Catalan argument",
-        0, 10, 6, _run_catalan_egf,
-    ),
-    CheckSpec(
-        "ctilde-diagonal-recurrence",
-        "the assembled diagonal satisfies its own first-order recurrence",
-        0, 10, 8, _run_ctilde_diagonal,
-    ),
-    CheckSpec(
-        "bessel-closed-form",
-        "the diagonal matches the factorial closed form for weighted pairings",
-        1, 10, 8, _run_bessel_closed_form,
-    ),
-    CheckSpec(
-        "trivariate-second-order",
-        "four constructions of the symmetric trivariate polynomial coincide",
-        1, 6, 5, _run_trivariate_second_order,
-    ),
-    CheckSpec(
-        "full-ternary-forest",
-        "normal order over three constant rules matches forest leaf tallies",
-        1, 6, 4, _run_full_ternary_forest,
-    ),
-    CheckSpec(
-        "stirling-list-distribution",
-        "normal order matches statistics over block partitions into repeated words",
-        1, 5, 4, _run_stirling_list_distribution,
-    ),
-    CheckSpec(
-        "beta-e-expansion",
-        "each operator slice expands positively in elementary symmetric functions",
-        1, 6, 4, _run_beta_e_expansion,
-    ),
-    CheckSpec(
-        "beta-positivity",
-        "the surrogate normal order reproduces the nonnegative triangle",
-        1, 8, 6, _run_beta_positivity,
-    ),
-    CheckSpec(
-        "type-b-eulerian-numbers",
-        "the signed-descent row recurrence matches the derivative recurrence",
-        0, 9, 7, _run_type_b_eulerian_numbers,
-    ),
-    CheckSpec(
-        "signed-permutation-descents",
-        "signed-word descent enumeration reproduces the recurrence polynomial",
-        0, 7, 5, _run_signed_permutation_descents,
-    ),
-    CheckSpec(
-        "swap-grammar-expansion",
-        "the swap-rule operator expands into the even-odd split triangle",
-        1, 9, 7, _run_swap_grammar_expansion,
-    ),
-    CheckSpec(
-        "half-square-grammar-expansion",
-        "the square-split operator expands into its own triangle and row form",
-        1, 9, 7, _run_half_square_grammar_expansion,
-    ),
-    CheckSpec(
-        "type-b-normal-order-rows",
-        "the single-slice row one level up equals the signed-descent row",
-        0, 9, 7, _run_type_b_normal_order_rows,
-    ),
-    CheckSpec(
-        "flag-ascent-plateau",
-        "flagged plateau-start counts match the recurrence and the triangle",
-        0, 7, 5, _run_flag_ascent_plateau,
-    ),
-    CheckSpec(
-        "ascent-plateau-rows",
-        "plateau-start counts match the single-slice row one level up",
-        0, 7, 5, _run_ascent_plateau_rows,
-    ),
-    CheckSpec(
-        "bessel-diagonal",
-        "unit-slot assembly equals the weighted-pairing polynomial",
-        1, 10, 8, _run_bessel_diagonal,
-    ),
-    CheckSpec(
-        "updown-runs",
-        "alternating-run enumeration matches the derivative recurrence",
-        0, 8, 6, _run_updown_runs,
-    ),
-    CheckSpec(
-        "updown-normal-order",
-        "the swap-rule single-symbol operator reaches cycle counts and run polynomials",
-        0, 10, 8, _run_updown_normal_order,
-    ),
-]
-
-REGISTRY: Dict[str, CheckSpec] = {spec.check_id: spec for spec in _SPECS}
-assert len(REGISTRY) == len(_SPECS)
+@check("updown-normal-order",
+       "the swap-rule single-symbol operator reaches cycle counts and run polynomials", 0, 10, 8)
+def _updown_normal_order(n: int):
+    tri = assemble("W", n)
+    yield ("normal order vs triangle assembly",
+           normal_order_power(X, Grammar.preset("swap"), n).specialize(Z), tri)
+    yield ("assembly at unit first slots vs rising factorial",
+           tri.subs({"x": ONE, "y": ONE}), rising_factorial("z", n))
+    runs = assemble("updown-run-x", n)
+    hom = Polynomial((Monomial({"x": m.exponent("x"), "y": n - m.exponent("x")}), c)
+                     for m, c in runs.terms())
+    yield ("assembly at unit third slot vs homogenized alternating-run polynomial",
+           tri.subs({"z": ONE}), hom)
 
 
 def check_ids() -> List[str]:

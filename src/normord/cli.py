@@ -29,14 +29,13 @@ from typing import Iterable, List, Optional
 
 from .checks import check_ids, render_report, results_to_json, run_all, run_check
 from .combinat import (
-    CAPS as OBJECT_CAPS,
     list_partitions,
     permutations,
     signed_permutations,
     stirling_lists,
     stirling_permutations,
 )
-from .forests import CAPS as FOREST_CAPS, grow_forests
+from .forests import grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import normal_order_power
 from .poly import ParseError, Polynomial, parse, variable
@@ -147,14 +146,6 @@ _OBJECT_GENERATORS = {
     "stirling-lists": stirling_lists,
 }
 
-_OBJECT_CAP_KEYS = {
-    "permutations": "permutations",
-    "signed-permutations": "signed_permutations",
-    "stirling-permutations": "stirling_permutations",
-    "list-partitions": "list_partitions",
-    "stirling-lists": "stirling_lists",
-}
-
 _FOREST_OBJECTS = {
     "binary-forests": "binary",
     "full-binary-forests": "full-binary",
@@ -177,9 +168,6 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
             raise UsageError("--stats must name at least one statistic")
     if args.objects in _FOREST_OBJECTS:
         flavor = _FOREST_OBJECTS[args.objects]
-        cap = FOREST_CAPS[flavor]
-        if args.n > cap:
-            raise UsageError(f"{args.objects} is capped at n = {cap}")
         if wanted is not None:
             raise UsageError("--stats applies to statistic-bearing objects, not forests")
         for forest in grow_forests(flavor, args.n):
@@ -197,12 +185,9 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
                     file=out,
                 )
         return 0
-    gen = _OBJECT_GENERATORS[args.objects]
-    cap = OBJECT_CAPS[_OBJECT_CAP_KEYS[args.objects]]
-    if args.n > cap:
-        raise UsageError(f"{args.objects} is capped at n = {cap}")
     first = True
-    for record in gen(args.n):
+    # Over its cap, a generator raises ValueError on the first record, before any output.
+    for record in _OBJECT_GENERATORS[args.objects](args.n):
         stats = record.stats
         if wanted is not None:
             if first:

@@ -257,7 +257,8 @@ def catalan_series(order: int) -> TruncatedSeries:
     for m in range(order):
         coeffs.append(sum(coeffs[i] * coeffs[m - i] for i in range(m + 1)))
     for m, c in enumerate(coeffs):
-        assert c == catalan_number(m)
+        if c != catalan_number(m):
+            raise ArithmeticError(f"Catalan recurrence disagrees with the closed form at m = {m}")
     return TruncatedSeries("ogf", tuple(Polynomial.constant(c) for c in coeffs))
 
 
@@ -274,7 +275,8 @@ def bessel_polynomial(n: int) -> Polynomial:
         num = math.factorial(n + j - 1)
         den = (2 ** j) * math.factorial(n - 1 - j) * math.factorial(j)
         q, r = divmod(num, den)
-        assert r == 0
+        if r:
+            raise ArithmeticError(f"weighted-pairing coefficient ({n}, {j}) is not an integer")
         out = out + mono(q, z=n - j)
     return out
 

@@ -3,8 +3,9 @@
 Each family of normal-order coefficients (or classical companion numbers)
 is generated bottom-up from its defining recurrence, never from closed
 forms, so the triangles serve as an independent computation path against
-operator expansions and brute-force enumeration.  Rows are cached; keys
-are plain index tuples.
+operator expansions and brute-force enumeration.  Rows are cached, one per
+computed level, and a cold request steps up from the highest cached level
+without recursion; keys are plain index tuples.
 
 Multi-index families and their row keys:
 
@@ -15,26 +16,30 @@ Multi-index families and their row keys:
     bessel                (j,)       closed form (n+j)!/(2^j (n-j)! j!)
     catalan               ()         one number per row
 
-``assemble`` turns a family row into its generating polynomial in the
-standard symbol layout (x/y graded by leaf type, z marking the operator
-power, and u/v/w/q for the elementary-symmetric family).  ``gamma_expand``
-and ``e_expand`` rewrite symmetric polynomials in the bases
-(xy)^l * (x+y)^(d-2l) and e1^i * e2^j * e3^k respectively.
+``row_polynomial(family, n, exps)`` turns a row into a polynomial through an
+exponent map ``exps(n, *index) -> {symbol: exponent}``.  ``assemble`` names
+15 generating polynomials in the standard symbol layout (x/y graded by leaf
+type, z marking the operator power, and u/v/w/q for the elementary-symmetric
+family): nine are a family row under one exponent map, six iterate a
+derivative recurrence.  ``gamma_expand`` and ``e_expand`` rewrite symmetric
+polynomials in the bases (xy)^l * (x+y)^(d-2l) and e1^i * e2^j * e3^k
+respectively.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Optional, Union
 
-from .poly import ONE, Polynomial, variable
+from .poly import ONE, Monomial, Polynomial, variable
 
 Entry = Union[int, Polynomial]
 Row = Mapping[tuple, Entry]
 
-_P = variable("p")
+_P, _Q, _X = variable("p"), variable("q"), variable("x")
+_X2 = _X * _X
+_XYZ = _X * variable("y") * variable("z")
 
 
 def _bump(row: dict, key: tuple, value: Entry) -> None:
@@ -188,7 +193,8 @@ def _row_bessel(n: int) -> dict:
         num = factorial(n + j)
         den = (1 << j) * factorial(n - j) * factorial(j)
         q, r = divmod(num, den)
-        assert r == 0
+        if r:
+            raise ArithmeticError(f"bessel entry ({n}, {j}) is not an integer")
         row[(j,)] = q
     return row
 
@@ -196,10 +202,9 @@ def _row_bessel(n: int) -> dict:
 def _row_catalan(n: int) -> dict:
     if n == 0:
         return {(): 1}
-    total = 0
-    for i in range(n):
-        total += _row("catalan", i)[()] * _row("catalan", n - 1 - i)[()]
-    return {(): total}
+    # Lower levels in ascending order, so each is one step from a cached row.
+    c = [_row("catalan", i)[()] for i in range(n)]
+    return {(): sum(c[i] * c[n - 1 - i] for i in range(n))}
 
 
 @dataclass(frozen=True)
@@ -233,20 +238,37 @@ FAMILIES: dict[str, FamilySpec] = {
 
 FAMILY_NAMES: tuple[str, ...] = tuple(FAMILIES)
 
+# One row per computed (family, level); rows are shared, never mutated.
+_ROWS: dict[tuple[str, int], Row] = {}
 
-@lru_cache(maxsize=None)
-def _row(family: str, n: int) -> Row:
+
+def _family(family: str) -> FamilySpec:
     spec = FAMILIES.get(family)
     if spec is None:
         known = ", ".join(FAMILY_NAMES)
         raise KeyError(f"unknown family {family!r}; known families: {known}")
+    return spec
+
+
+def _row(family: str, n: int) -> Row:
+    row = _ROWS.get((family, n))
+    if row is not None:
+        return row
+    spec = _family(family)
     if n < spec.start:
         raise ValueError(f"family {family!r} starts at n = {spec.start}")
     if spec.row_fn is not None:
-        return spec.row_fn(n)
-    if n == spec.start:
-        return dict(spec.base)
-    return spec.step(_row(family, n - 1), n - 1)
+        row = _ROWS[(family, n)] = spec.row_fn(n)
+        return row
+    # Step up from the highest cached level below n, without recursion.
+    level = n
+    while level > spec.start and (family, level - 1) not in _ROWS:
+        level -= 1
+    row = _ROWS.get((family, level - 1))
+    for m in range(level, n + 1):
+        row = dict(spec.base) if m == spec.start else spec.step(row, m - 1)
+        _ROWS[(family, m)] = row
+    return row
 
 
 def family_row(family: str, n: int) -> dict[tuple, Entry]:
@@ -270,10 +292,7 @@ class Triangle:
 
 
 def build_triangle(family: str, max_n: int) -> Triangle:
-    spec = FAMILIES.get(family)
-    if spec is None:
-        known = ", ".join(FAMILY_NAMES)
-        raise KeyError(f"unknown family {family!r}; known families: {known}")
+    spec = _family(family)
     entries: dict[tuple, Entry] = {}
     for n in range(spec.start, max_n + 1):
         for idx, v in _row(family, n).items():
@@ -283,87 +302,35 @@ def build_triangle(family: str, max_n: int) -> Triangle:
 
 # -- assembled polynomials -------------------------------------------------
 
-
-def _poly(acc: dict) -> Polynomial:
-    return Polynomial(acc)
-
-
-def _mono_key(**exps: int):
-    from .poly import Monomial
-
-    return Monomial({s: e for s, e in exps.items() if e})
+# exps(n, *index) -> {symbol: exponent}, or None to leave the entry out.
+ExponentMap = Callable[..., Optional[Mapping[str, int]]]
 
 
-def _assemble_A(n: int) -> Polynomial:
-    if n == 0:
-        return ONE
-    acc = {}
-    for (k, l), v in _row("A", n).items():
-        acc[_mono_key(x=l, y=n - l, z=k)] = v
-    return _poly(acc)
+def indexed_polynomial(entries: Mapping[tuple, Entry], n: int, exps: ExponentMap) -> Polynomial:
+    """Sum of entry * prod(symbol^e) over ``entries``, exponents from ``exps(n, *index)``.
+
+    Entries that land on the same monomial add up; polynomial entries (the
+    ``Ap`` family) are multiplied through.
+    """
+
+    def terms():
+        for idx, v in entries.items():
+            e = exps(n, *idx)
+            if e is None:
+                continue
+            m = Monomial(e)
+            if isinstance(v, Polynomial):
+                for vm, vc in v.terms():
+                    yield m.mul(vm), vc
+            else:
+                yield m, v
+
+    return Polynomial(terms())
 
 
-def _assemble_Ap(n: int) -> Polynomial:
-    if n == 0:
-        return ONE
-    total = Polynomial()
-    for (k, l), v in _row("Ap", n).items():
-        total = total + v * _poly({_mono_key(x=l, y=n - l, z=k): 1})
-    return total
-
-
-def _assemble_a(n: int) -> Polynomial:
-    if n == 0:
-        return ONE
-    acc = {}
-    for (k, l), v in _row("a", n).items():
-        acc[_mono_key(x=l, y=n + k - l, z=k)] = v
-    return _poly(acc)
-
-
-def _assemble_Ct(n: int) -> Polynomial:
-    if n == 0:
-        return ONE
-    acc = {}
-    for (k, l), v in _row("C", n).items():
-        acc[_mono_key(x=l, y=2 * n - k - l, z=k)] = v
-    return _poly(acc)
-
-
-def _assemble_beta(n: int) -> Polynomial:
-    if n == 0:
-        return ONE
-    acc = {}
-    for (k, j, l), v in _row("beta", n).items():
-        acc[_mono_key(u=2 * n - 2 * k - 2 * j - 3 * l, v=j, w=l + k, q=k)] = v
-    return _poly(acc)
-
-
-def _assemble_B(n: int) -> Polynomial:
-    if n == 0:
-        return ONE
-    acc = {}
-    for (k, l), v in _row("B", n).items():
-        acc[_mono_key(x=k + 2 * l, y=2 * n - k - 2 * l, z=k)] = v
-    return _poly(acc)
-
-
-def _assemble_E(n: int) -> Polynomial:
-    if n == 0:
-        return ONE
-    acc = {}
-    for (k, l), v in _row("E", n).items():
-        acc[_mono_key(x=k + 2 * l, y=2 * n - 2 * k - 2 * l, z=k)] = v
-    return _poly(acc)
-
-
-def _assemble_W(n: int) -> Polynomial:
-    if n == 0:
-        return ONE
-    acc = {}
-    for (k, l), v in _row("W", n).items():
-        acc[_mono_key(x=k + 2 * l, y=n - k - 2 * l, z=k)] = v
-    return _poly(acc)
+def row_polynomial(family: str, n: int, exps: ExponentMap) -> Polynomial:
+    """Row n of a family as a polynomial, each index mapped by ``exps(n, *index)``."""
+    return indexed_polynomial(_row(family, n), n, exps)
 
 
 def _iterate(n: int, start: Polynomial, step: Callable[[Polynomial, int], Polynomial]) -> Polynomial:
@@ -373,93 +340,52 @@ def _iterate(n: int, start: Polynomial, step: Callable[[Polynomial, int], Polyno
     return f
 
 
-def _assemble_eulerian_x(n: int) -> Polynomial:
-    x = variable("x")
-    one_minus = ONE - x
+def _from_row(family: str, exps: ExponentMap) -> Callable[[int], Polynomial]:
+    return lambda n: ONE if n == 0 else row_polynomial(family, n, exps)
 
-    def step(f: Polynomial, m: int) -> Polynomial:
-        return (m + 1) * x * f + x * one_minus * f.diff("x")
 
-    return _iterate(n, ONE, step)
+def _from_recurrence(step: Callable[[Polynomial, int], Polynomial]) -> Callable[[int], Polynomial]:
+    return lambda n: _iterate(n, ONE, step)
 
 
 def _assemble_eulerian_xq(n: int) -> Polynomial:
     if n < 1:
         raise ValueError("the cycle-refined family starts at n = 1")
-    x, q = variable("x"), variable("q")
-    one_minus = ONE - x
-
-    def step(f: Polynomial, m: int) -> Polynomial:
-        return ((m + 1) * x + q) * f + x * one_minus * f.diff("x")
-
-    return _iterate(n - 1, ONE, step)
-
-
-def _assemble_type_b_x(n: int) -> Polynomial:
-    x = variable("x")
-    one_minus = ONE - x
-
-    def step(f: Polynomial, m: int) -> Polynomial:
-        return (ONE + (2 * m + 1) * x) * f + 2 * x * one_minus * f.diff("x")
-
-    return _iterate(n, ONE, step)
-
-
-def _assemble_second_order_x(n: int) -> Polynomial:
-    if n == 0:
-        return ONE
-    acc = {}
-    for (l,), v in _row("eulerian2", n).items():
-        acc[_mono_key(x=l)] = v
-    return _poly(acc)
+    return _iterate(n - 1, ONE, lambda f, m: ((m + 1) * _X + _Q) * f + _X * (ONE - _X) * f.diff("x"))
 
 
 def _assemble_second_order_xyz(n: int) -> Polynomial:
     if n == 0:
         return ONE
-    f = _poly({_mono_key(x=1, y=1, z=1): 1})
-    xyz = f
-    for _ in range(n - 1):
-        f = xyz * (f.diff("x") + f.diff("y") + f.diff("z"))
-    return f
-
-
-def _assemble_fap_x(n: int) -> Polynomial:
-    x = variable("x")
-    x2 = x * x
-
-    def step(f: Polynomial, m: int) -> Polynomial:
-        return (x + 2 * m * x2) * f + x * (ONE - x2) * f.diff("x")
-
-    return _iterate(n, ONE, step)
-
-
-def _assemble_updown_x(n: int) -> Polynomial:
-    x = variable("x")
-    x2 = x * x
-
-    def step(f: Polynomial, m: int) -> Polynomial:
-        return x * (ONE + m * x) * f + x * (ONE - x2) * f.diff("x")
-
-    return _iterate(n, ONE, step)
+    return _iterate(n - 1, _XYZ, lambda f, m: _XYZ * (f.diff("x") + f.diff("y") + f.diff("z")))
 
 
 ASSEMBLERS: dict[str, Callable[[int], Polynomial]] = {
-    "A": _assemble_A,
-    "Ap": _assemble_Ap,
-    "a": _assemble_a,
-    "Ct": _assemble_Ct,
-    "beta": _assemble_beta,
-    "B": _assemble_B,
-    "E": _assemble_E,
-    "W": _assemble_W,
-    "eulerian-x": _assemble_eulerian_x,
+    "A": _from_row("A", lambda n, k, l: {"x": l, "y": n - l, "z": k}),
+    "Ap": _from_row("Ap", lambda n, k, l: {"x": l, "y": n - l, "z": k}),
+    "a": _from_row("a", lambda n, k, l: {"x": l, "y": n + k - l, "z": k}),
+    "Ct": _from_row("C", lambda n, k, l: {"x": l, "y": 2 * n - k - l, "z": k}),
+    "beta": _from_row(
+        "beta", lambda n, k, j, l: {"u": 2 * n - 2 * k - 2 * j - 3 * l, "v": j, "w": l + k, "q": k}
+    ),
+    "B": _from_row("B", lambda n, k, l: {"x": k + 2 * l, "y": 2 * n - k - 2 * l, "z": k}),
+    "E": _from_row("E", lambda n, k, l: {"x": k + 2 * l, "y": 2 * n - 2 * k - 2 * l, "z": k}),
+    "W": _from_row("W", lambda n, k, l: {"x": k + 2 * l, "y": n - k - 2 * l, "z": k}),
+    "eulerian-x": _from_recurrence(
+        lambda f, m: (m + 1) * _X * f + _X * (ONE - _X) * f.diff("x")
+    ),
     "eulerian-xq": _assemble_eulerian_xq,
-    "type-b-x": _assemble_type_b_x,
-    "second-order-x": _assemble_second_order_x,
+    "type-b-x": _from_recurrence(
+        lambda f, m: (ONE + (2 * m + 1) * _X) * f + 2 * _X * (ONE - _X) * f.diff("x")
+    ),
+    "second-order-x": _from_row("eulerian2", lambda n, l: {"x": l}),
     "second-order-xyz": _assemble_second_order_xyz,
-    "flag-ascent-plateau-x": _assemble_fap_x,
-    "updown-run-x": _assemble_updown_x,
+    "flag-ascent-plateau-x": _from_recurrence(
+        lambda f, m: (_X + 2 * m * _X2) * f + _X * (ONE - _X2) * f.diff("x")
+    ),
+    "updown-run-x": _from_recurrence(
+        lambda f, m: _X * (ONE + m * _X) * f + _X * (ONE - _X2) * f.diff("x")
+    ),
 }
 
 
@@ -565,8 +491,8 @@ def e_expand(
         )
         a, b, c = lead.exponent(x), lead.exponent(y), lead.exponent(z)
         coeff = residual.coefficient(lead)
-        # For a symmetric residual the lex-leading exponents are sorted.
-        assert a >= b >= c
+        if not a >= b >= c:
+            raise ArithmeticError("lex-leading exponents of a symmetric residual must be sorted")
         i, j, k = a - b, b - c, c
         residual = residual - coeff * (e1 ** i) * (e2 ** j) * (e3 ** k)
         out[(i, j, k)] = coeff

@@ -15,7 +15,7 @@ from normord import (
     run_all,
     run_check,
 )
-from normord.checks import REGISTRY
+from normord.checks import REGISTRY, register
 
 # Frozen manifest: adding or removing a check must be a deliberate edit here.
 EXPECTED_CHECK_IDS = (
@@ -61,6 +61,13 @@ class TestManifest:
 
     def test_minimum_breadth(self):
         assert len(EXPECTED_CHECK_IDS) >= 25
+
+    def test_duplicate_id_is_rejected(self):
+        spec = REGISTRY["lah-closed-form"]
+        with pytest.raises(ValueError, match="duplicate check id"):
+            register(spec)
+        assert REGISTRY["lah-closed-form"] is spec
+        assert tuple(check_ids()) == EXPECTED_CHECK_IDS
 
     def test_specs_are_well_formed(self):
         for check_id, spec in REGISTRY.items():

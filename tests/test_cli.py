@@ -150,9 +150,11 @@ class TestEnumerate:
         assert "error:" in err
 
     def test_cap_exceeded(self):
-        code, _, err = run("enumerate", "--objects", "permutations", "--n", "10")
-        assert code == 2
-        assert "error:" in err
+        for objects, n in (("permutations", "10"), ("binary-forests", "10")):
+            code, out, err = run("enumerate", "--objects", objects, "--n", n)
+            assert code == 2
+            assert out == ""
+            assert "capped at n = 9" in err
 
 
 class TestVerify:

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import normord
 from normord import (
     Polynomial,
     assemble,
@@ -53,6 +58,21 @@ class TestFamilyRow:
     def test_unknown_family(self):
         with pytest.raises(KeyError):
             family_row("no-such-family", 3)
+
+    def test_deep_rows_from_a_cold_cache(self):
+        # A fresh interpreter starts with no cached rows, so level 1000 is
+        # stepped up from the base row.
+        code = (
+            "from math import comb\n"
+            "from normord import catalan_number, family_row\n"
+            "row = family_row('S2', 1000)\n"
+            "assert row[(2,)] == 2 ** 999 - 1 and row[(999,)] == comb(1000, 2)\n"
+            "assert family_row('catalan', 1000)[()] == catalan_number(1000)\n"
+        )
+        src = str(Path(normord.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
     def test_entries_nonnegative(self):
         for family in ("A", "a", "gamma", "C", "beta", "B", "E", "W"):
