@@ -21,7 +21,6 @@ interactive time.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -32,6 +31,7 @@ from .combinat import (
     stat_polynomial,
     stirling_lists,
     stirling_permutations,
+    tally,
 )
 from .forests import grow_forests
 from .grammar import Grammar
@@ -185,17 +185,9 @@ def check(check_id: str, summary: str, n_min: int, full_cap: int, quick_cap: int
 # -- shared side builders --------------------------------------------------
 
 
-def _tally_poly(counter: Counter, names: Tuple[str, ...]) -> Polynomial:
-    acc = Polynomial()
-    for key, count in counter.items():
-        acc = acc + mono(count, **dict(zip(names, key)))
-    return acc
-
-
 def _forest_poly(flavor: str, n: int, names: Tuple[str, ...]) -> Polynomial:
     """Forest tally: the first leaf counts, then the tree count, one symbol each."""
-    tally = Counter((*f.leaves[: len(names) - 1], f.k) for f in grow_forests(flavor, n))
-    return _tally_poly(tally, names)
+    return tally(((*f.leaves[: len(names) - 1], f.k) for f in grow_forests(flavor, n)), names)
 
 
 def _slice_one_up(family: str, n: int) -> Polynomial:
@@ -269,8 +261,8 @@ def _eulerian_grammar_self_dual(n: int):
     yield "derivative of first symbol vs second symbol", da, g.derive_power(B, n)
     yield ("iterated derivative vs descent triangle", da,
            row_polynomial("eulerian", n, lambda n, k: {"a": k, "b": n + 1 - k}))
-    tally = Counter((r.stats["des"] + 1, n - r.stats["des"]) for r in permutations(n))
-    yield "iterated derivative vs descent enumeration", da, _tally_poly(tally, ("a", "b"))
+    yield ("iterated derivative vs descent enumeration", da,
+           tally(((r.stats["des"] + 1, n - r.stats["des"]) for r in permutations(n)), ("a", "b")))
     nf = normal_order_power(X * Y, Grammar.preset("eulerian-full"), n)
     fx = nf.apply_to(X)
     yield "product-multiplier action on x vs on y", fx, nf.apply_to(Y)
@@ -306,10 +298,9 @@ def _eulerian_specialization_chain(n: int):
 def _pq_eulerian_cycle_stats(n: int):
     spec = normal_order_power(X, Grammar.preset("pq-eulerian"), n).specialize(Z)
     yield "normal order vs weighted triangle assembly", spec, assemble("Ap", n)
-    tally = Counter((n - r.stats["exc"], r.stats["exc"], r.stats["cdes"], r.stats["cyc"])
-                    for r in permutations(n))
     yield ("normal order vs excedance-cycle enumeration", spec,
-           _tally_poly(tally, ("x", "y", "p", "z")))
+           tally(((n - r.stats["exc"], r.stats["exc"], r.stats["cdes"], r.stats["cyc"])
+                  for r in permutations(n)), ("x", "y", "p", "z")))
     yield "weight-one reduction vs plain triangle assembly", spec.subs({"p": ONE}), assemble("A", n)
 
 
@@ -344,23 +335,19 @@ def _lah_closed_form(n: int):
 @check("list-partition-ascents",
        "ascent statistics over list partitions reproduce the triangle", 1, 6, 5)
 def _list_partition_ascents(n: int):
-    asc_tally, block_tally = Counter(), Counter()
-    for rec in list_partitions(n):
-        k = rec.stats["blocks"]
-        asc_tally[(rec.stats["asc"], k)] += 1
-        block_tally[(k,)] += 1
-    yield ("list-partition ascent enumeration vs triangle", _tally_poly(asc_tally, ("x", "z")),
+    enum = stat_polynomial(list_partitions(n), {"asc": "x", "blocks": "z"})
+    yield ("list-partition ascent enumeration vs triangle", enum,
            row_polynomial("a", n, lambda n, k, l: {"x": l, "z": k}))
-    yield ("list-partition block counts vs list-count triangle", _tally_poly(block_tally, ("z",)),
+    yield ("list-partition block counts vs list-count triangle", enum.subs({"x": ONE}),
            row_polynomial("lah", n, _z_k))
 
 
 @check("gamma-valley-enumeration",
        "valley counts without double descents reproduce the paired triangle", 1, 6, 5)
 def _gamma_valley_enumeration(n: int):
-    tally = Counter((r.stats["blocks"] + r.stats["val"], r.stats["blocks"])
-                    for r in list_partitions(n) if r.stats["dd"] == 0)
-    yield ("valley enumeration without double descents vs triangle", _tally_poly(tally, ("u", "z")),
+    yield ("valley enumeration without double descents vs triangle",
+           tally(((r.stats["blocks"] + r.stats["val"], r.stats["blocks"])
+                  for r in list_partitions(n) if r.stats["dd"] == 0), ("u", "z")),
            row_polynomial("gamma", n, _u_l_z_k))
 
 
@@ -409,16 +396,8 @@ def _ctilde_diagonal(n: int):
        "the diagonal matches the factorial closed form for weighted pairings", 1, 10, 8)
 def _bessel_closed_form(n: int):
     left = ctilde_xx(n)
-    right = Polynomial()
-    for j in range(n):
-        num = math.factorial(n - 1 + j)
-        den = (2 ** j) * math.factorial(n - 1 - j) * math.factorial(j)
-        q, r = divmod(num, den)
-        if r:
-            yield "factorial quotient fails to divide", str(num), str(den)
-            return
-        right = right + mono(q, x=n + j, z=n - j)
-    yield "diagonal recurrence vs factorial closed form", left, right
+    yield ("diagonal recurrence vs factorial closed form", left,
+           row_polynomial("bessel", n - 1, lambda m, j: {"x": m + 1 + j, "z": m + 1 - j}))
     yield ("diagonal at unit first slot vs weighted-pairing polynomial",
            left.subs({"x": ONE}), bessel_polynomial(n))
 
@@ -431,8 +410,8 @@ def _trivariate_second_order(n: int):
            Grammar.preset("trivariate-second-order").derive_power(X, n))
     yield ("recurrence vs ascent-descent-plateau enumeration", dum,
            stat_polynomial(stirling_permutations(n), {"asc": "x", "des": "y", "plat": "z"}))
-    tally = Counter(f.leaves for f in grow_forests("full-ternary", n) if f.k == 1)
-    yield "recurrence vs single-tree leaf enumeration", dum, _tally_poly(tally, ("x", "y", "z"))
+    yield ("recurrence vs single-tree leaf enumeration", dum,
+           tally((f.leaves for f in grow_forests("full-ternary", n) if f.k == 1), ("x", "y", "z")))
     yield "symmetry under swapping first two slots", dum, dum.subs({"x": Y, "y": X})
     yield "symmetry under swapping outer slots", dum, dum.subs({"x": Z, "z": X})
 

@@ -4,7 +4,10 @@ These generators are the independent oracles of the package: they build
 every object of a class by direct insertion, compute statistics by naive
 scanning, and never consult recurrences or operator expansions.  Each
 yields StatRecord values with a canonical text encoding and a dict of
-named integer statistics.
+named integer statistics.  Every tally of objects into a polynomial goes
+through one accumulator, :func:`tally`, which counts exponent keys and
+builds one monomial per distinct key; :func:`stat_polynomial` feeds it the
+statistics of records.
 
 Conventions that matter and are easy to get wrong:
 
@@ -25,6 +28,7 @@ pass a larger ``cap`` explicitly to go beyond.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations as _one_line_words
 from itertools import product as _product
@@ -84,15 +88,8 @@ def standard_cycles(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
-def cycle_count(word: tuple[int, ...]) -> int:
-    return len(standard_cycles(word))
-
-
 def cycle_descents(word: tuple[int, ...]) -> int:
-    total = 0
-    for cycle in standard_cycles(word):
-        total += sum(1 for i in range(len(cycle) - 1) if cycle[i] > cycle[i + 1])
-    return total
+    return sum(descents(c) for c in standard_cycles(word))
 
 
 def updown_runs(word: tuple[int, ...]) -> int:
@@ -179,13 +176,14 @@ def permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     """All permutations of [n] with des, exc, cyc, cdes and udrun."""
     _check_cap("permutations", n, cap)
     for word in _one_line_words(range(1, n + 1)):
+        cycles = standard_cycles(word)
         yield StatRecord(
             object_id=",".join(map(str, word)),
             stats={
                 "des": descents(word),
                 "exc": excedances(word),
-                "cyc": cycle_count(word),
-                "cdes": cycle_descents(word),
+                "cyc": len(cycles),
+                "cdes": sum(descents(c) for c in cycles),
                 "udrun": updown_runs(word),
             },
         )
@@ -306,6 +304,15 @@ def stirling_lists(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
             )
 
 
+def tally(keys: Iterable[tuple[int, ...]], symbols: tuple[str, ...]) -> Polynomial:
+    """Sum over keys of the product symbol^exponent, pairing ``symbols`` with each key.
+
+    Equal keys are counted first, so one monomial is built per distinct
+    key; a symbol named twice sums its exponents.
+    """
+    return Polynomial((Monomial(zip(symbols, key)), count) for key, count in Counter(keys).items())
+
+
 def stat_polynomial(
     records: Iterable[StatRecord], assignment: Mapping[str, str]
 ) -> Polynomial:
@@ -314,19 +321,16 @@ def stat_polynomial(
     ``assignment`` maps statistic names to symbol names; every assigned
     statistic must be present on every record.
     """
-    acc: dict[Monomial, int] = {}
-    items = tuple(assignment.items())
-    for rec in records:
-        exps: dict[str, int] = {}
-        for stat, symbol in items:
+    stats = tuple(assignment)
+
+    def keys() -> Iterator[tuple[int, ...]]:
+        for rec in records:
             try:
-                e = rec.stats[stat]
-            except KeyError:
+                key = tuple(rec.stats[stat] for stat in stats)
+            except KeyError as exc:
                 raise KeyError(
-                    f"record {rec.object_id!r} has no statistic {stat!r}"
+                    f"record {rec.object_id!r} has no statistic {exc.args[0]!r}"
                 ) from None
-            if e:
-                exps[symbol] = exps.get(symbol, 0) + e
-        m = Monomial(exps)
-        acc[m] = acc.get(m, 0) + 1
-    return Polynomial(acc)
+            yield key
+
+    return tally(keys(), tuple(assignment.values()))

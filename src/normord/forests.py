@@ -24,6 +24,7 @@ from typing import Iterator, Union
 
 Node = tuple  # (label, children); children are Node or leaf letter strings
 Tree = Node
+Leaves = tuple[int, int, int]  # counts of x, y, z leaves
 
 FLAVORS: dict[str, dict[str, tuple[str, ...]]] = {
     "binary": {"root": ("x",), "node": ("x", "y")},
@@ -44,7 +45,7 @@ CAPS = {
 class Forest:
     flavor: str
     trees: tuple[Tree, ...]
-    leaves: tuple[int, int, int]  # counts of x, y, z leaves
+    leaves: Leaves
 
     @property
     def k(self) -> int:
@@ -94,43 +95,25 @@ def grow_forests(flavor: str, n: int, *, cap: int | None = None) -> Iterator[For
     root_letters = spec["root"]
     node_letters = spec["node"]
 
-    def letters_delta(eaten: str) -> tuple[int, int, int]:
-        d = [0, 0, 0]
-        d["xyz".index(eaten)] -= 1
-        for c in node_letters:
-            d["xyz".index(c)] += 1
-        return tuple(d)
+    def delta(letters: tuple[str, ...], eaten: str = "") -> Leaves:
+        return tuple(letters.count(c) - eaten.count(c) for c in "xyz")
 
-    root_delta = [0, 0, 0]
-    for c in root_letters:
-        root_delta["xyz".index(c)] += 1
-    root_delta = tuple(root_delta)
+    root_delta = delta(root_letters)
+    eat_delta = {eaten: delta(node_letters, eaten) for eaten in "xyz"}
 
-    def extend(trees: tuple[Tree, ...], counts: tuple[int, int, int], m: int):
+    def extend(trees: tuple[Tree, ...], counts: Leaves, d: Leaves, m: int):
+        counts = (counts[0] + d[0], counts[1] + d[1], counts[2] + d[2])
         if m == n:
             yield Forest(flavor=flavor, trees=trees, leaves=counts)
             return
         fresh = (m + 1, node_letters)
         for ti, tree in enumerate(trees):
             for rebuilt, eaten in _attachments(tree, fresh):
-                d = letters_delta(eaten)
-                yield from extend(
-                    trees[:ti] + (rebuilt,) + trees[ti + 1 :],
-                    (counts[0] + d[0], counts[1] + d[1], counts[2] + d[2]),
-                    m + 1,
-                )
-        new_root = (m + 1, root_letters)
-        yield from extend(
-            trees + (new_root,),
-            (
-                counts[0] + root_delta[0],
-                counts[1] + root_delta[1],
-                counts[2] + root_delta[2],
-            ),
-            m + 1,
-        )
+                grown = trees[:ti] + (rebuilt,) + trees[ti + 1 :]
+                yield from extend(grown, counts, eat_delta[eaten], m + 1)
+        yield from extend(trees + ((m + 1, root_letters),), counts, root_delta, m + 1)
 
     if n == 0:
         yield Forest(flavor=flavor, trees=(), leaves=(0, 0, 0))
         return
-    yield from extend(((1, root_letters),), root_delta, 1)
+    yield from extend(((1, root_letters),), (0, 0, 0), root_delta, 1)

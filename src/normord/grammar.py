@@ -59,18 +59,25 @@ class Grammar:
     def from_text(text: str) -> "Grammar":
         """Parse ``"x -> y^2; y -> x*y"`` style rule text."""
         rules: dict[str, Polynomial] = {}
+        # Error positions count from the start of ``text``, not of the rule.
+        start = 0
         for chunk in text.split(";"):
+            offset, start = start, start + len(chunk) + 1
             if not chunk.strip():
                 continue
             head, sep, body = chunk.partition("->")
+            at = offset + len(head) - len(head.lstrip())
             if not sep:
-                raise ParseError(f"rule {chunk.strip()!r} is missing '->'", 0)
+                raise ParseError(f"rule {chunk.strip()!r} is missing '->'", at)
             name = head.strip()
             if not name.isidentifier():
-                raise ParseError(f"bad rule symbol {name!r}", 0)
+                raise ParseError(f"bad rule symbol {name!r}", at)
             if name in rules:
-                raise ParseError(f"duplicate rule for {name!r}", 0)
-            rules[name] = parse(body)
+                raise ParseError(f"duplicate rule for {name!r}", at)
+            try:
+                rules[name] = parse(body)
+            except ParseError as exc:
+                raise ParseError(exc.message, offset + len(head) + len(sep) + exc.position) from None
         return Grammar(rules)
 
     @staticmethod

@@ -34,6 +34,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -419,6 +420,10 @@ def mono(coeff: Scalar = 1, /, **exponents: int) -> Polynomial:
 
 # -- parsing ---------------------------------------------------------------
 
+# Each nested parenthesis costs the recursive-descent parser four stack
+# frames; this bound keeps deep input a ParseError, not a RecursionError.
+MAX_PAREN_DEPTH = 100
+
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/])")
 
 
@@ -444,6 +449,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -488,22 +494,17 @@ class _Parser:
                 return result
 
     def factor(self) -> Polynomial:
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            inner = self.factor()
-            return inner if value == "+" else -inner
-
+        sign = self.signs()
         base = self.atom()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
             exp = self.signed_int()
             try:
-                return base ** exp
+                base = base ** exp
             except ValueError as exc:
                 raise ParseError(str(exc), pos) from None
-        return base
+        return base if sign == 1 else -base
 
     def atom(self) -> Polynomial:
         kind, value, pos = self.advance()
@@ -522,19 +523,29 @@ class _Parser:
         if kind == "name":
             return variable(value)
         if kind == "op" and value == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", pos)
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError("expected a number, symbol or '('", pos)
 
-    def signed_int(self) -> int:
+    def signs(self) -> int:
+        """Consume a run of unary signs; +1 or -1 for their product."""
         sign = 1
-        kind, value, pos = self.peek()
+        kind, value, _ = self.peek()
         while kind == "op" and value in "+-":
             if value == "-":
                 sign = -sign
             self.advance()
-            kind, value, pos = self.peek()
+            kind, value, _ = self.peek()
+        return sign
+
+    def signed_int(self) -> int:
+        sign = self.signs()
+        kind, value, pos = self.peek()
         if kind != "int":
             raise ParseError("expected an integer exponent", pos)
         self.advance()

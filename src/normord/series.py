@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-from .poly import Polynomial, Scalar, mono, variable
-from .triangles import ctilde_xx
+from .poly import Polynomial, Scalar, variable
+from .triangles import ctilde_xx, row_polynomial
 
 __all__ = [
     "TruncatedSeries",
@@ -265,20 +265,12 @@ def catalan_series(order: int) -> TruncatedSeries:
 def bessel_polynomial(n: int) -> Polynomial:
     """Sum over j of (n+j-1)! / (2^j (n-1-j)! j!) * z^(n-j), for n >= 1.
 
-    The coefficient of z^(n-j) counts weighted pairings; the factorial
-    quotient is always an exact integer.
+    The coefficient of z^(n-j) counts weighted pairings; it is entry j of
+    row n - 1 of the ``bessel`` family.
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
-    out = Polynomial()
-    for j in range(n):
-        num = math.factorial(n + j - 1)
-        den = (2 ** j) * math.factorial(n - 1 - j) * math.factorial(j)
-        q, r = divmod(num, den)
-        if r:
-            raise ArithmeticError(f"weighted-pairing coefficient ({n}, {j}) is not an integer")
-        out = out + mono(q, z=n - j)
-    return out
+    return row_polynomial("bessel", n - 1, lambda m, j: {"z": m + 1 - j})
 
 
 @dataclass(frozen=True)

@@ -53,14 +53,19 @@ class TestExpand:
         assert c1.coefficient({"x": 2, "y": 2}) == 4
 
     def test_bad_polynomial(self):
-        code, _, err = run("expand", "--w", "x+", "--grammar", "swap", "--n", "2")
-        assert code == 2
-        assert "error:" in err
+        # The second multiplier nests deeper than the parser allows.
+        for w in ("x+", "(" * 245 + "x" + ")" * 245):
+            code, out, err = run("expand", "--w", w, "--grammar", "swap", "--n", "2")
+            assert code == 2
+            assert out == ""
+            assert "error:" in err
 
     def test_bad_grammar(self):
-        code, _, err = run("expand", "--w", "x", "--grammar", "x=>y", "--n", "2")
-        assert code == 2
-        assert "error:" in err
+        for rules in ("x=>y", "x -> " + "(" * 300 + "y" + ")" * 300):
+            code, out, err = run("expand", "--w", "x", "--grammar", rules, "--n", "2")
+            assert code == 2
+            assert out == ""
+            assert "error:" in err
 
 
 class TestTriangle:

@@ -23,6 +23,7 @@ from normord import (
 from normord.combinat import (
     cycle_descents,
     standard_cycles,
+    tally,
     type_b_descents,
     updown_runs,
 )
@@ -233,3 +234,12 @@ class TestStatPolynomial:
     def test_multi_symbol(self):
         got = stat_polynomial(permutations(2), {"des": "x", "cyc": "q"})
         assert got == parse("q^2 + x*q")
+
+    def test_tally_repeated_symbol_sums_exponents(self):
+        assert tally([(1, 2), (2, 1), (0, 0)], ("x", "x")) == parse("2*x^3 + 1")
+
+    def test_tally_zero_exponents_drop_out(self):
+        assert tally([(0, 2), (0, 2), (1, 0)], ("x", "y")) == parse("2*y^2 + x")
+
+    def test_tally_empty_is_zero(self):
+        assert tally([], ("x",)).is_zero

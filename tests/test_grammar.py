@@ -64,6 +64,17 @@ class TestConstruction:
         with pytest.raises(ParseError):
             Grammar.from_text("x->y; x->z")
 
+    @pytest.mark.parametrize("text, position", [
+        ("x -> y; y -> y + * 2", 17),
+        ("x -> y; y", 8),
+        ("x -> y; 1x -> y", 8),
+        ("x -> y; x -> y", 8),
+    ])
+    def test_error_position_in_full_text(self, text, position):
+        with pytest.raises(ParseError) as info:
+            Grammar.from_text(text)
+        assert info.value.position == position
+
 
 class TestDerive:
     def test_single_symbol(self):

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import random_polynomial
 from normord import Monomial, ParseError, PoleError, Polynomial, mono, parse, variable
+from normord.poly import MAX_PAREN_DEPTH
 
 x = variable("x")
 y = variable("y")
@@ -86,6 +87,13 @@ class TestParse:
     def test_implicit_unary_signs(self):
         assert parse("-x + -3") == -x - 3
         assert parse("+x") == x
+        assert parse("-" * 1001 + "x^2") == -x ** 2
+
+    def test_nesting_depth_bound(self):
+        assert parse("(" * MAX_PAREN_DEPTH + "x" + ")" * MAX_PAREN_DEPTH) == x
+        with pytest.raises(ParseError) as info:
+            parse("(" * 300 + "x" + ")" * 300)
+        assert info.value.position == MAX_PAREN_DEPTH
 
     def test_error_reports_position(self):
         with pytest.raises(ParseError) as info:
