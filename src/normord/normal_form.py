@@ -20,9 +20,19 @@ power of D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .grammar import Grammar
 from .poly import ONE, ZERO, Polynomial, Scalar
+
+
+def _grow(order: int, entry: Callable[..., Polynomial]) -> list[Polynomial]:
+    """Row ``order`` of v'_k = entry(k, v_k, v_(k-1)) from [ONE]; v beyond the row is zero."""
+    row = [ONE]
+    for _ in range(order):
+        padded = [ZERO, *row, ZERO]
+        row = [entry(k, padded[k + 1], padded[k]) for k in range(len(row) + 1)]
+    return row
 
 
 @dataclass(frozen=True)
@@ -72,14 +82,9 @@ class NormalForm:
         """
         w = self.multiplier
         dw = self.grammar.derive(w)
-        xs: list[Polynomial] = [ONE]
-        for _ in range(self.order):
-            prev = xs
-            xs = []
-            for k in range(len(prev) + 1):
-                cur = prev[k] if k < len(prev) else ZERO
-                below = prev[k - 1] if k >= 1 else ZERO
-                xs.append(dw * cur * k + w * self.grammar.derive(cur) + below)
+        xs = _grow(
+            self.order, lambda k, cur, below: dw * cur * k + w * self.grammar.derive(cur) + below
+        )
         power = ONE
         for k, xi in enumerate(xs):
             if xi * power != self.coeffs[k]:
@@ -119,12 +124,5 @@ def normal_order_power(
     wp = Polynomial._coerce(w)
     if wp is None:
         raise TypeError("multiplier must be a polynomial or exact scalar")
-    coeffs: list[Polynomial] = [ONE]
-    for _ in range(n):
-        prev = coeffs
-        coeffs = []
-        for k in range(len(prev) + 1):
-            ck = prev[k] if k < len(prev) else ZERO
-            below = prev[k - 1] if k >= 1 else ZERO
-            coeffs.append(wp * (grammar.derive(ck) + below))
+    coeffs = _grow(n, lambda k, ck, below: wp * (grammar.derive(ck) + below))
     return NormalForm(grammar=grammar, multiplier=wp, order=n, coeffs=tuple(coeffs))

@@ -7,14 +7,15 @@ operator expansions and brute-force enumeration.  Rows are cached, one per
 computed level, and a cold request steps up from the highest cached level
 without recursion; keys are plain index tuples.
 
-Multi-index families and their row keys:
+Families, their step and their row keys.  Fourteen families share one of
+three step shapes and state only their own weights; beta keeps its own step:
 
-    A, Ap, a, gamma, C    (k, l)     Ap stores polynomials in p, others ints
-    beta                  (k, j, l)
-    B, E, W               (k, l)
-    S2, S1, eulerian, eulerian2, eulerianB, lah    (k,)
-    bessel                (j,)       closed form (n+j)!/(2^j (n-j)! j!)
-    catalan               ()         one number per row
+    climb     A, Ap, a, gamma, C      (k, l)     Ap stores polynomials in p
+    split     B, E, W                 (k, l)
+    single    S2, S1, eulerian, eulerian2, eulerianB, lah    (k,)
+    own step  beta                    (k, j, l)
+    row       bessel                  (j,)       closed form (n+j)!/(2^j (n-j)! j!)
+    row       catalan                 ()         one number per row
 
 ``row_polynomial(family, n, exps)`` turns a row into a polynomial through an
 exponent map ``exps(n, *index) -> {symbol: exponent}``.  ``assemble`` names
@@ -43,60 +44,58 @@ _XYZ = _X * variable("y") * variable("z")
 
 
 def _bump(row: dict, key: tuple, value: Entry) -> None:
-    if value == 0:
+    if not value:
         return
     prev = row.get(key)
     row[key] = value if prev is None else prev + value
 
 
 # Each step maps the row at level n to the row at level n+1 by pushing the
-# three (or four) contributions of an entry to its children.
+# contributions of an entry to its children.  Fourteen families build their
+# step from one of three shapes, _climb, _split or _single, passing only
+# their weights; beta, with four moves over three indices, keeps its own.
+Step = Callable[[Row, int], dict]
 
 
-def _step_A(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k, l), v in prev.items():
-        _bump(nxt, (k, l), l * v)
-        _bump(nxt, (k, l + 1), (n - l) * v)
-        _bump(nxt, (k + 1, l + 1), v)
-    return nxt
+def _climb(mid: Callable[[int, int, int], Entry]) -> Step:
+    """(k, l) keeps weight l, climbs to (k, l+1) by mid(n, k, l) and to (k+1, l+1) by 1."""
+
+    def step(prev: Row, n: int) -> dict:
+        nxt: dict = {}
+        for (k, l), v in prev.items():
+            _bump(nxt, (k, l), l * v)
+            _bump(nxt, (k, l + 1), mid(n, k, l) * v)
+            _bump(nxt, (k + 1, l + 1), v)
+        return nxt
+
+    return step
 
 
-def _step_Ap(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k, l), v in prev.items():
-        _bump(nxt, (k, l), v * l)
-        if n - l:
-            _bump(nxt, (k, l + 1), v * (n - l) * _P)
-        _bump(nxt, (k + 1, l + 1), v)
-    return nxt
+def _split(mid: Callable[[int, int, int], Entry]) -> Step:
+    """(k, l) keeps weight k+2l, moves to (k, l+1) by mid(n, k, l) and to (k+1, l) by 1."""
+
+    def step(prev: Row, n: int) -> dict:
+        nxt: dict = {}
+        for (k, l), v in prev.items():
+            _bump(nxt, (k, l), (k + 2 * l) * v)
+            _bump(nxt, (k, l + 1), mid(n, k, l) * v)
+            _bump(nxt, (k + 1, l), v)
+        return nxt
+
+    return step
 
 
-def _step_a(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k, l), v in prev.items():
-        _bump(nxt, (k, l), l * v)
-        _bump(nxt, (k, l + 1), (n + k - l) * v)
-        _bump(nxt, (k + 1, l + 1), v)
-    return nxt
+def _single(stay: Callable[[int, int], int], up: Callable[[int, int], int]) -> Step:
+    """(k,) keeps weight stay(n, k) and moves to (k+1,) by up(n, k)."""
 
+    def step(prev: Row, n: int) -> dict:
+        nxt: dict = {}
+        for (k,), v in prev.items():
+            _bump(nxt, (k,), stay(n, k) * v)
+            _bump(nxt, (k + 1,), up(n, k) * v)
+        return nxt
 
-def _step_gamma(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k, l), v in prev.items():
-        _bump(nxt, (k, l), l * v)
-        _bump(nxt, (k, l + 1), 2 * (n + k - 2 * l) * v)
-        _bump(nxt, (k + 1, l + 1), v)
-    return nxt
-
-
-def _step_C(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k, l), v in prev.items():
-        _bump(nxt, (k, l), l * v)
-        _bump(nxt, (k, l + 1), (2 * n - k - l) * v)
-        _bump(nxt, (k + 1, l + 1), v)
-    return nxt
+    return step
 
 
 def _step_beta(prev: Row, n: int) -> dict:
@@ -107,83 +106,6 @@ def _step_beta(prev: Row, n: int) -> dict:
             _bump(nxt, (k, j - 1, l + 1), 2 * j * v)
         _bump(nxt, (k, j, l + 1), 3 * (2 * n - 2 * k - 2 * j - 3 * l) * v)
         _bump(nxt, (k + 1, j, l), v)
-    return nxt
-
-
-def _step_B(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k, l), v in prev.items():
-        _bump(nxt, (k, l), (k + 2 * l) * v)
-        _bump(nxt, (k, l + 1), (2 * n - k - 2 * l) * v)
-        _bump(nxt, (k + 1, l), v)
-    return nxt
-
-
-def _step_E(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k, l), v in prev.items():
-        _bump(nxt, (k, l), (k + 2 * l) * v)
-        _bump(nxt, (k, l + 1), (2 * n - 2 * k - 2 * l) * v)
-        _bump(nxt, (k + 1, l), v)
-    return nxt
-
-
-def _step_W(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k, l), v in prev.items():
-        _bump(nxt, (k, l), (k + 2 * l) * v)
-        _bump(nxt, (k, l + 1), (n - k - 2 * l) * v)
-        _bump(nxt, (k + 1, l), v)
-    return nxt
-
-
-def _step_S2(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k,), v in prev.items():
-        _bump(nxt, (k,), k * v)
-        _bump(nxt, (k + 1,), v)
-    return nxt
-
-
-def _step_S1(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k,), v in prev.items():
-        _bump(nxt, (k,), n * v)
-        _bump(nxt, (k + 1,), v)
-    return nxt
-
-
-def _step_eulerian(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k,), v in prev.items():
-        _bump(nxt, (k,), k * v)
-        _bump(nxt, (k + 1,), (n - k + 1) * v)
-    return nxt
-
-
-def _step_eulerian2(prev: Row, n: int) -> dict:
-    # Gap insertion in Stirling permutations: a new pair lands in one of
-    # the 2n+1 gaps; descents are preserved or created accordingly.
-    nxt: dict = {}
-    for (l,), v in prev.items():
-        _bump(nxt, (l,), l * v)
-        _bump(nxt, (l + 1,), (2 * n + 1 - l) * v)
-    return nxt
-
-
-def _step_eulerianB(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k,), v in prev.items():
-        _bump(nxt, (k,), (1 + 2 * k) * v)
-        _bump(nxt, (k + 1,), (2 * n - 2 * k + 1) * v)
-    return nxt
-
-
-def _step_lah(prev: Row, n: int) -> dict:
-    nxt: dict = {}
-    for (k,), v in prev.items():
-        _bump(nxt, (k,), (n + k) * v)
-        _bump(nxt, (k + 1,), v)
     return nxt
 
 
@@ -212,26 +134,42 @@ class FamilySpec:
     indices: tuple[str, ...]
     start: int
     base: Mapping[tuple, Entry]
-    step: Callable[[Row, int], dict] | None = None
+    step: Step | None = None
     row_fn: Callable[[int], dict] | None = None
 
 
 FAMILIES: dict[str, FamilySpec] = {
-    "A": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _step_A),
-    "Ap": FamilySpec(("k", "l"), 1, {(1, 1): ONE}, _step_Ap),
-    "a": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _step_a),
-    "gamma": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _step_gamma),
-    "C": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _step_C),
+    "A": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _climb(
+        lambda n, k, l: n - l)),
+    "Ap": FamilySpec(("k", "l"), 1, {(1, 1): ONE}, _climb(
+        lambda n, k, l: (n - l) * _P)),
+    "a": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _climb(
+        lambda n, k, l: n + k - l)),
+    "gamma": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _climb(
+        lambda n, k, l: 2 * (n + k - 2 * l))),
+    "C": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _climb(
+        lambda n, k, l: 2 * n - k - l)),
     "beta": FamilySpec(("k", "j", "l"), 1, {(1, 0, 0): 1}, _step_beta),
-    "B": FamilySpec(("k", "l"), 1, {(1, 0): 1}, _step_B),
-    "E": FamilySpec(("k", "l"), 1, {(1, 0): 1}, _step_E),
-    "W": FamilySpec(("k", "l"), 1, {(1, 0): 1}, _step_W),
-    "S2": FamilySpec(("k",), 0, {(0,): 1}, _step_S2),
-    "S1": FamilySpec(("k",), 0, {(0,): 1}, _step_S1),
-    "eulerian": FamilySpec(("k",), 0, {(0,): 1}, _step_eulerian),
-    "eulerian2": FamilySpec(("k",), 1, {(1,): 1}, _step_eulerian2),
-    "eulerianB": FamilySpec(("k",), 0, {(0,): 1}, _step_eulerianB),
-    "lah": FamilySpec(("k",), 1, {(1,): 1}, _step_lah),
+    "B": FamilySpec(("k", "l"), 1, {(1, 0): 1}, _split(
+        lambda n, k, l: 2 * n - k - 2 * l)),
+    "E": FamilySpec(("k", "l"), 1, {(1, 0): 1}, _split(
+        lambda n, k, l: 2 * n - 2 * k - 2 * l)),
+    "W": FamilySpec(("k", "l"), 1, {(1, 0): 1}, _split(
+        lambda n, k, l: n - k - 2 * l)),
+    "S2": FamilySpec(("k",), 0, {(0,): 1}, _single(
+        lambda n, k: k, lambda n, k: 1)),
+    "S1": FamilySpec(("k",), 0, {(0,): 1}, _single(
+        lambda n, k: n, lambda n, k: 1)),
+    "eulerian": FamilySpec(("k",), 0, {(0,): 1}, _single(
+        lambda n, k: k, lambda n, k: n - k + 1)),
+    # Gap insertion in Stirling permutations: a new pair lands in one of
+    # the 2n+1 gaps; descents are preserved or created accordingly.
+    "eulerian2": FamilySpec(("k",), 1, {(1,): 1}, _single(
+        lambda n, l: l, lambda n, l: 2 * n + 1 - l)),
+    "eulerianB": FamilySpec(("k",), 0, {(0,): 1}, _single(
+        lambda n, k: 1 + 2 * k, lambda n, k: 2 * n - 2 * k + 1)),
+    "lah": FamilySpec(("k",), 1, {(1,): 1}, _single(
+        lambda n, k: n + k, lambda n, k: 1)),
     "bessel": FamilySpec(("j",), 0, {(0,): 1}, row_fn=_row_bessel),
     "catalan": FamilySpec((), 0, {(): 1}, row_fn=_row_catalan),
 }

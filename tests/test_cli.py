@@ -40,6 +40,17 @@ class TestExpand:
         assert code == 0
         assert out == "q^2*x^2 + q*x*y^2\n"
 
+    def test_specialized_non_symbol_rejected(self):
+        # These would render as text that does not parse back to the polynomial.
+        for at_d in ("", "q+1", "2"):
+            code, out, err = run(
+                "expand", "--w", "x", "--grammar", "second-order", "--n", "2",
+                "--at-d", at_d,
+            )
+            assert code == 2
+            assert out == ""
+            assert "error:" in err
+
     def test_json_round_trips(self):
         code, out, _ = run(
             "expand", "--w", "x*y", "--grammar", "eulerian-full", "--n", "3",

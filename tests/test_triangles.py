@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import normord
 from normord import (
+    FAMILY_NAMES,
     Polynomial,
     assemble,
     bessel_polynomial,
@@ -25,6 +27,7 @@ from normord import (
     rising_factorial,
     variable,
 )
+from normord.triangles import FAMILIES
 
 x = variable("x")
 y = variable("y")
@@ -93,6 +96,50 @@ class TestFamilyRow:
             a_row = family_row("A", n)
             for k in range(1, n + 1):
                 assert a_row.get((k, k), 0) == s2.get((k,), 0)
+
+
+# sha256 over the lines "n<TAB>index<TAB>entry" of every row from the
+# family's start level up to ROW_DIGEST_TOP (sorted by index, polynomial
+# entries rendered), recorded before the step functions were folded into
+# shared shapes.  Any change to any entry of any family changes its digest.
+ROW_DIGEST_TOP = {"Ap": 20, "beta": 20}
+ROW_DIGESTS = {
+    "A": "25ba342290f72efbb57d087f44d4952636e03b2fa75c10b9c48036e6d94edca8",
+    "Ap": "7187c0e9898abf48a09c8c36dd98d786304e605427b1f30ba8e7e64608dfd3a4",
+    "a": "55bf406148aee0b581fe1b11b56b76499da95f0331bffb1a8cfac87de6917548",
+    "gamma": "42dcf888c305cbd9b27348c3a7e7b5ded016d2d44e572aaa8d4a7b638f87c37e",
+    "C": "fc98b595d15388da1b506877fc9cd67d1c44140d77970d6e8a16f5749f695832",
+    "beta": "95e586455d67bfc324e7140d43fbe23cc6c4c5a808fa8b1a79d97421732f4858",
+    "B": "56853253229e901aecbcef6e88a8eed3b3c61873c2e17401aaa9314ae03d96b1",
+    "E": "f1daa04757e8c22ead5dd312c7607360dd1d2220d0408cd79136578ad3eb4178",
+    "W": "e423dccab2b3f14bf0a310cfecaa344667402f2f3d238673d3e4dfe3b309cf3b",
+    "S2": "5d8941215768daafcbbee1a45d99faf696cce8a485a8000dc8115eef5519cc92",
+    "S1": "30dce194417ae91c74480741144a5e811f76c0592ec6d67e23331d6f1728c5da",
+    "eulerian": "23d4ec5a02bdea75f27ec4d59582205ca2bf6140be2adbfce8d97e0f4101d66c",
+    "eulerian2": "0945ab9829c230940f4976e23cc11622a7e32874a2a54d7e8209104de4133490",
+    "eulerianB": "139b23668205f48beed2a9857b9be8539f3114c7c106e76b06b8764e61b93f36",
+    "lah": "724f2c5bc5a007f8f35d8fef9e1cd22d5d40fe7786d21c9515374211df22c72a",
+    "bessel": "4f509467e77d80a3bd13d7a7e887e34997110c1aea4f6ad8d057d83049cdda86",
+    "catalan": "79ff3304d99689dcac548d7f920697058a02bf835eedadf8c48ea370fc4887b1",
+}
+
+
+def _row_digest(family: str) -> str:
+    h = hashlib.sha256()
+    for n in range(FAMILIES[family].start, ROW_DIGEST_TOP.get(family, 40) + 1):
+        for idx, v in sorted(family_row(family, n).items()):
+            entry = v.render() if isinstance(v, Polynomial) else str(v)
+            h.update(f"{n}\t{idx}\t{entry}\n".encode())
+    return h.hexdigest()
+
+
+def test_row_digests_cover_every_family():
+    assert sorted(ROW_DIGESTS) == sorted(FAMILY_NAMES)
+
+
+@pytest.mark.parametrize("family", sorted(ROW_DIGESTS))
+def test_rows_match_recorded_digest(family):
+    assert _row_digest(family) == ROW_DIGESTS[family]
 
 
 class TestTriangleObject:
