@@ -28,6 +28,7 @@ from .combinat import (
     list_partitions,
     permutations,
     signed_permutations,
+    stat_keys,
     stat_polynomial,
     stirling_lists,
     stirling_permutations,
@@ -262,7 +263,7 @@ def _eulerian_grammar_self_dual(n: int):
     yield ("iterated derivative vs descent triangle", da,
            row_polynomial("eulerian", n, lambda n, k: {"a": k, "b": n + 1 - k}))
     yield ("iterated derivative vs descent enumeration", da,
-           tally(((r.stats["des"] + 1, n - r.stats["des"]) for r in permutations(n)), ("a", "b")))
+           tally(((d + 1, n - d) for (d,) in stat_keys(permutations(n), ("des",))), ("a", "b")))
     nf = normal_order_power(X * Y, Grammar.preset("eulerian-full"), n)
     fx = nf.apply_to(X)
     yield "product-multiplier action on x vs on y", fx, nf.apply_to(Y)
@@ -299,8 +300,9 @@ def _pq_eulerian_cycle_stats(n: int):
     spec = normal_order_power(X, Grammar.preset("pq-eulerian"), n).specialize(Z)
     yield "normal order vs weighted triangle assembly", spec, assemble("Ap", n)
     yield ("normal order vs excedance-cycle enumeration", spec,
-           tally(((n - r.stats["exc"], r.stats["exc"], r.stats["cdes"], r.stats["cyc"])
-                  for r in permutations(n)), ("x", "y", "p", "z")))
+           tally(((n - exc, exc, cdes, cyc)
+                  for exc, cdes, cyc in stat_keys(permutations(n), ("exc", "cdes", "cyc"))),
+                 ("x", "y", "p", "z")))
     yield "weight-one reduction vs plain triangle assembly", spec.subs({"p": ONE}), assemble("A", n)
 
 
@@ -346,8 +348,9 @@ def _list_partition_ascents(n: int):
        "valley counts without double descents reproduce the paired triangle", 1, 6, 5)
 def _gamma_valley_enumeration(n: int):
     yield ("valley enumeration without double descents vs triangle",
-           tally(((r.stats["blocks"] + r.stats["val"], r.stats["blocks"])
-                  for r in list_partitions(n) if r.stats["dd"] == 0), ("u", "z")),
+           tally(((blocks + val, blocks)
+                  for blocks, val, dd in stat_keys(list_partitions(n), ("blocks", "val", "dd"))
+                  if dd == 0), ("u", "z")),
            row_polynomial("gamma", n, _u_l_z_k))
 
 

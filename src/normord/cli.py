@@ -176,16 +176,17 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     first = True
     # Over its cap, a generator raises ValueError on the first record, before any output.
     for record in _OBJECT_GENERATORS[args.objects](args.n):
-        stats = record.stats
-        if wanted is not None:
+        if wanted is None:
+            stats = record.stats
+        else:
             if first:
-                missing = [s for s in wanted if s not in stats]
+                missing = [s for s in wanted if s not in record.scans]
                 if missing:
-                    known = ", ".join(sorted(stats))
+                    known = ", ".join(sorted(record.scans))
                     raise UsageError(
                         f"unknown statistic(s) {', '.join(missing)}; known: {known}"
                     )
-            stats = {s: stats[s] for s in wanted}
+            stats = {s: record.stat(s) for s in wanted}
         first = False
         if args.format == "json":
             print(

@@ -3,11 +3,14 @@
 These generators are the independent oracles of the package: they build
 every object of a class by direct insertion, compute statistics by naive
 scanning, and never consult recurrences or operator expansions.  Each
-yields StatRecord values with a canonical text encoding and a dict of
-named integer statistics.  Every tally of objects into a polynomial goes
-through one accumulator, :func:`tally`, which counts exponent keys and
+yields StatRecord values that hold the raw object (a word, or a tuple of
+blocks) and its kind's table of named statistic scans.  A record computes
+its canonical text id and its statistics when they are read:
+``rec.stat(name)`` runs one scan, ``rec.stats`` runs them all and
+``rec.object_id`` renders the id.  Every tally of objects into a polynomial
+goes through one accumulator, :func:`tally`, which counts exponent keys and
 builds one monomial per distinct key; :func:`stat_polynomial` feeds it the
-statistics of records.
+assigned statistics of records, and only those.
 
 Conventions that matter and are easy to get wrong:
 
@@ -29,10 +32,11 @@ pass a larger ``cap`` explicitly to go beyond.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations as _one_line_words
 from itertools import product as _product
-from typing import Iterable, Iterator, Mapping
+from operator import eq, gt, lt
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .poly import Monomial, Polynomial
 
@@ -45,10 +49,44 @@ CAPS = {
 }
 
 
-@dataclass(frozen=True)
+Scans = Mapping[str, Callable[..., int]]
+
+
 class StatRecord:
-    object_id: str
-    stats: Mapping[str, int]
+    """An enumerated object with its kind's statistic scans; id and stats are computed when read.
+
+    ``obj`` is the raw object: a one-line word, a signed word or a Stirling
+    word here, a tuple of blocks in :class:`_BlocksRecord`.  ``scans`` maps
+    each statistic name to a function of ``obj``.
+    """
+
+    __slots__ = ("obj", "scans")
+
+    def __init__(self, obj: tuple, scans: Scans):
+        self.obj = obj
+        self.scans = scans
+
+    @property
+    def object_id(self) -> str:
+        return ",".join(map(str, self.obj))
+
+    @property
+    def stats(self) -> dict[str, int]:
+        return {name: scan(self.obj) for name, scan in self.scans.items()}
+
+    def stat(self, name: str) -> int:
+        """Run the scan named ``name``; ``KeyError`` if this kind has none."""
+        return self.scans[name](self.obj)
+
+
+class _BlocksRecord(StatRecord):
+    """A record whose object is a tuple of blocks, rendered joined by ``|``."""
+
+    __slots__ = ()
+
+    @property
+    def object_id(self) -> str:
+        return "|".join(",".join(map(str, block)) for block in self.obj)
 
 
 def _check_cap(kind: str, n: int, cap: int | None) -> None:
@@ -63,7 +101,7 @@ def _check_cap(kind: str, n: int, cap: int | None) -> None:
 
 
 def descents(word: tuple[int, ...]) -> int:
-    return sum(1 for i in range(len(word) - 1) if word[i] > word[i + 1])
+    return sum(map(gt, word, word[1:]))
 
 
 def excedances(word: tuple[int, ...]) -> int:
@@ -104,25 +142,22 @@ def updown_runs(word: tuple[int, ...]) -> int:
 
 
 def type_b_descents(word: tuple[int, ...]) -> int:
-    seq = (0,) + word
-    return sum(1 for i in range(len(seq) - 1) if seq[i] > seq[i + 1])
+    return sum(map(gt, (0,) + word, word))
 
 
 # -- Stirling permutation statistics ---------------------------------------
 
 
 def stirling_ascents(word: tuple[int, ...]) -> int:
-    seq = (0,) + word
-    return sum(1 for i in range(len(seq) - 1) if seq[i] < seq[i + 1])
+    return sum(map(lt, (0,) + word, word))
 
 
 def stirling_descents(word: tuple[int, ...]) -> int:
-    seq = word + (0,)
-    return sum(1 for i in range(len(seq) - 1) if seq[i] > seq[i + 1])
+    return sum(map(gt, word, word[1:] + (0,)))
 
 
 def plateaus(word: tuple[int, ...]) -> int:
-    return sum(1 for i in range(len(word) - 1) if word[i] == word[i + 1])
+    return sum(map(eq, word, word[1:]))
 
 
 def ascent_plateaus(word: tuple[int, ...]) -> int:
@@ -172,33 +207,32 @@ def list_double_descents(block: tuple[int, ...]) -> int:
 # -- object generators -----------------------------------------------------
 
 
+# cyc and cdes both read the cycle form; reading both of one word builds it once.
+_word_cycles = lru_cache(maxsize=1)(standard_cycles)
+
+_PERMUTATION_SCANS: Scans = {
+    "des": descents,
+    "exc": excedances,
+    "cyc": lambda word: len(_word_cycles(word)),
+    "cdes": lambda word: sum(map(descents, _word_cycles(word))),
+    "udrun": updown_runs,
+}
+_SIGNED_PERMUTATION_SCANS: Scans = {"des_b": type_b_descents}
+
+
 def permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     """All permutations of [n] with des, exc, cyc, cdes and udrun."""
     _check_cap("permutations", n, cap)
     for word in _one_line_words(range(1, n + 1)):
-        cycles = standard_cycles(word)
-        yield StatRecord(
-            object_id=",".join(map(str, word)),
-            stats={
-                "des": descents(word),
-                "exc": excedances(word),
-                "cyc": len(cycles),
-                "cdes": sum(descents(c) for c in cycles),
-                "udrun": updown_runs(word),
-            },
-        )
+        yield StatRecord(word, _PERMUTATION_SCANS)
 
 
 def signed_permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     """All signed permutations of [n] with the type B descent count."""
     _check_cap("signed_permutations", n, cap)
     for word in _one_line_words(range(1, n + 1)):
-        for signs in _product((1, -1), repeat=n):
-            signed = tuple(s * v for s, v in zip(signs, word))
-            yield StatRecord(
-                object_id=",".join(map(str, signed)),
-                stats={"des_b": type_b_descents(signed)},
-            )
+        for signed in _product(*((v, -v) for v in word)):
+            yield StatRecord(signed, _SIGNED_PERMUTATION_SCANS)
 
 
 def _stirling_words(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -215,20 +249,20 @@ def _stirling_words(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     yield from extend((), 0)
 
 
+_STIRLING_PERMUTATION_SCANS: Scans = {
+    "asc": stirling_ascents,
+    "des": stirling_descents,
+    "plat": plateaus,
+    "ap": ascent_plateaus,
+    "fap": flag_ascent_plateaus,
+}
+
+
 def stirling_permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     """All Stirling permutations of {1^2, ..., n^2} with their statistics."""
     _check_cap("stirling_permutations", n, cap)
     for word in _stirling_words(tuple(range(1, n + 1))):
-        yield StatRecord(
-            object_id=",".join(map(str, word)),
-            stats={
-                "asc": stirling_ascents(word),
-                "des": stirling_descents(word),
-                "plat": plateaus(word),
-                "ap": ascent_plateaus(word),
-                "fap": flag_ascent_plateaus(word),
-            },
-        )
+        yield StatRecord(word, _STIRLING_PERMUTATION_SCANS)
 
 
 def _list_partition_shapes(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -251,20 +285,25 @@ def _list_partition_shapes(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         yield from extend(((1,),), 1)
 
 
+def _summed(scan: Callable[[tuple[int, ...]], int]) -> Callable[..., int]:
+    """The scan of a tuple of blocks that sums ``scan`` over its blocks."""
+    return lambda blocks: sum(map(scan, blocks))
+
+
+_LIST_PARTITION_SCANS: Scans = {
+    "blocks": len,
+    "asc": _summed(list_ascents),
+    "des": _summed(list_descents),
+    "val": _summed(list_valleys),
+    "dd": _summed(list_double_descents),
+}
+
+
 def list_partitions(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     """Partitions of [n] into lists, with block count and padded-word stats."""
     _check_cap("list_partitions", n, cap)
     for blocks in _list_partition_shapes(n):
-        yield StatRecord(
-            object_id="|".join(",".join(map(str, b)) for b in blocks),
-            stats={
-                "blocks": len(blocks),
-                "asc": sum(list_ascents(b) for b in blocks),
-                "des": sum(list_descents(b) for b in blocks),
-                "val": sum(list_valleys(b) for b in blocks),
-                "dd": sum(list_double_descents(b) for b in blocks),
-            },
-        )
+        yield _BlocksRecord(blocks, _LIST_PARTITION_SCANS)
 
 
 def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -283,6 +322,14 @@ def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         yield from extend(((1,),), 1)
 
 
+_STIRLING_LIST_SCANS: Scans = {
+    "blocks": len,
+    "asc": _summed(stirling_ascents),
+    "des": _summed(stirling_descents),
+    "plat": _summed(plateaus),
+}
+
+
 def stirling_lists(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     """Partitions of {1^2, ..., n^2} into blocks of Stirling permutations.
 
@@ -293,15 +340,7 @@ def stirling_lists(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     for blocks in _set_partitions(n):
         per_block = [list(_stirling_words(b)) for b in blocks]
         for choice in _product(*per_block):
-            yield StatRecord(
-                object_id="|".join(",".join(map(str, w)) for w in choice),
-                stats={
-                    "blocks": len(choice),
-                    "asc": sum(stirling_ascents(w) for w in choice),
-                    "des": sum(stirling_descents(w) for w in choice),
-                    "plat": sum(plateaus(w) for w in choice),
-                },
-            )
+            yield _BlocksRecord(choice, _STIRLING_LIST_SCANS)
 
 
 def tally(keys: Iterable[tuple[int, ...]], symbols: tuple[str, ...]) -> Polynomial:
@@ -313,24 +352,25 @@ def tally(keys: Iterable[tuple[int, ...]], symbols: tuple[str, ...]) -> Polynomi
     return Polynomial((Monomial(zip(symbols, key)), count) for key, count in Counter(keys).items())
 
 
+def stat_keys(records: Iterable[StatRecord], names: tuple[str, ...]) -> Iterator[tuple[int, ...]]:
+    """Each record's statistics ``names``, in that order; only those are scanned."""
+    for rec in records:
+        try:
+            key = tuple(map(rec.stat, names))
+        except KeyError as exc:
+            raise KeyError(
+                f"record {rec.object_id!r} has no statistic {exc.args[0]!r}"
+            ) from None
+        yield key
+
+
 def stat_polynomial(
     records: Iterable[StatRecord], assignment: Mapping[str, str]
 ) -> Polynomial:
     """Tally sum over records of the product symbol^statistic.
 
     ``assignment`` maps statistic names to symbol names; every assigned
-    statistic must be present on every record.
+    statistic must be present on every record.  Only the assigned
+    statistics are computed.
     """
-    stats = tuple(assignment)
-
-    def keys() -> Iterator[tuple[int, ...]]:
-        for rec in records:
-            try:
-                key = tuple(rec.stats[stat] for stat in stats)
-            except KeyError as exc:
-                raise KeyError(
-                    f"record {rec.object_id!r} has no statistic {exc.args[0]!r}"
-                ) from None
-            yield key
-
-    return tally(keys(), tuple(assignment.values()))
+    return tally(stat_keys(records, tuple(assignment)), tuple(assignment.values()))

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import normord
 from normord import Polynomial
-from normord.cli import main
+from normord.cli import OBJECT_NAMES, main
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -159,11 +162,12 @@ class TestEnumerate:
         assert "error:" in err
 
     def test_unknown_statistic(self):
-        code, _, err = run(
-            "enumerate", "--objects", "permutations", "--n", "2", "--stats", "blorp"
+        code, out, err = run(
+            "enumerate", "--objects", "stirling-lists", "--n", "2", "--stats", "blorp,asc,nope"
         )
         assert code == 2
-        assert "error:" in err
+        assert out == ""
+        assert err == "error: unknown statistic(s) blorp, nope; known: asc, blocks, des, plat\n"
 
     def test_cap_exceeded(self):
         for objects, n in (("permutations", "10"), ("binary-forests", "10")):
@@ -171,6 +175,58 @@ class TestEnumerate:
             assert code == 2
             assert out == ""
             assert "capped at n = 9" in err
+
+
+# sha256 of the concatenated ``enumerate`` output for n = 0..5 (n = 0..4 for
+# stirling-lists), keyed by object kind, format and ``--stats`` subset.
+ENUMERATE_DIGESTS = {
+    ("list-partitions", "json", None): "5a853e1498437e21e7507a0bdd3b06805d63754a783ac4fb81d53101ed9b713f",
+    ("list-partitions", "text", None): "0c76748ebae7026d675376475fd3f9942103dcdee566567a9755636132baf672",
+    ("permutations", "json", None): "6088592c56046ab7306df46f680f8009bb83e5907f3d876cdbf22be03810dded",
+    ("permutations", "text", None): "c21e19aef3207915c63be96cf1ab566eebcd41bbeaabc5b303d8b39473882ce3",
+    ("signed-permutations", "json", None): "e60aa5ae272facd47d0184df6a1f7f3b2325d28f21d163b4f6c80befe9b058df",
+    ("signed-permutations", "text", None): "24b41f3df1509ac5a5750768157557ed56e33d20645240e5993e8265c10e5b80",
+    ("stirling-lists", "json", None): "a85933a6c3745578a2fd03f401b1209ba6c07c2ec1212e1571325b0757ea10a6",
+    ("stirling-lists", "text", None): "b8e8a4bb599e7748774c691ef338a7936a6df45c4f8240f84486f95f22802afc",
+    ("stirling-permutations", "json", None): "9f68b8f4de8194be82a093d2caf3926d9a175aa03239f6a2f785e35dd270e1e5",
+    ("stirling-permutations", "text", None): "1831d320f2eee30ce0d51048e6b823f9cd12bcd5bac148244e441312a9cdf891",
+    ("binary-forests", "json", None): "bb82170822bfa9b13ae883babe68bab35b59fbe58b1ad03cd51851fbf50fbbd7",
+    ("binary-forests", "text", None): "036a7dfdb6eff604c3de165a3bd446b873770f76dc574d7cf725e893d36f5cd6",
+    ("full-binary-forests", "json", None): "d697e5e10a17bc038b2ed8e1a93b963370f04940553cc39ff6f1b21e2868a0d6",
+    ("full-binary-forests", "text", None): "87147604e9c9547c9a4cb6edd26ef940dd4c85e8809efe4181662a7fef6a6e8d",
+    ("full-ternary-forests", "json", None): "3a4f8333764fdcd6814fd8e888136ec7d77efa895e51de6589c7d10afd00ff4a",
+    ("full-ternary-forests", "text", None): "47d2b1411b2a9ffa684bbc71d498c75999598b272c50305f83dba18b7bbed760",
+    ("ternary-forests", "json", None): "8dadefdce0a7f0ae06618a800c9e3affc21e3a068d08f1c6ce6dfff501e00bba",
+    ("ternary-forests", "text", None): "aa32d4e0dc466311d22f2680326782bc285f4aff1bee318f618fbd5354b8cceb",
+    ("permutations", "json", "udrun,cyc"): "27b3e6c9c894aa0c45c5e4981f324a1050a358c3771caeaecdb02a1281ba81d9",
+    ("permutations", "text", "udrun,cyc"): "acd6e260c9ddb82674a4485759c6c3ccdbc6c57e92064d9e7cbdfb21dda170b0",
+    ("signed-permutations", "json", "des_b"): "e60aa5ae272facd47d0184df6a1f7f3b2325d28f21d163b4f6c80befe9b058df",
+    ("signed-permutations", "text", "des_b"): "24b41f3df1509ac5a5750768157557ed56e33d20645240e5993e8265c10e5b80",
+    ("stirling-permutations", "json", "fap,plat"): "1d273ad24532008f65beedc98b7e3d809ca20a0ed8b48c7b5d98cb6ed884353a",
+    ("stirling-permutations", "text", "fap,plat"): "bcddc72571293af9053b24e51002453d5c989d292045c99c416c775472c8b145",
+    ("list-partitions", "json", "dd,blocks"): "2076d3ef9ee5e417154f81068c98ae7238035e41ed6aca12d33cf8316f6c2111",
+    ("list-partitions", "text", "dd,blocks"): "a2140f1a9c84a64d1572ce4b10bc59b026f23d7d29488b8e13079c44d93645ed",
+    ("stirling-lists", "json", "plat,blocks"): "9fbe38f53ea994975e789df4643cfa67e45e14c4af9fd28550569b03001e637e",
+    ("stirling-lists", "text", "plat,blocks"): "7c9a676c9251793465211b3ac3f160cfdd04af0d1e95e527e3dea5502dcfd9de",
+}
+
+
+class TestEnumerateDigests:
+    def test_digests_cover_every_kind(self):
+        kinds = {objects for objects, _, stats in ENUMERATE_DIGESTS if stats is None}
+        assert kinds == set(OBJECT_NAMES)
+
+    def test_output_matches_digest(self):
+        for (objects, fmt, stats), want in ENUMERATE_DIGESTS.items():
+            h = hashlib.sha256()
+            for n in range(5 if objects == "stirling-lists" else 6):
+                argv = ["enumerate", "--objects", objects, "--n", str(n), "--format", fmt]
+                if stats is not None:
+                    argv += ["--stats", stats]
+                code, out, _ = run(*argv)
+                assert code == 0
+                h.update(out.encode())
+            assert h.hexdigest() == want, (objects, fmt, stats)
 
 
 class TestVerify:
@@ -235,11 +291,16 @@ class TestHarness:
         assert run(*args) == run(*args)
 
     def test_module_entry_point(self):
+        # The child imports the same package as this process, installed or not.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(normord.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=package_root + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "normord", "expand", "--w", "x",
              "--grammar", "eulerian-xy", "--n", "2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "D^1: x*y ; D^2: x^2\n"

@@ -20,12 +20,21 @@ from normord import (
     stirling_permutations,
     variable,
 )
+from normord import combinat
 from normord.combinat import (
     cycle_descents,
     standard_cycles,
     tally,
     type_b_descents,
     updown_runs,
+)
+
+GENERATORS = (
+    (permutations, 5),
+    (signed_permutations, 4),
+    (stirling_permutations, 4),
+    (list_partitions, 4),
+    (stirling_lists, 3),
 )
 
 
@@ -59,13 +68,7 @@ class TestCounts:
             assert sum(1 for _ in list_partitions(n)) == want
 
     def test_object_ids_unique(self):
-        for gen, n in [
-            (permutations, 5),
-            (signed_permutations, 4),
-            (stirling_permutations, 4),
-            (list_partitions, 4),
-            (stirling_lists, 3),
-        ]:
+        for gen, n in GENERATORS:
             ids = [r.object_id for r in gen(n)]
             assert len(ids) == len(set(ids))
 
@@ -124,6 +127,48 @@ class TestSmallRecords:
     def test_signed_order_one(self):
         stats = {r.object_id: r.stats["des_b"] for r in signed_permutations(1)}
         assert stats == {"1": 0, "-1": 1}
+
+    def test_signed_order_two_sequence(self):
+        ids = [r.object_id for r in signed_permutations(2)]
+        assert ids == ["1,2", "1,-2", "-1,2", "-1,-2", "2,1", "2,-1", "-2,1", "-2,-1"]
+
+
+class TestLazyRecords:
+    def test_stat_matches_stats(self):
+        for gen, n in GENERATORS:
+            for rec in gen(n):
+                assert rec.stats == {name: rec.stat(name) for name in rec.scans}
+
+    def test_unknown_stat_raises(self):
+        (rec,) = permutations(1)
+        with pytest.raises(KeyError):
+            rec.stat("nope")
+
+    def test_stats_build_cycle_form_once_per_word(self):
+        combinat._word_cycles.cache_clear()
+        for rec in permutations(4):
+            rec.stats
+        info = combinat._word_cycles.cache_info()
+        assert (info.misses, info.hits) == (24, 24)
+
+    def test_stat_polynomial_scans_only_assigned(self, monkeypatch):
+        scans = next(stirling_permutations(1)).scans
+        fap = scans["fap"]
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return fap(word)
+
+        def unassigned(word):
+            raise AssertionError("an unassigned statistic was scanned")
+
+        for name in scans:
+            monkeypatch.setitem(scans, name, unassigned)
+        monkeypatch.setitem(scans, "fap", counted)
+        got = stat_polynomial(stirling_permutations(3), {"fap": "x"})
+        assert got == assemble("flag-ascent-plateau-x", 3)
+        assert len(calls) == 15
 
 
 class TestStatisticValues:
@@ -228,8 +273,9 @@ class TestStatPolynomial:
         assert stat_polynomial([], {"des": "x"}).is_zero
 
     def test_missing_statistic(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as exc:
             stat_polynomial(permutations(2), {"nope": "x"})
+        assert exc.value.args[0] == "record '1,2' has no statistic 'nope'"
 
     def test_multi_symbol(self):
         got = stat_polynomial(permutations(2), {"des": "x", "cyc": "q"})
