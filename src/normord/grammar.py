@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .poly import Monomial, ParseError, Polynomial, Scalar, parse
+from .poly import Pairs, ParseError, Polynomial, Scalar, _pairs_mul, parse
 
 # Preset grammars are data, not code: name -> rule text.
 PRESETS: dict[str, str] = {
@@ -54,6 +54,13 @@ class Grammar:
                 raise TypeError(f"rule for {name!r} is not a polynomial")
             clean[name] = p
         object.__setattr__(self, "rules", clean)
+        # derive's rule table, built once: for each symbol s, the terms of
+        # rule(s)/s as (pairs, coeff).  Not a field, so ==, hash and repr
+        # still see only the rules.
+        object.__setattr__(self, "_table", {
+            name: tuple((_pairs_mul(m.pairs, ((name, -1),)), c) for m, c in p.terms())
+            for name, p in clean.items()
+        })
 
     @staticmethod
     def from_text(text: str) -> "Grammar":
@@ -100,18 +107,22 @@ class Grammar:
         p = Polynomial._coerce(f)
         if p is None:
             raise TypeError("derive expects a polynomial or exact scalar")
-        acc: dict[Monomial, Scalar] = {}
+        # e * m/s * rule(s) for each symbol s of each term m, with m/s * rule(s)
+        # read as m * (rule(s)/s) off the table.
+        table: dict[str, tuple[tuple[Pairs, Scalar], ...]] = self._table
+        acc: dict[Pairs, Scalar] = {}
+        get = acc.get
         for m, c in p.terms():
-            for s, e in m.pairs:
-                rule = self.rules.get(s)
+            pairs = m.pairs
+            for s, e in pairs:
+                rule = table.get(s)
                 if rule is None:
                     continue
-                lowered = Monomial(tuple((t, x - 1 if t == s else x) for t, x in m.pairs))
                 weight = c * e
-                for mr, cr in rule.terms():
-                    mm = lowered.mul(mr)
-                    acc[mm] = acc.get(mm, 0) + weight * cr
-        return Polynomial(acc)
+                for rp, rc in rule:
+                    key = _pairs_mul(pairs, rp)
+                    acc[key] = get(key, 0) + weight * rc
+        return Polynomial._collect_pairs(acc)
 
     def derive_power(self, f: Polynomial | Scalar, n: int) -> Polynomial:
         """Apply the derivation ``n`` times (``n >= 0``)."""

@@ -13,16 +13,26 @@ descending graded-lexicographic order (total degree first, then exponents
 compared symbol by symbol in alphabetical order), exponents are written
 ``x^2``, and all products use an explicit ``*``.  ``parse(p.render())``
 returns ``p`` for every polynomial with integer coefficients.
+
+A monomial's canonical form is its ``pairs``: (symbol, exponent) tuples
+sorted by symbol, with no zero exponent.  The public constructors
+``Monomial(...)``, ``Polynomial(...)`` and ``parse`` accept any shape,
+validate it and bring it to that form.  Internal paths trust it instead:
+``Monomial._canonical`` takes pairs already in canonical form and
+``Polynomial._collect`` takes an accumulated dict, so products, ``derive``
+and the other ring operations merge raw pair tuples (``_pairs_mul``) and
+build one ``Monomial`` per distinct result.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import total_ordering
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
+Pairs = tuple[tuple[str, int], ...]
 
 
 class PoleError(ZeroDivisionError):
@@ -46,7 +56,52 @@ def _norm_scalar(c: Scalar) -> Scalar:
     raise TypeError(f"exact scalar (int or Fraction) required, got {type(c).__name__}")
 
 
-@total_ordering
+def _pairs_mul(a: Pairs, b: Pairs) -> Pairs:
+    """Product of two canonical pair tuples: a sorted merge that adds exponents."""
+    if not b:
+        return a
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        sa, ea = a[i]
+        sb, eb = b[j]
+        if sa == sb:
+            e = ea + eb
+            if e:
+                out.append((sa, e))
+            i += 1
+            j += 1
+        elif sa < sb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
+
+
+def _grlex_key(symbols: list[str]) -> Callable[["Monomial"], list[int]]:
+    """Graded-lex sort key over ``symbols`` (sorted, covering every monomial keyed).
+
+    The key is the total degree followed by the exponent of each symbol in
+    turn, 0 where absent, so list order is the graded-lex order.
+    """
+    index = {s: i for i, s in enumerate(symbols, 1)}
+    width = len(symbols) + 1
+
+    def key(m: "Monomial") -> list[int]:
+        k = [0] * width
+        k[0] = m.degree
+        for s, e in m.pairs:
+            k[index[s]] = e
+        return k
+
+    return key
+
+
 class Monomial:
     """Product of symbol powers; exponents are nonzero signed integers.
 
@@ -71,6 +126,18 @@ class Monomial:
         self.degree = sum(e for _, e in pairs)
         self._hash = hash(pairs)
 
+    @classmethod
+    def _canonical(cls, pairs: Pairs) -> "Monomial":
+        """Trusted constructor: ``pairs`` must already be sorted with no zero exponent."""
+        degree = 0
+        for _, e in pairs:
+            degree += e
+        m = object.__new__(cls)
+        m.pairs = pairs
+        m.degree = degree
+        m._hash = hash(pairs)
+        return m
+
     def exponent(self, name: str) -> int:
         for s, e in self.pairs:
             if s == name:
@@ -82,15 +149,10 @@ class Monomial:
             return self
         if not self.pairs:
             return other
-        d = dict(self.pairs)
-        for s, e in other.pairs:
-            ne = d.pop(s, 0) + e
-            if ne:
-                d[s] = ne
-        return Monomial(d)
+        return Monomial._canonical(_pairs_mul(self.pairs, other.pairs))
 
     def without(self, name: str) -> "Monomial":
-        return Monomial(tuple((s, e) for s, e in self.pairs if s != name))
+        return Monomial._canonical(tuple(p for p in self.pairs if p[0] != name))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.pairs == other.pairs
@@ -99,33 +161,13 @@ class Monomial:
         return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        a, b = self.pairs, other.pairs
-        i = j = 0
-        while i < len(a) or j < len(b):
-            sa = a[i][0] if i < len(a) else None
-            sb = b[j][0] if j < len(b) else None
-            if sb is None or (sa is not None and sa < sb):
-                name, ea = a[i]
-                eb = 0
-            elif sa is None or sb < sa:
-                name, eb = b[j]
-                ea = 0
-            else:
-                ea, eb = a[i][1], b[j][1]
-            if ea != eb:
-                return ea < eb
-            if sa is not None and (sb is None or sa <= sb):
-                i += 1
-            if sb is not None and (sa is None or sb <= sa):
-                j += 1
-        return False
+        key = _grlex_key(sorted({s for s, _ in self.pairs} | {s for s, _ in other.pairs}))
+        return key(self) < key(other)
 
     def render(self) -> str:
         if not self.pairs:
             return "1"
-        return "*".join(s if e == 1 else f"{s}^{e}" for s, e in self.pairs)
+        return "*".join([s if e == 1 else f"{s}^{e}" for s, e in self.pairs])
 
     def __repr__(self) -> str:
         return f"Monomial({dict(self.pairs)!r})"
@@ -142,10 +184,34 @@ class Polynomial:
         for m, c in items:
             if not isinstance(m, Monomial):
                 m = Monomial(m)
+            c = _norm_scalar(c)
             if c:
                 acc[m] = acc.get(m, 0) + c
         self._terms = {m: _norm_scalar(c) for m, c in acc.items() if c}
         self._hash = None
+
+    @classmethod
+    def _collect(cls, acc: dict[Monomial, Scalar]) -> "Polynomial":
+        """Trusted constructor over an accumulated dict of exact scalars.
+
+        Zero coefficients are dropped and Fractions with denominator 1
+        become ints; keys are not checked.
+        """
+        p = object.__new__(cls)
+        p._terms = {m: c if type(c) is int else _norm_scalar(c) for m, c in acc.items() if c}
+        p._hash = None
+        return p
+
+    @classmethod
+    def _collect_pairs(cls, acc: dict[Pairs, Scalar]) -> "Polynomial":
+        """Like ``_collect``, keyed by canonical pair tuples: one Monomial per key."""
+        canonical = Monomial._canonical
+        p = object.__new__(cls)
+        p._terms = {
+            canonical(k): c if type(c) is int else _norm_scalar(c) for k, c in acc.items() if c
+        }
+        p._hash = None
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -174,10 +240,7 @@ class Polynomial:
         return len(self._terms)
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for m in self._terms:
-            out.update(s for s, _ in m.pairs)
-        return out
+        return {s for m in self._terms for s, _ in m.pairs}
 
     def degree(self) -> int:
         """Max total degree over terms (0 for the zero polynomial)."""
@@ -207,7 +270,7 @@ class Polynomial:
             e = m.exponent(name)
             rest = m.without(name) if e else m
             buckets.setdefault(e, {})[rest] = c
-        return {e: Polynomial(d) for e, d in sorted(buckets.items())}
+        return {e: Polynomial._collect(d) for e, d in sorted(buckets.items())}
 
     # -- ring operations ---------------------------------------------------
 
@@ -232,12 +295,12 @@ class Polynomial:
             nc = acc.pop(m, 0) + c
             if nc:
                 acc[m] = nc
-        return Polynomial(acc)
+        return Polynomial._collect(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self._terms.items()})
+        return Polynomial._collect({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial | Scalar") -> "Polynomial":
         other = self._coerce(other)
@@ -255,14 +318,24 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return ZERO
-        acc: dict[Monomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1.mul(m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
-        return Polynomial(acc)
+        # A constant factor keeps the other side's Monomial objects.
+        if len(a) == 1 and _EMPTY in a:
+            a, b = b, a
+        if len(b) == 1 and _EMPTY in b:
+            k = b[_EMPTY]
+            return Polynomial._collect({m: c * k for m, c in a.items()})
+        right = [(m.pairs, c) for m, c in b.items()]
+        acc: dict[Pairs, Scalar] = {}
+        get = acc.get
+        for m1, c1 in a.items():
+            p1 = m1.pairs
+            for p2, c2 in right:
+                key = _pairs_mul(p1, p2)
+                acc[key] = get(key, 0) + c1 * c2
+        return Polynomial._collect_pairs(acc)
 
     __rmul__ = __mul__
 
@@ -274,8 +347,8 @@ class Polynomial:
             if len(self._terms) == 1:
                 ((m, c),) = self._terms.items()
                 if c in (1, -1):
-                    inv = Monomial({s: -e for s, e in m.pairs})
-                    return Polynomial({inv: c}) ** (-n) if n != -1 else Polynomial({inv: c})
+                    inv = Polynomial._collect_pairs({tuple((s, -e) for s, e in m.pairs): c})
+                    return inv ** (-n) if n != -1 else inv
             raise ValueError("cannot raise a non-unit polynomial to a negative power")
         result = ONE
         base = self
@@ -290,14 +363,13 @@ class Polynomial:
 
     def diff(self, name: str) -> "Polynomial":
         """Partial derivative: term-wise power rule, Laurent exponents allowed."""
-        acc: dict[Monomial, Scalar] = {}
+        inverse = ((name, -1),)
+        acc: dict[Pairs, Scalar] = {}
         for m, c in self._terms.items():
             e = m.exponent(name)
-            if not e:
-                continue
-            lowered = Monomial(tuple((s, x - 1 if s == name else x) for s, x in m.pairs))
-            acc[lowered] = acc.get(lowered, 0) + c * e
-        return Polynomial(acc)
+            if e:
+                acc[_pairs_mul(m.pairs, inverse)] = c * e
+        return Polynomial._collect_pairs(acc)
 
     def subs(self, bindings: Mapping[str, "Polynomial | Scalar"]) -> "Polynomial":
         """Simultaneous substitution; unbound symbols pass through.
@@ -313,20 +385,23 @@ class Polynomial:
             if p is None:
                 raise TypeError(f"binding for {name!r} is not a polynomial or exact scalar")
             bound[name] = p
-        total = ZERO
+        # One accumulator for every term keeps this linear in the terms produced.
+        acc: dict[Pairs, Scalar] = {}
+        get = acc.get
         for m, c in self._terms.items():
             unbound = []
-            factor = None
+            factor = ONE
             for s, e in m.pairs:
                 v = bound.get(s)
                 if v is None:
                     unbound.append((s, e))
-                    continue
-                piece = v ** e
-                factor = piece if factor is None else factor * piece
-            term = Polynomial({Monomial(unbound): c})
-            total = total + (term if factor is None else term * factor)
-        return total
+                else:
+                    factor = factor * v ** e
+            rest = tuple(unbound)
+            for fm, fc in factor._terms.items():
+                key = _pairs_mul(rest, fm.pairs)
+                acc[key] = get(key, 0) + c * fc
+        return Polynomial._collect_pairs(acc)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
         """Exact evaluation at a rational point; poles raise PoleError."""
@@ -357,7 +432,10 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in canonical (descending graded-lex) order."""
-        return [(m, self._terms[m]) for m in sorted(self._terms, reverse=True)]
+        if len(self._terms) < 2:
+            return list(self._terms.items())
+        key = _grlex_key(sorted(self.variables()))
+        return [(m, self._terms[m]) for m in sorted(self._terms, key=key, reverse=True)]
 
     def render(self) -> str:
         if not self._terms:

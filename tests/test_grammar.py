@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from conftest import SMALL_PRESETS, random_polynomial
 from normord import Grammar, ParseError, Polynomial, family_row, mono, parse, variable
+from normord.grammar import PRESETS
 
 a = variable("a")
 b = variable("b")
@@ -34,7 +36,44 @@ ALL_PRESETS = (
 )
 
 
+# repr of Grammar.from_text(PRESETS[name]), recorded before derive gained its
+# rule table: the table must stay invisible to repr, == and hash.
+PRESET_REPRS = {
+    "stirling-second": "Grammar(rules={'x': <Polynomial 1>})",
+    "stirling-dual": "Grammar(rules={'a': <Polynomial a*b>, 'b': <Polynomial b>})",
+    "eulerian-ab": "Grammar(rules={'a': <Polynomial a*b>, 'b': <Polynomial a*b>})",
+    "eulerian-xy": "Grammar(rules={'x': <Polynomial y>, 'y': <Polynomial y>})",
+    "eulerian-full": "Grammar(rules={'x': <Polynomial 1>, 'y': <Polynomial 1>})",
+    "pq-eulerian": "Grammar(rules={'x': <Polynomial y>, 'y': <Polynomial p*y>})",
+    "second-order": "Grammar(rules={'x': <Polynomial y^2>, 'y': <Polynomial y^2>})",
+    "trivariate-second-order": "Grammar(rules={'x': <Polynomial x*y*z>, "
+                               "'y': <Polynomial x*y*z>, 'z': <Polynomial x*y*z>})",
+    "full-ternary":
+        "Grammar(rules={'x': <Polynomial 1>, 'y': <Polynomial 1>, 'z': <Polynomial 1>})",
+    "elementary-symmetric":
+        "Grammar(rules={'u': <Polynomial 3>, 'v': <Polynomial 2*u>, 'w': <Polynomial v>})",
+    "pair-symmetric": "Grammar(rules={'u': <Polynomial v>, 'v': <Polynomial 2>})",
+    "type-b": "Grammar(rules={'x': <Polynomial x*y^2>, 'y': <Polynomial x^2*y>})",
+    "swap": "Grammar(rules={'x': <Polynomial y>, 'y': <Polynomial x>})",
+    "type-b-split": "Grammar(rules={'x': <Polynomial y^2>, 'y': <Polynomial x*y>})",
+    "exp-surrogate": "Grammar(rules={'a': <Polynomial a>})",
+}
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    def test_value_identity(self, name):
+        g = Grammar.from_text(PRESETS[name])
+        assert repr(g) == PRESET_REPRS[name]
+        assert [f.name for f in dataclasses.fields(Grammar)] == ["rules"]
+        twin = Grammar(dict(g.rules))
+        assert g == twin == Grammar.from_text(g.render_rules())
+        assert g != Grammar({**g.rules, "t": Polynomial.one()})
+        # The rules mapping is a dict, so a Grammar is unhashable, as before.
+        for grammar in (g, twin):
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(grammar)
+
     @pytest.mark.parametrize("name", ALL_PRESETS)
     def test_presets_exist(self, name):
         g = Grammar.preset(name)

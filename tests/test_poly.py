@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_polynomial
-from normord import Monomial, ParseError, PoleError, Polynomial, mono, parse, variable
+from conftest import random_grammar, random_polynomial
+from normord import Grammar, Monomial, ParseError, PoleError, Polynomial, mono, parse, variable
 from normord.poly import MAX_PAREN_DEPTH
 
 x = variable("x")
@@ -256,3 +257,89 @@ class TestProperties:
             binding = {"x": random_polynomial(rng, "uv"), "y": random_polynomial(rng, "uv")}
             assert (f * g).subs(binding) == f.subs(binding) * g.subs(binding)
             assert (f + g).subs(binding) == f.subs(binding) + g.subs(binding)
+
+
+def _graded_lex(m1: Monomial, m2: Monomial) -> int:
+    """Reference comparison straight from the definition: degree, then by symbol."""
+    if m1.degree != m2.degree:
+        return -1 if m1.degree < m2.degree else 1
+    for s in sorted({s for s, _ in m1.pairs} | {s for s, _ in m2.pairs}):
+        e1, e2 = m1.exponent(s), m2.exponent(s)
+        if e1 != e2:
+            return -1 if e1 < e2 else 1
+    return 0
+
+
+def assert_canonical(p: Polynomial) -> None:
+    """Every term is in canonical form and the render order is graded-lex."""
+    monomials = []
+    for m, c in p.terms():
+        names = [s for s, _ in m.pairs]
+        assert names == sorted(set(names)), m.pairs
+        assert all(type(e) is int and e != 0 for _, e in m.pairs), m.pairs
+        assert m.degree == sum(e for _, e in m.pairs)
+        twin = Monomial(dict(m.pairs))
+        assert m == twin and hash(m) == hash(twin)
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+        monomials.append(m)
+    order = [m for m, _ in p.sorted_terms()]
+    assert order == sorted(monomials, reverse=True)
+    assert order == sorted(monomials, key=functools.cmp_to_key(_graded_lex), reverse=True)
+
+
+class TestCanonicalForm:
+    """Internal constructors trust canonical pairs; every operation must keep them canonical."""
+
+    def test_operations_keep_canonical_form(self):
+        rng = random.Random(30307)
+        fraction_grammar = Grammar.from_text("x -> 1/2*y; y -> 3/2*x*y^-1; z -> 2/3")
+        for _ in range(300):
+            a = random_polynomial(rng, rationals=True, min_exp=-2)
+            b = random_polynomial(rng, rationals=True, min_exp=-2)
+            s = rng.choice("xyz")
+            results = [a * b, a + b, a - b, -a, a ** rng.randint(0, 3), a.diff(s),
+                       random_grammar(rng).derive(a), fraction_grammar.derive(a)]
+            results += a.slices(s).values()
+            unit = mono(rng.choice((1, -1)), u=rng.randint(-2, 2), z=rng.randint(-2, 2))
+            results.append(unit ** -rng.randint(1, 3))
+            f = random_polynomial(rng, "xz", rationals=True, min_exp=-2) * random_polynomial(
+                rng, "y", rationals=True)
+            results.append(f.subs({"x": unit, "y": random_polynomial(rng, "uv", rationals=True)}))
+            for p in results:
+                assert_canonical(p)
+
+    def test_integral_fractions_become_ints(self):
+        p = Fraction(1, 2) * x * 2
+        assert p == x
+        ((_, c),) = p.terms()
+        assert type(c) is int and c == 1
+        g = Grammar.from_text("x -> 1/2*y")
+        ((_, c),) = g.derive(2 * x).terms()
+        assert type(c) is int and c == 1
+
+    def test_monomial_order_matches_definition(self):
+        rng = random.Random(1187)
+        for _ in range(500):
+            m1 = Monomial({s: rng.randint(-2, 2) for s in rng.sample("wxyz", rng.randint(0, 4))})
+            m2 = Monomial({s: rng.randint(-2, 2) for s in rng.sample("wxyz", rng.randint(0, 4))})
+            assert (m1 < m2) == (_graded_lex(m1, m2) < 0)
+            assert (m1 > m2) == (_graded_lex(m1, m2) > 0)
+
+    def test_public_constructors_reject_floats(self):
+        with pytest.raises(TypeError):
+            Monomial({"x": 1.5})
+        with pytest.raises(TypeError):
+            Monomial([("x", 2.0)])
+        with pytest.raises(TypeError):
+            Polynomial({Monomial({"x": 1}): 1.5})
+        with pytest.raises(TypeError):
+            Polynomial([({"x": 1}, 0.5)])
+        with pytest.raises(TypeError):
+            Polynomial.constant(0.25)
+        with pytest.raises(TypeError):
+            Polynomial.constant(0.0)
+        with pytest.raises(TypeError):
+            mono(1.5, x=1)
+        with pytest.raises(TypeError):
+            x * 1.5
