@@ -2,7 +2,10 @@
 
 These generators are the independent oracles of the package: they build
 every object of a class by direct insertion, compute statistics by naive
-scanning, and never consult recurrences or operator expansions.  Each
+scanning, and never consult recurrences or operator expansions.  Every
+insertion enumerator, here and in :mod:`normord.forests`, is one
+depth-first walk, :func:`grow`, from the empty object through ``n``
+insertions; each states only its insertion step ``children(obj, i)``.  Each
 yields StatRecord values that hold the raw object (a word, or a tuple of
 blocks) and its kind's table of named statistic scans.  A record computes
 its canonical text id and its statistics when they are read:
@@ -25,8 +28,10 @@ Conventions that matter and are easy to get wrong:
 * Lists (blocks of a partition into lists) are padded with 0 at both
   ends before counting ascents, descents, valleys and double descents.
 
-Default size caps keep full enumerations inside a test-friendly budget;
-pass a larger ``cap`` explicitly to go beyond.
+One table, :data:`CAPS`, holds the default size cap of every enumerator,
+forests included, and one function, :func:`check_cap`, enforces it.  The
+caps keep full enumerations inside a test-friendly budget; pass a larger
+``cap`` explicitly to go beyond.
 """
 
 from __future__ import annotations
@@ -36,16 +41,23 @@ from functools import lru_cache
 from itertools import permutations as _one_line_words
 from itertools import product as _product
 from operator import eq, gt, lt
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .poly import Monomial, Polynomial
 
+T = TypeVar("T")
+
+# Keyed by the object names of ``normord enumerate --objects``.
 CAPS = {
     "permutations": 9,
-    "signed_permutations": 7,
-    "stirling_permutations": 7,
-    "list_partitions": 7,
-    "stirling_lists": 5,
+    "signed-permutations": 7,
+    "stirling-permutations": 7,
+    "list-partitions": 7,
+    "stirling-lists": 5,
+    "binary-forests": 9,
+    "full-binary-forests": 9,
+    "ternary-forests": 7,
+    "full-ternary-forests": 7,
 }
 
 
@@ -89,12 +101,31 @@ class _BlocksRecord(StatRecord):
         return "|".join(",".join(map(str, block)) for block in self.obj)
 
 
-def _check_cap(kind: str, n: int, cap: int | None) -> None:
+def check_cap(kind: str, n: int, cap: int | None) -> None:
+    """Reject a negative size, or one past ``cap`` (default: the kind's ``CAPS`` entry)."""
     limit = CAPS[kind] if cap is None else cap
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n > limit:
         raise ValueError(f"{kind} enumeration capped at n = {limit} (requested {n})")
+
+
+def grow(start: T, steps: int, children: Callable[[T, int], Iterable[T]]) -> Iterator[T]:
+    """Every object reached from ``start`` by ``steps`` insertions, depth first.
+
+    ``children(obj, i)`` yields, in order, the objects that insertion ``i``
+    (counted from 0) makes from ``obj``; an object is yielded once all
+    ``steps`` insertions are made, so ``steps == 0`` yields ``start`` alone.
+    """
+
+    def extend(obj: T, i: int) -> Iterator[T]:
+        if i == steps:
+            yield obj
+            return
+        for child in children(obj, i):
+            yield from extend(child, i + 1)
+
+    return extend(start, 0)
 
 
 # -- permutation statistics ------------------------------------------------
@@ -222,14 +253,14 @@ _SIGNED_PERMUTATION_SCANS: Scans = {"des_b": type_b_descents}
 
 def permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     """All permutations of [n] with des, exc, cyc, cdes and udrun."""
-    _check_cap("permutations", n, cap)
+    check_cap("permutations", n, cap)
     for word in _one_line_words(range(1, n + 1)):
         yield StatRecord(word, _PERMUTATION_SCANS)
 
 
 def signed_permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     """All signed permutations of [n] with the type B descent count."""
-    _check_cap("signed_permutations", n, cap)
+    check_cap("signed-permutations", n, cap)
     for word in _one_line_words(range(1, n + 1)):
         for signed in _product(*((v, -v) for v in word)):
             yield StatRecord(signed, _SIGNED_PERMUTATION_SCANS)
@@ -238,15 +269,12 @@ def signed_permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecor
 def _stirling_words(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All Stirling permutations of {v^2 : v in values}; values ascending."""
 
-    def extend(word: tuple[int, ...], i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(values):
-            yield word
-            return
+    def children(word: tuple[int, ...], i: int) -> Iterator[tuple[int, ...]]:
         v = values[i]
         for pos in range(len(word) + 1):
-            yield from extend(word[:pos] + (v, v) + word[pos:], i + 1)
+            yield word[:pos] + (v, v) + word[pos:]
 
-    yield from extend((), 0)
+    return grow((), len(values), children)
 
 
 _STIRLING_PERMUTATION_SCANS: Scans = {
@@ -260,7 +288,7 @@ _STIRLING_PERMUTATION_SCANS: Scans = {
 
 def stirling_permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     """All Stirling permutations of {1^2, ..., n^2} with their statistics."""
-    _check_cap("stirling_permutations", n, cap)
+    check_cap("stirling-permutations", n, cap)
     for word in _stirling_words(tuple(range(1, n + 1))):
         yield StatRecord(word, _STIRLING_PERMUTATION_SCANS)
 
@@ -268,21 +296,15 @@ def stirling_permutations(n: int, *, cap: int | None = None) -> Iterator[StatRec
 def _list_partition_shapes(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Partitions of [n] into ordered lists; blocks sorted by their minima."""
 
-    def extend(blocks: tuple[tuple[int, ...], ...], m: int):
-        if m == n:
-            yield blocks
-            return
+    def children(blocks: tuple[tuple[int, ...], ...], m: int):
         v = m + 1
         for bi, block in enumerate(blocks):
             for pos in range(len(block) + 1):
                 grown = block[:pos] + (v,) + block[pos:]
-                yield from extend(blocks[:bi] + (grown,) + blocks[bi + 1 :], m + 1)
-        yield from extend(blocks + ((v,),), m + 1)
+                yield blocks[:bi] + (grown,) + blocks[bi + 1 :]
+        yield blocks + ((v,),)
 
-    if n == 0:
-        yield ()
-    else:
-        yield from extend(((1,),), 1)
+    return grow((), n, children)
 
 
 def _summed(scan: Callable[[tuple[int, ...]], int]) -> Callable[..., int]:
@@ -301,25 +323,19 @@ _LIST_PARTITION_SCANS: Scans = {
 
 def list_partitions(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     """Partitions of [n] into lists, with block count and padded-word stats."""
-    _check_cap("list_partitions", n, cap)
+    check_cap("list-partitions", n, cap)
     for blocks in _list_partition_shapes(n):
         yield _BlocksRecord(blocks, _LIST_PARTITION_SCANS)
 
 
 def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    def extend(blocks: tuple[tuple[int, ...], ...], m: int):
-        if m == n:
-            yield blocks
-            return
+    def children(blocks: tuple[tuple[int, ...], ...], m: int):
         v = m + 1
         for bi, block in enumerate(blocks):
-            yield from extend(blocks[:bi] + (block + (v,),) + blocks[bi + 1 :], m + 1)
-        yield from extend(blocks + ((v,),), m + 1)
+            yield blocks[:bi] + (block + (v,),) + blocks[bi + 1 :]
+        yield blocks + ((v,),)
 
-    if n == 0:
-        yield ()
-    else:
-        yield from extend(((1,),), 1)
+    return grow((), n, children)
 
 
 _STIRLING_LIST_SCANS: Scans = {
@@ -336,7 +352,7 @@ def stirling_lists(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
     Statistics are summed over blocks, each block word padded with 0 at
     both ends for ascents and descents; plateaus are interior.
     """
-    _check_cap("stirling_lists", n, cap)
+    check_cap("stirling-lists", n, cap)
     for blocks in _set_partitions(n):
         per_block = [list(_stirling_words(b)) for b in blocks]
         for choice in _product(*per_block):

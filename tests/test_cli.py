@@ -13,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import normord
 from normord import Polynomial
 from normord.cli import OBJECT_NAMES, main
+from normord.combinat import CAPS
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -170,11 +171,12 @@ class TestEnumerate:
         assert err == "error: unknown statistic(s) blorp, nope; known: asc, blocks, des, plat\n"
 
     def test_cap_exceeded(self):
-        for objects, n in (("permutations", "10"), ("binary-forests", "10")):
-            code, out, err = run("enumerate", "--objects", objects, "--n", n)
+        for objects in OBJECT_NAMES:
+            cap = CAPS[objects]
+            code, out, err = run("enumerate", "--objects", objects, "--n", str(cap + 1))
             assert code == 2
             assert out == ""
-            assert "capped at n = 9" in err
+            assert f"capped at n = {cap} (requested {cap + 1})" in err
 
 
 # sha256 of the concatenated ``enumerate`` output for n = 0..5 (n = 0..4 for

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from normord import Grammar, Polynomial, family_row, grow_forests, mono, normal_order_power, variable
@@ -49,6 +51,11 @@ class TestBasics:
                 f.leaf_count("z"),
             ) == f.leaves
 
+    def test_leaf_count_rejects_other_letters(self):
+        (f,) = grow_forests("full-ternary", 1)
+        with pytest.raises(ValueError):
+            f.leaf_count("w")
+
     def test_encodings_unique(self):
         for flavor, n in [
             ("binary", 6),
@@ -70,6 +77,25 @@ class TestBasics:
             next(grow_forests("ternary", 8))
         with pytest.raises(ValueError):
             next(grow_forests("binary", 5, cap=4))
+
+
+# sha256 over one "encode()<TAB>k<TAB>x,y,z" line per forest for n = 0..n_max:
+# pins the growth order and every record past the n <= 5 of the CLI digests.
+GROWTH_DIGESTS = [
+    ("binary", 7, "c7a7a65e5fa9d08186d684bc09830fbe9d4c3562c0e763b1a07fddf3f50c3a11"),
+    ("full-binary", 6, "646193f677ebb3b34236e7e0a8b9f90a5557e1d2dc33c1a11969662841dfacd7"),
+    ("ternary", 7, "4960e28755d1b4fbb5195f1f9643d000d3f760c7c7a32e0d5f736c28f9fce2f6"),
+    ("full-ternary", 6, "5a92b21616e7b8b9d58928f59e506b2efacbaba9216fe48bca3dd6c7461f6cc5"),
+]
+
+
+@pytest.mark.parametrize("flavor,n_max,want", GROWTH_DIGESTS)
+def test_growth_order_digest(flavor, n_max, want):
+    h = hashlib.sha256()
+    for n in range(n_max + 1):
+        for f in grow_forests(flavor, n):
+            h.update(f"{f.encode()}\t{f.k}\t{','.join(map(str, f.leaves))}\n".encode())
+    assert h.hexdigest() == want
 
 
 class TestTriangleTallies:
