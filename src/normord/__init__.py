@@ -39,14 +39,7 @@ from .poly import (
     parse,
     variable,
 )
-from .series import (
-    SeriesReport,
-    TruncatedSeries,
-    bessel_polynomial,
-    catalan_number,
-    catalan_series,
-    verify_catalan_egf,
-)
+from .series import bessel_polynomial, catalan_number
 from .triangles import (
     FAMILY_NAMES,
     Triangle,
@@ -73,16 +66,13 @@ __all__ = [
     "ParseError",
     "PoleError",
     "Polynomial",
-    "SeriesReport",
     "StatRecord",
     "Triangle",
-    "TruncatedSeries",
     "Witness",
     "assemble",
     "bessel_polynomial",
     "build_triangle",
     "catalan_number",
-    "catalan_series",
     "check_ids",
     "ctilde_xx",
     "e_expand",
@@ -104,5 +94,4 @@ __all__ = [
     "stirling_lists",
     "stirling_permutations",
     "variable",
-    "verify_catalan_egf",
 ]

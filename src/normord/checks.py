@@ -374,18 +374,9 @@ def _second_order_row_link(n: int):
            _slice_one_up("C", n), assemble("second-order-x", n))
 
 
-def _run_catalan_egf(lo: int, hi: int) -> Optional[Witness]:
-    # The witness level comes from the series report, not from a level loop.
-    report = verify_catalan_egf(hi)
-    if report.matched:
-        return None
-    return Witness(report.first_mismatch, "recurrence-built series vs exponential closed form",
-                   report.lhs.render(), report.rhs.render())
-
-
-register(CheckSpec("catalan-egf",
-                   "the diagonal series equals the exponential of a Catalan argument",
-                   0, 10, 6, _run_catalan_egf))
+check("catalan-egf",
+      "the diagonal series equals the exponential of a Catalan argument", 0, 10, 6,
+      )(verify_catalan_egf)
 
 
 @check("ctilde-diagonal-recurrence",

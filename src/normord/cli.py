@@ -27,7 +27,7 @@ import json
 import sys
 from typing import Iterable, List, Optional
 
-from .checks import check_ids, render_report, results_to_json, run_all, run_check
+from .checks import REGISTRY, check_ids, render_report, results_to_json, run_all, run_check
 from .combinat import (
     list_partitions,
     permutations,
@@ -39,7 +39,6 @@ from .forests import grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import normal_order_power
 from .poly import ParseError, Polynomial, parse, variable
-from .series import verify_catalan_egf
 from .triangles import FAMILIES, FAMILY_NAMES, family_row
 
 __all__ = ["main", "build_parser"]
@@ -227,24 +226,26 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
 def _cmd_series(args: argparse.Namespace, out) -> int:
     if args.order < 0:
         raise UsageError("--order must be nonnegative")
-    try:
-        report = verify_catalan_egf(args.order)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.order > 12:
+        raise UsageError("order capped at 12")
+    witness = REGISTRY[args.identity].runner(0, args.order)
     if args.format == "json":
         payload = {
-            "identity": report.identity,
-            "order": report.order,
-            "matched": report.matched,
-            "first_mismatch": report.first_mismatch,
+            "identity": args.identity,
+            "order": args.order,
+            "matched": witness is None,
+            "first_mismatch": None if witness is None else witness.n,
         }
-        if not report.matched:
-            payload["lhs"] = report.lhs.render()
-            payload["rhs"] = report.rhs.render()
+        if witness is not None:
+            payload["lhs"] = witness.left
+            payload["rhs"] = witness.right
         print(json.dumps(payload, sort_keys=True), file=out)
+    elif witness is None:
+        print(f"{args.identity}: match through order {args.order}", file=out)
     else:
-        print(report.render(), file=out)
-    return 0 if report.matched else 1
+        print(f"{args.identity}: MISMATCH at order {witness.n}\n"
+              f"  lhs: {witness.left}\n  rhs: {witness.right}", file=out)
+    return 0 if witness is None else 1
 
 
 # -- parser ----------------------------------------------------------------

@@ -26,12 +26,12 @@ from normord import (
     parse,
     permutations,
     rising_factorial,
+    run_check,
     signed_permutations,
     stat_polynomial,
     stirling_lists,
     stirling_permutations,
     variable,
-    verify_catalan_egf,
 )
 
 x = variable("x")
@@ -221,7 +221,7 @@ def test_ternary_families_and_series():
             l: v for (l,), v in e2.items()
         }, n
 
-    assert verify_catalan_egf(10).matched
+    assert run_check("catalan-egf", 10).passed
 
     for n in range(1, 11):
         want = Polynomial()

@@ -178,6 +178,10 @@ class TestEnumerate:
             assert out == ""
             assert f"capped at n = {cap} (requested {cap + 1})" in err
 
+    def test_object_names_match_caps(self):
+        # A kind listed on one side only would fail at its first enumerate.
+        assert sorted(OBJECT_NAMES) == sorted(CAPS)
+
 
 # sha256 of the concatenated ``enumerate`` output for n = 0..5 (n = 0..4 for
 # stirling-lists), keyed by object kind, format and ``--stats`` subset.
@@ -268,10 +272,33 @@ class TestSeries:
         assert code == 0
         assert out == "catalan-egf: match through order 6\n"
 
+    def test_json_match_carries_no_mismatch_payload(self):
+        code, out, _ = run("series", "--order", "5", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "identity": "catalan-egf", "order": 5, "matched": True, "first_mismatch": None
+        }
+
     def test_order_out_of_range(self):
         code, _, err = run("series", "--order", "13")
         assert code == 2
         assert "error:" in err
+
+    def test_mismatch(self, monkeypatch):
+        import normord.series
+
+        ctilde_xx = normord.series.ctilde_xx
+        monkeypatch.setattr(normord.series, "ctilde_xx",
+                            lambda n: ctilde_xx(n) + 1 if n == 3 else ctilde_xx(n))
+        lhs = "3*x^5*z + 3*x^4*z^2 + x^3*z^3 + 1"
+        rhs = "3*x^5*z + 3*x^4*z^2 + x^3*z^3"
+        code, out, _ = run("series", "--order", "5")
+        assert code == 1
+        assert out == f"catalan-egf: MISMATCH at order 3\n  lhs: {lhs}\n  rhs: {rhs}\n"
+        code, out, _ = run("series", "--order", "5", "--format", "json")
+        assert code == 1
+        data = json.loads(out)
+        assert (data["first_mismatch"], data["lhs"], data["rhs"]) == (3, lhs, rhs)
 
 
 class TestHarness:
@@ -306,3 +333,29 @@ class TestHarness:
         )
         assert proc.returncode == 0
         assert proc.stdout == "D^1: x*y ; D^2: x^2\n"
+
+    def test_benchmark_tracer_installs(self):
+        # The benchmark's tracer wraps library names by name; a rename fails here.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(normord.__file__)))
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+        child = (
+            "import sys\n"
+            f"sys.path.insert(0, {perfbench!r})\n"
+            "import tracer\n"
+            "from normord import cli\n"
+            "t = tracer.Tracer('contract')\n"
+            "tracer.install(t)\n"
+            "t.begin()\n"
+            "code = cli.main(['verify', '--check', 'catalan-egf', '--n-max', '4'])\n"
+            "t.end()\n"
+            "assert 'checks.catalan-egf' in t.totals, sorted(t.totals)\n"
+            "raise SystemExit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=package_root),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "PASS catalan-egf (n=0..4)\n1/1 checks passed\n"

@@ -1,160 +1,13 @@
-"""Truncated exact power series over the polynomial ring."""
+"""Catalan and Bessel reference sequences and the Catalan-exponent series sides."""
 
 from __future__ import annotations
 
 import math
-import random
-from fractions import Fraction
 
 import pytest
 
-from conftest import random_polynomial
-from normord import (
-    Polynomial,
-    TruncatedSeries,
-    bessel_polynomial,
-    catalan_number,
-    catalan_series,
-    mono,
-    parse,
-    variable,
-    verify_catalan_egf,
-)
-
-ONE = Polynomial.one()
-ZERO = Polynomial()
-
-
-def series(kind: str, *texts: str) -> TruncatedSeries:
-    return TruncatedSeries.from_coeffs(kind, [parse(s) for s in texts])
-
-
-class TestConstruction:
-    def test_order(self):
-        s = series("ogf", "1", "x", "0")
-        assert s.order == 2
-        assert s.coefficient(1) == variable("x")
-        with pytest.raises(IndexError):
-            s.coefficient(5)
-
-    def test_zero_and_one(self):
-        assert TruncatedSeries.zero("ogf", 3).coefficient(0).is_zero
-        assert TruncatedSeries.one("egf", 3).coefficient(0) == ONE
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries.from_coeffs("laurent", [ONE])
-
-    def test_truncate(self):
-        s = series("ogf", "1", "2", "3", "4")
-        assert s.truncate(1).order == 1
-        assert s.truncate(1).coefficient(1) == Polynomial.constant(2)
-
-
-class TestArithmetic:
-    def test_plain_product(self):
-        lhs = series("ogf", "1", "1")
-        rhs = series("ogf", "1", "-1")
-        assert (lhs * rhs).coeffs == series("ogf", "1", "0", "-1").coeffs[:2]
-
-    def test_plain_product_truncates_to_shorter(self):
-        got = series("ogf", "1", "1", "1") * series("ogf", "1", "1")
-        assert got.order == 1
-
-    def test_binomial_weighted_product(self):
-        # Multiplying the all-ones weighted series by itself doubles:
-        # the order-n entry becomes sum over splits of C(n, i).
-        s = series("egf", "1", "1", "1", "1")
-        sq = s * s
-        for n in range(4):
-            assert sq.coefficient(n) == Polynomial.constant(2 ** n)
-
-    def test_addition_and_negation(self):
-        a = series("ogf", "1", "2", "3")
-        b = series("ogf", "0", "1", "1")
-        assert (a - b).coeffs == series("ogf", "1", "1", "2").coeffs
-        assert (a + (-a)).coeffs == TruncatedSeries.zero("ogf", 2).coeffs
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            series("ogf", "1") * series("egf", "1")
-
-    def test_scale(self):
-        s = series("ogf", "1", "x")
-        got = s.scale(Fraction(1, 2))
-        assert got.coefficient(0) == Polynomial.constant(Fraction(1, 2))
-        assert got.coefficient(1) == mono(Fraction(1, 2), x=1)
-
-
-class TestExpLog:
-    def test_exp_of_linear_term(self):
-        t = TruncatedSeries.from_coeffs("egf", [ZERO, ONE, ZERO, ZERO, ZERO])
-        assert all(c == ONE for c in t.exp().coeffs)
-
-    def test_exp_rejects_constant_term(self):
-        with pytest.raises(ValueError):
-            series("egf", "1", "1").exp()
-
-    def test_log_rejects_missing_unit(self):
-        with pytest.raises(ValueError):
-            series("egf", "0", "1").log()
-
-    def test_log_inverts_exp(self):
-        rng = random.Random(1333)
-        for kind in ("egf", "ogf"):
-            for _ in range(25):
-                coeffs = [ZERO] + [
-                    random_polynomial(rng, "xy", max_terms=2, max_exp=2)
-                    for _ in range(5)
-                ]
-                s = TruncatedSeries.from_coeffs(kind, coeffs)
-                assert s.exp().log().coeffs == s.coeffs
-
-    def test_exp_adds_exponents(self):
-        rng = random.Random(87)
-        for _ in range(10):
-            a = TruncatedSeries.from_coeffs(
-                "egf",
-                [ZERO] + [random_polynomial(rng, "x", max_terms=2) for _ in range(5)],
-            )
-            b = TruncatedSeries.from_coeffs(
-                "egf",
-                [ZERO] + [random_polynomial(rng, "y", max_terms=2) for _ in range(5)],
-            )
-            assert (a + b).exp().coeffs == (a.exp() * b.exp()).coeffs
-
-
-class TestConversions:
-    def test_round_trip(self):
-        rng = random.Random(5)
-        coeffs = [random_polynomial(rng, "xz", rationals=True) for _ in range(6)]
-        s = TruncatedSeries.from_coeffs("egf", coeffs)
-        assert s.to_ogf().to_egf().coeffs == s.coeffs
-
-    def test_factorial_scaling(self):
-        s = TruncatedSeries.from_coeffs("egf", [ONE] * 5)
-        og = s.to_ogf()
-        for n in range(5):
-            assert og.coefficient(n) == Polynomial.constant(Fraction(1, math.factorial(n)))
-
-    def test_substitute_power(self):
-        s = series("ogf", "1", "1", "1", "1", "1")
-        got = s.substitute_power(2, Polynomial.constant(3))
-        assert [c.render() for c in got.coeffs] == ["1", "0", "3", "0", "9"]
-
-    def test_substitute_power_rejects_weighted_kind(self):
-        with pytest.raises(ValueError):
-            series("egf", "1", "1").substitute_power(2, ONE)
-
-
-class TestRender:
-    def test_weighted_render(self):
-        s = TruncatedSeries.from_coeffs("egf", [ZERO, ONE])
-        assert s.render() == "t^0/0!: 0\nt^1/1!: 1"
-
-    def test_plain_render(self):
-        s = series("ogf", "1", "x")
-        assert s.render() == "t^0: 1\nt^1: x"
+from normord import bessel_polynomial, catalan_number, variable
+from normord.series import catalan_series, verify_catalan_egf
 
 
 class TestCatalan:
@@ -167,16 +20,16 @@ class TestCatalan:
             assert catalan_number(m) * (m + 1) == math.comb(2 * m, m)
 
     def test_series(self):
-        s = catalan_series(6)
-        assert s.kind == "ogf"
-        for m in range(7):
-            assert s.coefficient(m) == Polynomial.constant(catalan_number(m))
+        assert catalan_series(6) == (1, 1, 2, 5, 14, 42, 132)
 
     def test_convolution_recurrence(self):
-        s = catalan_series(8)
-        sq = s * s
+        c = catalan_series(8)
         for m in range(8):
-            assert sq.coefficient(m) == s.coefficient(m + 1)
+            assert sum(c[i] * c[m - i] for i in range(m + 1)) == c[m + 1]
+
+    def test_series_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            catalan_series(-1)
 
 
 class TestBesselPolynomial:
@@ -193,22 +46,11 @@ class TestBesselPolynomial:
 
 class TestGeneratingFunctionIdentity:
     def test_diagonal_rows_match_exponential(self):
-        report = verify_catalan_egf(8)
-        assert report.matched
-        assert report.first_mismatch is None
-        assert report.render() == "catalan-egf: match through order 8"
+        for n in range(9):
+            [(note, left, right)] = verify_catalan_egf(n)
+            assert note == "recurrence-built series vs exponential closed form"
+            assert left == right, n
 
-    def test_rejects_uncomputed_orders(self):
-        with pytest.raises(ValueError):
-            verify_catalan_egf(13)
-
-    def test_success_carries_no_mismatch_payload(self):
-        report = verify_catalan_egf(5)
-        assert report.matched
-        assert report.lhs is None and report.rhs is None
-
-    def test_mismatch_render(self):
-        from normord import SeriesReport
-
-        report = SeriesReport("demo", 4, False, 2, parse("x"), parse("x + 1"))
-        assert report.render() == "demo: MISMATCH at order 2\n  lhs: x\n  rhs: x + 1"
+    def test_first_right_sides(self):
+        rights = [right.render() for n in range(3) for _, _, right in verify_catalan_egf(n)]
+        assert rights == ["1", "x*z", "x^3*z + x^2*z^2"]
