@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from normord import bessel_polynomial, catalan_number, variable
+from normord.cli import main
 from normord.series import catalan_series, verify_catalan_egf
 
 
@@ -54,3 +57,12 @@ class TestGeneratingFunctionIdentity:
     def test_first_right_sides(self):
         rights = [right.render() for n in range(3) for _, _, right in verify_catalan_egf(n)]
         assert rights == ["1", "x*z", "x^3*z + x^2*z^2"]
+
+    def test_rejects_uncomputed_orders(self):
+        # The series command computes through order 12 and refuses order 13.
+        for order, code, text in ((12, 0, "catalan-egf: match through order 12\n"),
+                                  (13, 2, "error: order capped at 12\n")):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                assert main(["series", "--order", str(order)]) == code
+            assert (out.getvalue() if code == 0 else err.getvalue()) == text
