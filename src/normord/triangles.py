@@ -3,9 +3,11 @@
 Each family of normal-order coefficients (or classical companion numbers)
 is generated bottom-up from its defining recurrence, never from closed
 forms, so the triangles serve as an independent computation path against
-operator expansions and brute-force enumeration.  Rows are cached, one per
-computed level, and a cold request steps up from the highest cached level
-without recursion; keys are plain index tuples.
+operator expansions and brute-force enumeration.  Each stepped family keeps
+a window of the rows of the last ``_KEEP`` levels its latest walk reached; a
+request above the window steps up from its top, one below it steps up from
+the base row, both without recursion, and older rows are dropped on the way.
+Keys are plain index tuples.
 
 Families, their step and their row keys.  Fourteen families share one of
 three step shapes and state only their own weights; beta keeps its own step:
@@ -122,11 +124,10 @@ def _row_bessel(n: int) -> dict:
 
 
 def _row_catalan(n: int) -> dict:
-    if n == 0:
-        return {(): 1}
-    # Lower levels in ascending order, so each is one step from a cached row.
-    c = [_row("catalan", i)[()] for i in range(n)]
-    return {(): sum(c[i] * c[n - 1 - i] for i in range(n))}
+    c = [1]
+    for m in range(n):
+        c.append(sum(c[i] * c[m - i] for i in range(m + 1)))
+    return {(): c[n]}
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,12 @@ FAMILIES: dict[str, FamilySpec] = {
 
 FAMILY_NAMES: tuple[str, ...] = tuple(FAMILIES)
 
-# One row per computed (family, level); rows are shared, never mutated.
-_ROWS: dict[tuple[str, int], Row] = {}
+# Per stepped family, the rows of the last _KEEP levels its latest walk
+# reached, keyed by level; rows are shared, never mutated.  Three levels
+# serve a check reading rows n-1 to n+1 at level n.  The row_fn families are
+# computed on every request.
+_KEEP = 3
+_ROWS: dict[str, dict[int, Row]] = {}
 
 
 def _family(family: str) -> FamilySpec:
@@ -189,23 +194,26 @@ def _family(family: str) -> FamilySpec:
 
 
 def _row(family: str, n: int) -> Row:
-    row = _ROWS.get((family, n))
-    if row is not None:
-        return row
     spec = _family(family)
     if n < spec.start:
         raise ValueError(f"family {family!r} starts at n = {spec.start}")
     if spec.row_fn is not None:
-        row = _ROWS[(family, n)] = spec.row_fn(n)
+        return spec.row_fn(n)
+    window = _ROWS.setdefault(family, {})
+    row = window.get(n)
+    if row is not None:
         return row
-    # Step up from the highest cached level below n, without recursion.
-    level = n
-    while level > spec.start and (family, level - 1) not in _ROWS:
-        level -= 1
-    row = _ROWS.get((family, level - 1))
-    for m in range(level, n + 1):
+    # The window holds consecutive levels: step up from its top if n lies
+    # above it, else from the base row.
+    top = max(window, default=spec.start - 1)
+    if top > n:
+        window.clear()
+        top = spec.start - 1
+    row = window.get(top)
+    for m in range(top + 1, n + 1):
         row = dict(spec.base) if m == spec.start else spec.step(row, m - 1)
-        _ROWS[(family, m)] = row
+        window[m] = row
+        window.pop(m - _KEEP, None)
     return row
 
 

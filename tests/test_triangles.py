@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -27,6 +28,7 @@ from normord import (
     rising_factorial,
     variable,
 )
+from normord import triangles
 from normord.triangles import FAMILIES
 
 x = variable("x")
@@ -63,19 +65,33 @@ class TestFamilyRow:
             family_row("no-such-family", 3)
 
     def test_deep_rows_from_a_cold_cache(self):
-        # A fresh interpreter starts with no cached rows, so level 1000 is
-        # stepped up from the base row.
-        code = (
+        # A fresh interpreter starts with no cached rows, so each deep level
+        # is stepped up from the base row.
+        codes = [
             "from math import comb\n"
             "from normord import catalan_number, family_row\n"
             "row = family_row('S2', 1000)\n"
             "assert row[(2,)] == 2 ** 999 - 1 and row[(999,)] == comb(1000, 2)\n"
             "assert family_row('catalan', 1000)[()] == catalan_number(1000)\n"
-        )
+        ]
+        if sys.platform.startswith("linux"):
+            # Keeping every row of the walk peaks near 148 MiB here; the
+            # window keeps three.  The child reads its own high-water mark,
+            # VmHWM in KiB: its ru_maxrss would also count this test
+            # process's memory, which Linux carries across fork and exec.
+            codes.append(
+                "import re\n"
+                "from normord import family_row\n"
+                "assert family_row('A', 160)[(1, 1)] == 1\n"
+                "status = open('/proc/self/status').read()\n"
+                "peak = int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n"
+                "assert peak < 64 * 1024, f'peak RSS {peak} KiB'\n"
+            )
         src = str(Path(normord.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
+        for code in codes:
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
 
     def test_entries_nonnegative(self):
         for family in ("A", "a", "gamma", "C", "beta", "B", "E", "W"):
@@ -96,6 +112,49 @@ class TestFamilyRow:
             a_row = family_row("A", n)
             for k in range(1, n + 1):
                 assert a_row.get((k, k), 0) == s2.get((k,), 0)
+
+
+class TestRowWindow:
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """Count the step calls of family A, starting from an empty cache."""
+        spec = FAMILIES["A"]
+        calls = []
+
+        def counting(prev, n):
+            calls.append(n)
+            return spec.step(prev, n)
+
+        monkeypatch.setitem(FAMILIES, "A", dataclasses.replace(spec, step=counting))
+        monkeypatch.setattr(triangles, "_ROWS", {})
+        return calls
+
+    def test_restepping_stays_linear(self, steps):
+        family_row("A", 60)
+        assert len(steps) == 59
+        for n in range(61, 71):
+            steps.clear()
+            family_row("A", n)
+            assert len(steps) == 1, n
+        steps.clear()
+        for n in (69, 70, 69):
+            family_row("A", n)
+        assert steps == []
+        family_row("A", 10)
+        assert len(steps) == 9
+        steps.clear()
+        family_row("A", 11)
+        assert len(steps) == 1
+
+    def test_family_row_returns_a_fresh_dict(self, monkeypatch):
+        want5, want6 = family_row("A", 5), family_row("A", 6)
+        monkeypatch.setattr(triangles, "_ROWS", {})
+        row = family_row("A", 5)
+        row[(1, 1)] = -1
+        row[(9, 9)] = 9
+        # Level 5 is the window's top, so level 6 is stepped from it.
+        assert family_row("A", 6) == want6
+        assert family_row("A", 5) == want5
 
 
 # sha256 over the lines "n<TAB>index<TAB>entry" of every row from the
