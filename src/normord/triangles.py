@@ -4,9 +4,9 @@ Each family of normal-order coefficients (or classical companion numbers)
 is generated bottom-up from its defining recurrence, never from closed
 forms, so the triangles serve as an independent computation path against
 operator expansions and brute-force enumeration.  Each stepped family keeps
-a window of the rows of the last ``_KEEP`` levels its latest walk reached; a
-request above the window steps up from its top, one below it steps up from
-the base row, both without recursion, and older rows are dropped on the way.
+only the last row its latest walk reached: a request above that row steps
+up from it, one below it steps up from the base row, both without
+recursion, and each row is dropped once the next one is stepped from it.
 Keys are plain index tuples.
 
 Families, their step and their row keys.  Fourteen families share one of
@@ -123,10 +123,16 @@ def _row_bessel(n: int) -> dict:
     return row
 
 
+# The Catalan numbers computed so far, one int per level; each new one is
+# the convolution of all before it, so they are kept rather than re-walked.
+_CATALAN: list[int] = [1]
+
+
 def _row_catalan(n: int) -> dict:
-    c = [1]
-    for m in range(n):
-        c.append(sum(c[i] * c[m - i] for i in range(m + 1)))
+    c = _CATALAN
+    while len(c) <= n:
+        m = len(c)
+        c.append(sum(c[i] * c[m - 1 - i] for i in range(m)))
     return {(): c[n]}
 
 
@@ -177,12 +183,11 @@ FAMILIES: dict[str, FamilySpec] = {
 
 FAMILY_NAMES: tuple[str, ...] = tuple(FAMILIES)
 
-# Per stepped family, the rows of the last _KEEP levels its latest walk
-# reached, keyed by level; rows are shared, never mutated.  Three levels
-# serve a check reading rows n-1 to n+1 at level n.  The row_fn families are
-# computed on every request.
-_KEEP = 3
-_ROWS: dict[str, dict[int, Row]] = {}
+# Per stepped family, the last row its latest walk reached, as (level, row);
+# rows are shared, never mutated.  Every reader walks its levels upward, so
+# one row per family serves each read with at most one step.  Bessel rows
+# are computed on every request, catalan rows read _CATALAN.
+_ROWS: dict[str, tuple[int, Row]] = {}
 
 
 def _family(family: str) -> FamilySpec:
@@ -199,21 +204,15 @@ def _row(family: str, n: int) -> Row:
         raise ValueError(f"family {family!r} starts at n = {spec.start}")
     if spec.row_fn is not None:
         return spec.row_fn(n)
-    window = _ROWS.setdefault(family, {})
-    row = window.get(n)
-    if row is not None:
+    level, row = _ROWS.get(family, (spec.start - 1, None))
+    if level == n:
         return row
-    # The window holds consecutive levels: step up from its top if n lies
-    # above it, else from the base row.
-    top = max(window, default=spec.start - 1)
-    if top > n:
-        window.clear()
-        top = spec.start - 1
-    row = window.get(top)
-    for m in range(top + 1, n + 1):
+    # Step up from the kept row if n lies above it, else from the base row.
+    if level > n:
+        level = spec.start - 1
+    for m in range(level + 1, n + 1):
         row = dict(spec.base) if m == spec.start else spec.step(row, m - 1)
-        window[m] = row
-        window.pop(m - _KEEP, None)
+        _ROWS[family] = (m, row)
     return row
 
 

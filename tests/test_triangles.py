@@ -19,6 +19,7 @@ from normord import (
     assemble,
     bessel_polynomial,
     build_triangle,
+    catalan_number,
     ctilde_xx,
     e_expand,
     family_row,
@@ -76,8 +77,8 @@ class TestFamilyRow:
         ]
         if sys.platform.startswith("linux"):
             # Keeping every row of the walk peaks near 148 MiB here; the
-            # window keeps three.  The child reads its own high-water mark,
-            # VmHWM in KiB: its ru_maxrss would also count this test
+            # cache keeps the last one.  The child reads its own high-water
+            # mark, VmHWM in KiB: its ru_maxrss would also count this test
             # process's memory, which Linux carries across fork and exec.
             codes.append(
                 "import re\n"
@@ -137,8 +138,7 @@ class TestRowWindow:
             family_row("A", n)
             assert len(steps) == 1, n
         steps.clear()
-        for n in (69, 70, 69):
-            family_row("A", n)
+        family_row("A", 70)
         assert steps == []
         family_row("A", 10)
         assert len(steps) == 9
@@ -152,9 +152,24 @@ class TestRowWindow:
         row = family_row("A", 5)
         row[(1, 1)] = -1
         row[(9, 9)] = 9
-        # Level 5 is the window's top, so level 6 is stepped from it.
+        # Level 5 is the kept row, so level 6 is stepped from it.
         assert family_row("A", 6) == want6
         assert family_row("A", 5) == want5
+
+    def test_catalan_walk_builds_each_number_once(self, monkeypatch):
+        built = []
+
+        class Counting(list):
+            def append(self, c):
+                built.append(c)
+                super().append(c)
+
+        monkeypatch.setattr(triangles, "_CATALAN", Counting([1]))
+        for n in range(41):
+            assert family_row("catalan", n) == {(): catalan_number(n)}
+        assert len(built) == 40
+        family_row("catalan", 20)
+        assert len(built) == 40
 
 
 # sha256 over the lines "n<TAB>index<TAB>entry" of every row from the
