@@ -15,24 +15,58 @@ w*D(c_k)*D^k + w*c_k*D^(k+1), so
 with c_0 = 1 at order 0.  D itself is never a ring element here; a
 normal form is just the vector of polynomial coefficients indexed by the
 power of D.
+
+The recursion and ``NormalForm.specialize`` run on packed exponents
+(``poly._Packer``): each monomial is one int, so a product is one addition.
+``normal_order_power`` packs w and the grammar's table of rule(s)/s once,
+over the sorted union of their symbols, and folds w into the table, so
+w*D(c) is the sum over symbols s of e_s * m * (w * rule(s)/s).  Each step
+multiplies a monomial by one term of w and at most one term of a rule(s)/s,
+so after n steps no exponent exceeds n*(W + R), with W and R the largest
+exponent magnitudes in w and in the table; that bound sets the field width.
+Horner's rule in ``specialize`` is bounded by C + L*V the same way (C and V
+the largest exponents of the coefficients and of the value, L the number of
+coefficients).  Each result converts back to a ``Polynomial`` once.
+``Grammar.derive`` stays on pair tuples, so iterating t -> w*D(t) through it
+remains an independent check of these coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, TypeVar
 
 from .grammar import Grammar
-from .poly import ONE, ZERO, Polynomial, Scalar
+from .poly import ONE, ZERO, Polynomial, Scalar, _Packer
+
+T = TypeVar("T")
+
+Packed = dict[int, Scalar]
 
 
-def _grow(order: int, entry: Callable[..., Polynomial]) -> list[Polynomial]:
-    """Row ``order`` of v'_k = entry(k, v_k, v_(k-1)) from [ONE]; v beyond the row is zero."""
-    row = [ONE]
+def _grow(order: int, entry: Callable[[int, T, T], T], one: T, zero: T) -> list[T]:
+    """Row ``order`` of v'_k = entry(k, v_k, v_(k-1)) from [one]; v beyond the row is zero."""
+    row = [one]
     for _ in range(order):
-        padded = [ZERO, *row, ZERO]
+        padded = [zero, *row, zero]
         row = [entry(k, padded[k + 1], padded[k]) for k in range(len(row) + 1)]
     return row
+
+
+def _max_exponent(polys: Iterable[Polynomial]) -> int:
+    return max((abs(e) for p in polys for m, _ in p.terms() for _, e in m.pairs), default=0)
+
+
+def _mul_into(acc: Packed, a: Packed, b: Packed) -> Packed:
+    """Add the product of two packed polynomials into ``acc``: keys add."""
+    get = acc.get
+    for k1, c1 in a.items():
+        if not c1:  # a term cancelled in ``a``; keep it from spreading
+            continue
+        for k2, c2 in b.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
 
 
 @dataclass(frozen=True)
@@ -55,10 +89,20 @@ class NormalForm:
         v = Polynomial._coerce(value)
         if v is None:
             raise TypeError("specialize expects a polynomial or exact scalar")
-        acc = ZERO
+        # After j steps of acc*v + c no exponent exceeds the coefficients'
+        # largest plus j times v's largest.
+        packer = _Packer(
+            v.variables().union(*(c.variables() for c in self.coeffs)),
+            _max_exponent(self.coeffs) + len(self.coeffs) * _max_exponent([v]),
+        )
+        pv = packer.pack(v)
+        acc: Packed = {}
         for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+            acc = _mul_into({}, acc, pv)
+            get = acc.get
+            for k, x in packer.pack(c).items():
+                acc[k] = get(k, 0) + x
+        return packer.unpack(acc)
 
     def apply_to(self, target: Polynomial | Scalar) -> Polynomial:
         """Apply the operator to a polynomial: sum_k coeffs[k] * D^k(target)."""
@@ -83,7 +127,10 @@ class NormalForm:
         w = self.multiplier
         dw = self.grammar.derive(w)
         xs = _grow(
-            self.order, lambda k, cur, below: dw * cur * k + w * self.grammar.derive(cur) + below
+            self.order,
+            lambda k, cur, below: dw * cur * k + w * self.grammar.derive(cur) + below,
+            ONE,
+            ZERO,
         )
         power = ONE
         for k, xi in enumerate(xs):
@@ -124,5 +171,42 @@ def normal_order_power(
     wp = Polynomial._coerce(w)
     if wp is None:
         raise TypeError("multiplier must be a polynomial or exact scalar")
-    coeffs = _grow(n, lambda k, ck, below: wp * (grammar.derive(ck) + below))
+    rules = {s: Polynomial._collect_pairs(dict(t)) for s, t in grammar._table.items()}
+    # One step multiplies each monomial by a term of w and at most one term
+    # of some rule(s)/s, so after n steps no exponent exceeds n times the
+    # sum of their largest; taking n at least 1 also fits w*rule(s)/s.
+    packer = _Packer(
+        wp.variables().union(rules, *(r.variables() for r in rules.values())),
+        max(n, 1) * (_max_exponent([wp]) + _max_exponent(rules.values())),
+    )
+    pw = packer.pack(wp)
+    # w*D(c) is the sum over symbols s of e_s * m * (w * rule(s)/s).
+    steps = [
+        (packer.shift[s], tuple(_mul_into({}, pw, packer.pack(r)).items()))
+        for s, r in rules.items()
+    ]
+    exponent = packer.exponent
+
+    def entry(k: int, ck: Packed, below: Packed) -> Packed:
+        acc: Packed = {}
+        get = acc.get
+        for key, c in ck.items():
+            if not c:
+                continue
+            for shift, terms in steps:
+                e = exponent(key, shift)
+                if e:
+                    weight = c * e
+                    for tk, tc in terms:
+                        kk = key + tk
+                        acc[kk] = get(kk, 0) + weight * tc
+        return _mul_into(acc, below, pw)
+
+    row = _grow(n, entry, {0: 1}, {})
+    # Convert each coefficient as its packed form is dropped, so the two
+    # forms of the whole row are never held at once.
+    coeffs = []
+    for k, c in enumerate(row):
+        row[k] = None
+        coeffs.append(packer.unpack(c))
     return NormalForm(grammar=grammar, multiplier=wp, order=n, coeffs=tuple(coeffs))

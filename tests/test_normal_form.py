@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from fractions import Fraction
 
 from conftest import SMALL_PRESETS, random_polynomial
 from normord import (
+    PRESETS,
     Grammar,
     NormalForm,
     Polynomial,
@@ -16,6 +19,7 @@ from normord import (
     parse,
     variable,
 )
+from test_poly import assert_canonical
 
 x = variable("x")
 y = variable("y")
@@ -26,6 +30,89 @@ def direct_power(w: Polynomial, g: Grammar, n: int, target: Polynomial) -> Polyn
     for _ in range(n):
         target = w * g.derive(target)
     return target
+
+
+def reference_coeffs(w: Polynomial, g: Grammar, n: int) -> tuple[Polynomial, ...]:
+    """c'_k = w*(D(c_k) + c_(k-1)) iterated on pair tuples through ``Grammar.derive``."""
+    row = [Polynomial.one()]
+    for _ in range(n):
+        padded = [Polynomial.zero(), *row, Polynomial.zero()]
+        row = [w * (g.derive(padded[k + 1]) + padded[k]) for k in range(len(row) + 1)]
+    return tuple(row)
+
+
+def reference_specialize(nf: NormalForm, value) -> Polynomial:
+    """Horner's rule over ``Polynomial`` arithmetic."""
+    acc = Polynomial.zero()
+    for c in reversed(nf.coeffs):
+        acc = acc * value + c
+    return acc
+
+
+# sha256 of render() and of specialize(q).render() for w = x (else the first
+# rule symbol) at n = 12, recorded from the pair-tuple recursion.
+PRESET_DIGESTS = {
+    "elementary-symmetric": (
+        "415e4fc7a249dc260eda901b527aa14df7ba8886e04806b976200eecbc370756",
+        "08fca3d24bc81024ec17215e85db91e63ad14b1253503af3293bb6aa0f546a97",
+    ),
+    "eulerian-ab": (
+        "95948e18079a7afee44c9cf576b96f4379c998132e14b02adffe865f0e840cea",
+        "fd9eacc4911b69e0232c1098568222f1176d9c5bec1f3fd395b1dcc0b0f91aa4",
+    ),
+    "eulerian-full": (
+        "5ecdf5828e616ac60490067147ac205ca785103a02d0f5a8141cd264ac0aae47",
+        "930d4ba6d2ad24ddb5758e9a1184c5fdcfcdd2201412e7f5fb8e05047676fc3c",
+    ),
+    "eulerian-xy": (
+        "e360bbd39812dd93dfbdde56ec4f950d6f0d1b423c18965f3a953ec46ebca269",
+        "0ac30268392698b59891e41bc4bacf61fa5ee672901fa4a54902cb1d94653052",
+    ),
+    "exp-surrogate": (
+        "231b529bafc89997e951d8d0c39e493af23334c3e95712ebf31bb5a79b6e58e5",
+        "d10237a9c6117e099f9ec8d3843307912e97da10159b9633a57f6a58fa9c89ca",
+    ),
+    "full-ternary": (
+        "5ecdf5828e616ac60490067147ac205ca785103a02d0f5a8141cd264ac0aae47",
+        "930d4ba6d2ad24ddb5758e9a1184c5fdcfcdd2201412e7f5fb8e05047676fc3c",
+    ),
+    "pair-symmetric": (
+        "a24f490d4fae36a287a439fba426cee75a230c3969783c87353e72b5457f0770",
+        "886dc9073789570ec3f6cddf260d720c604a54b9d1adfd1bf630e31cb46491f5",
+    ),
+    "pq-eulerian": (
+        "b98dccf5995297dda5a3cd1e739ea548958c4bb6d6bb52ce4d6a724363262921",
+        "061eb0dfa212918dd72c2539e84d5b32755edd344431b205c6c61de823c49cc5",
+    ),
+    "second-order": (
+        "e44970430c25168b02096aa7373f8e82a154b63585c7290b1c6027364d5a2a95",
+        "b64efc4c67f4b3538dad38d03e81f73b57621d7b7c2961fbd0712522d8d535ca",
+    ),
+    "stirling-dual": (
+        "4e596e1213c01489a4e78a6e920544994951a955e9914bddae46a3e22c5f3958",
+        "a70a5b7b66d679b396534f74f2f445b6e43e548d10b278d72506cfc3535cd1de",
+    ),
+    "stirling-second": (
+        "5ecdf5828e616ac60490067147ac205ca785103a02d0f5a8141cd264ac0aae47",
+        "930d4ba6d2ad24ddb5758e9a1184c5fdcfcdd2201412e7f5fb8e05047676fc3c",
+    ),
+    "swap": (
+        "df5ca3696a62d303a5d85374626c23c046937c72a8c8c858ae335b99bbef2d4f",
+        "1bc927de0d03502aaaa53670e40a21640b9c97f2884590a7a749b350f2fc656e",
+    ),
+    "trivariate-second-order": (
+        "908c107fc8d4db313f8bcfd6630c2966da81dd6dbde142d03be153541b327c32",
+        "25c26d6e0fa326cf9b37069e8692aa871a671a96d2b24b899c8dea667b8e7cc7",
+    ),
+    "type-b": (
+        "ba14bf35379a86c9da1175bc019f4f071a88cff9d2511ec3f76baedfe1862e01",
+        "3f8de458a21a15a909850c42a3f9e96ce75616c6420315ebf30e84c8ed06178a",
+    ),
+    "type-b-split": (
+        "82aa493a06cab46765b3ac629aec9bbf4ec4c6013f7c390fd2b37e52e36f542f",
+        "ad4655cb350df42bfc780ba417881d4013e28ed0ba7419b32aa94467ba0bcbf4",
+    ),
+}
 
 
 class TestGoldens:
@@ -102,6 +189,53 @@ class TestStructure:
         nf = normal_order_power(x, Grammar.preset("eulerian-xy"), 0)
         assert nf.render() == "D^0: 1"
 
+    def test_preset_digests(self):
+        assert sorted(PRESET_DIGESTS) == sorted(PRESETS)
+        for name, (render_sha, specialize_sha) in PRESET_DIGESTS.items():
+            g = Grammar.preset(name)
+            w = variable("x" if "x" in g.rules else sorted(g.rules)[0])
+            nf = normal_order_power(w, g, 12)
+            assert hashlib.sha256(nf.render().encode()).hexdigest() == render_sha, name
+            at_q = nf.specialize(q).render()
+            assert hashlib.sha256(at_q.encode()).hexdigest() == specialize_sha, name
+
+
+class TestPackedEdges:
+    """The packed recursion against the pair-tuple reference at the edges of its format."""
+
+    CASES = [
+        ("Laurent multiplier", parse("x^-1*y"), Grammar.preset("eulerian-xy"), 7),
+        ("negative rule exponents", x, Grammar.from_text("x -> x^-2*y; y -> 1"), 7),
+        ("fractions", parse("1/2*x + 3"), Grammar.from_text("x -> 2/3*y; y -> 1/5*x*y"), 5),
+        ("symbol without a rule", parse("q*x"), Grammar.preset("eulerian-xy"), 7),
+        ("zero rule", x * y, Grammar.from_text("x -> 0; y -> x"), 5),
+        ("constant multiplier", Polynomial.constant(Fraction(-3, 2)),
+         Grammar.preset("swap"), 4),
+        ("huge exponent", x ** (2 ** 70), Grammar.preset("eulerian-xy"), 4),
+        ("huge Laurent exponent", x ** -(2 ** 70) * y, Grammar.preset("pq-eulerian"), 4),
+    ]
+
+    def test_matches_iterated_derive(self):
+        for label, w, g, top in self.CASES:
+            for n in range(top + 1):
+                nf = normal_order_power(w, g, n)
+                assert nf.coeffs == reference_coeffs(w, g, n), (label, n)
+                for c in nf.coeffs:
+                    assert_canonical(c)
+                for symbol in sorted(g.rules):
+                    t = variable(symbol)
+                    assert nf.apply_to(t) == direct_power(w, g, n, t), (label, n, symbol)
+
+    def test_zero_multiplier_and_order_zero(self):
+        for name in ("eulerian-xy", "type-b", "elementary-symmetric"):
+            g = Grammar.preset(name)
+            for w in (Polynomial.zero(), x, parse("x^-1 + 2"), 0):
+                assert normal_order_power(w, g, 0).coeffs == (Polynomial.one(),)
+            for n in range(1, 5):
+                nf = normal_order_power(0, g, n)
+                assert nf.coeffs == (Polynomial.zero(),) * (n + 1)
+                assert nf.render() == "0"
+
 
 class TestSpecialize:
     def test_weighted_cubic(self):
@@ -125,6 +259,24 @@ class TestSpecialize:
     def test_scalar_value(self):
         nf = normal_order_power(x, Grammar.preset("eulerian-xy"), 2)
         assert nf.specialize(1) == x * y + x ** 2
+
+    def test_matches_polynomial_horner(self):
+        forms = [
+            normal_order_power(x, Grammar.preset("pq-eulerian"), 5),
+            normal_order_power(parse("x^-1*y"), Grammar.preset("eulerian-xy"), 5),
+            normal_order_power(parse("1/2*x + 3"), Grammar.from_text("x -> 2/3*y; y -> x"), 4),
+            normal_order_power(x, Grammar.from_text("x -> x^-2*y; y -> 1"), 5),
+            normal_order_power(x ** (2 ** 70), Grammar.preset("eulerian-xy"), 3),
+            # At the value x, Horner's rule cancels to zero halfway.
+            NormalForm(Grammar(), x, 2, (Polynomial.zero(), -x, Polynomial.one())),
+        ]
+        values = [x + 1, x - y, 3, Fraction(2, 3), Fraction(-4, 2), parse("x^-1"),
+                  parse("q^-2*y"), 0, Polynomial.zero(), q]
+        for nf in forms:
+            for value in values:
+                got = nf.specialize(value)
+                assert got == reference_specialize(nf, value), (nf.render(), value)
+                assert_canonical(got)
 
 
 class TestApply:

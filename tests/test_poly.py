@@ -11,7 +11,7 @@ import pytest
 
 from conftest import random_grammar, random_polynomial
 from normord import Grammar, Monomial, ParseError, PoleError, Polynomial, mono, parse, variable
-from normord.poly import MAX_PAREN_DEPTH
+from normord.poly import MAX_PAREN_DEPTH, _Packer
 
 x = variable("x")
 y = variable("y")
@@ -343,3 +343,58 @@ class TestCanonicalForm:
             mono(1.5, x=1)
         with pytest.raises(TypeError):
             x * 1.5
+
+
+class TestPacker:
+    """Packed exponents: one int per monomial, products by key addition."""
+
+    def test_round_trip_and_products(self):
+        rng = random.Random(7717)
+        for _ in range(200):
+            a = random_polynomial(rng, "wxyz", rationals=True, min_exp=-3)
+            b = random_polynomial(rng, "xyu", rationals=True, min_exp=-3)
+            packer = _Packer(a.variables() | b.variables() | {"v"}, 6)
+            pa, pb = packer.pack(a), packer.pack(b)
+            assert packer.unpack(pa) == a
+            product: dict[int, object] = {}
+            for k1, c1 in pa.items():
+                for k2, c2 in pb.items():
+                    product[k1 + k2] = product.get(k1 + k2, 0) + c1 * c2
+            assert_canonical(packer.unpack(product))
+            assert packer.unpack(product) == a * b
+            for m, _ in a.terms():
+                key = next(iter(packer.pack(Polynomial({m: 1}))))
+                for s in packer.symbols:
+                    assert packer.exponent(key, packer.shift[s]) == m.exponent(s)
+
+    def test_field_width_follows_the_bound(self):
+        big = 2 ** 70
+        packer = _Packer("xy", 2 * big)
+        p = mono(3, x=big, y=-big) + mono(-1, x=-big)
+        key, = packer.pack(mono(1, x=big, y=-big))
+        assert packer.exponent(key + key, packer.shift["x"]) == 2 * big
+        assert packer.exponent(key + key, packer.shift["y"]) == -2 * big
+        assert packer.unpack(packer.pack(p)) == p
+
+    def test_exponent_outside_the_bound_raises(self):
+        packer = _Packer("xy", 3)
+        assert packer.unpack(packer.pack(x ** 3 * y ** -3)) == x ** 3 * y ** -3
+        for bad in (x ** 4, y ** -4, x * y ** 5):
+            with pytest.raises(ArithmeticError):
+                packer.pack(bad)
+
+    def test_unpacked_monomials_share_pairs(self):
+        packer = _Packer("xy", 4)
+        a = packer.unpack(packer.pack(x * y + x * y ** 2))
+        b = packer.unpack(packer.pack(x ** -1 * y ** 2))
+        (m1, _), (m2, _) = sorted(a.terms(), key=lambda t: t[0].degree)
+        ((m3, _),) = b.terms()
+        assert m1.pairs[0] is m2.pairs[0]
+        assert m2.pairs[1] is m3.pairs[1]
+
+    def test_unpack_drops_zero_coefficients(self):
+        packer = _Packer("x", 1)
+        p = packer.unpack({0: 0, 1: Fraction(4, 2)})
+        assert p == 2 * x
+        ((_, c),) = p.terms()
+        assert type(c) is int
