@@ -27,7 +27,7 @@ import json
 import sys
 from typing import Iterable, List, Optional
 
-from .checks import REGISTRY, check_ids, render_report, results_to_json, run_all, run_check
+from .checks import check_ids, render_report, results_to_json, run_all, run_check
 from .combinat import (
     list_partitions,
     permutations,
@@ -226,9 +226,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
 def _cmd_series(args: argparse.Namespace, out) -> int:
     if args.order < 0:
         raise UsageError("--order must be nonnegative")
-    if args.order > 12:
-        raise UsageError("order capped at 12")
-    witness = REGISTRY[args.identity].runner(0, args.order)
+    witness = run_check(args.identity, args.order).witness
     if args.format == "json":
         payload = {
             "identity": args.identity,

@@ -27,6 +27,9 @@ Conventions that matter and are easy to get wrong:
   use interior positions only.  Ascent-plateaus exclude both borders.
 * Lists (blocks of a partition into lists) are padded with 0 at both
   ends before counting ascents, descents, valleys and double descents.
+  On positive letters the 0 at the far end never makes an ascent and the
+  0 in front never makes a descent, so list ascents and descents are the
+  Stirling-permutation scans summed over blocks.
 
 One table, :data:`CAPS`, holds the default size cap of every enumerator,
 forests included, and one function, :func:`check_cap`, enforces it.  The
@@ -207,16 +210,6 @@ def flag_ascent_plateaus(word: tuple[int, ...]) -> int:
 # -- list statistics (blocks padded with 0 on both sides) ------------------
 
 
-def list_ascents(block: tuple[int, ...]) -> int:
-    seq = (0,) + block + (0,)
-    return sum(1 for i in range(len(seq) - 1) if seq[i] < seq[i + 1])
-
-
-def list_descents(block: tuple[int, ...]) -> int:
-    seq = (0,) + block + (0,)
-    return sum(1 for i in range(len(seq) - 1) if seq[i] > seq[i + 1])
-
-
 def list_valleys(block: tuple[int, ...]) -> int:
     seq = (0,) + block + (0,)
     return sum(
@@ -314,8 +307,8 @@ def _summed(scan: Callable[[tuple[int, ...]], int]) -> Callable[..., int]:
 
 _LIST_PARTITION_SCANS: Scans = {
     "blocks": len,
-    "asc": _summed(list_ascents),
-    "des": _summed(list_descents),
+    "asc": _summed(stirling_ascents),
+    "des": _summed(stirling_descents),
     "val": _summed(list_valleys),
     "dd": _summed(list_double_descents),
 }

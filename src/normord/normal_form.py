@@ -16,19 +16,22 @@ with c_0 = 1 at order 0.  D itself is never a ring element here; a
 normal form is just the vector of polynomial coefficients indexed by the
 power of D.
 
-The recursion and ``NormalForm.specialize`` run on packed exponents
-(``poly._Packer``): each monomial is one int, so a product is one addition.
-``normal_order_power`` packs w and the grammar's table of rule(s)/s once,
-over the sorted union of their symbols, and folds w into the table, so
-w*D(c) is the sum over symbols s of e_s * m * (w * rule(s)/s).  Each step
-multiplies a monomial by one term of w and at most one term of a rule(s)/s,
-so after n steps no exponent exceeds n*(W + R), with W and R the largest
-exponent magnitudes in w and in the table; that bound sets the field width.
-Horner's rule in ``specialize`` is bounded by C + L*V the same way (C and V
-the largest exponents of the coefficients and of the value, L the number of
-coefficients).  Each result converts back to a ``Polynomial`` once.
-``Grammar.derive`` stays on pair tuples, so iterating t -> w*D(t) through it
-remains an independent check of these coefficients.
+Only the recursion runs on packed exponents (``poly._Packer``): each
+monomial is one int, so a product is one addition.  ``normal_order_power``
+packs w and the grammar's table of rule(s)/s once, over the sorted union of
+their symbols, and folds w into the table, so w*D(c) is the sum over
+symbols s of e_s * m * (w * rule(s)/s).  Each step multiplies a monomial by
+one term of w and at most one term of a rule(s)/s, so after n steps no
+exponent exceeds n*(W + R), with W and R the largest exponent magnitudes in
+w and in the table; that bound sets the field width.  Each coefficient
+converts back to a ``Polynomial`` once.
+
+The two readers of a normal form, ``specialize`` (D^k -> v^k) and
+``apply_to`` (D^k -> D^k(f)), are one direct sum of coeffs[k] * values[k]
+into a single dict.  Each coefficient term is multiplied once, by a value
+that is usually one monomial, so packing the coefficients again would cost
+more than it saves.  ``Grammar.derive`` stays on pair tuples, so iterating
+t -> w*D(t) through it remains an independent check of these coefficients.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
 from .grammar import Grammar
-from .poly import ONE, ZERO, Polynomial, Scalar, _Packer
+from .poly import ONE, ZERO, Monomial, Polynomial, Scalar, _Packer
 
 T = TypeVar("T")
 
@@ -84,37 +87,30 @@ class NormalForm:
             return self.coeffs[k]
         return ZERO
 
+    def _sum(self, value: Polynomial, step: Callable[[Polynomial], Polynomial]) -> Polynomial:
+        """sum_k coeffs[k] * v_k with v_0 = value, v_(k+1) = step(v_k), in one dict."""
+        acc: dict[Monomial, Scalar] = {}
+        get = acc.get
+        for k, c in enumerate(self.coeffs):
+            if k:
+                value = step(value)
+            for m, x in (c * value).terms():
+                acc[m] = get(m, 0) + x
+        return Polynomial._collect(acc)
+
     def specialize(self, value: Polynomial | Scalar) -> Polynomial:
-        """Replace D^k by value^k (Horner evaluation, exact)."""
+        """Replace D^k by value^k (exact)."""
         v = Polynomial._coerce(value)
         if v is None:
             raise TypeError("specialize expects a polynomial or exact scalar")
-        # After j steps of acc*v + c no exponent exceeds the coefficients'
-        # largest plus j times v's largest.
-        packer = _Packer(
-            v.variables().union(*(c.variables() for c in self.coeffs)),
-            _max_exponent(self.coeffs) + len(self.coeffs) * _max_exponent([v]),
-        )
-        pv = packer.pack(v)
-        acc: Packed = {}
-        for c in reversed(self.coeffs):
-            acc = _mul_into({}, acc, pv)
-            get = acc.get
-            for k, x in packer.pack(c).items():
-                acc[k] = get(k, 0) + x
-        return packer.unpack(acc)
+        return self._sum(ONE, lambda p: p * v)
 
     def apply_to(self, target: Polynomial | Scalar) -> Polynomial:
         """Apply the operator to a polynomial: sum_k coeffs[k] * D^k(target)."""
         p = Polynomial._coerce(target)
         if p is None:
             raise TypeError("apply_to expects a polynomial or exact scalar")
-        acc = ZERO
-        for c in self.coeffs:
-            if not c.is_zero:
-                acc = acc + c * p
-            p = self.grammar.derive(p)
-        return acc
+        return self._sum(p, self.grammar.derive)
 
     def xi_coefficients(self) -> "list[Polynomial] | None":
         """Factor coefficient k as xi_k * multiplier**k, division-free.

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .poly import Polynomial, variable
-from .triangles import ctilde_xx, row_polynomial
+from .triangles import ctilde_xx, family_row, row_polynomial
 
 __all__ = [
     "catalan_series",
@@ -34,19 +34,17 @@ def catalan_number(m: int) -> int:
 def catalan_series(order: int) -> Tuple[int, ...]:
     """Coefficients c_0 .. c_order of the ordinary series 1 + t + 2t^2 + 5t^3 + ...
 
-    Coefficients are produced by the convolution recurrence
-    c_{m+1} = sum of c_i * c_{m-i}, cross-checked below against the
-    closed binomial form.
+    The coefficients are the rows of the ``catalan`` family, built by the
+    convolution recurrence c_{m+1} = sum of c_i * c_{m-i}, and are
+    cross-checked here against the closed binomial form.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = [1]
-    for m in range(order):
-        coeffs.append(sum(coeffs[i] * coeffs[m - i] for i in range(m + 1)))
+    coeffs = tuple(family_row("catalan", m)[()] for m in range(order + 1))
     for m, c in enumerate(coeffs):
         if c != catalan_number(m):
             raise ArithmeticError(f"Catalan recurrence disagrees with the closed form at m = {m}")
-    return tuple(coeffs)
+    return coeffs
 
 
 def bessel_polynomial(n: int) -> Polynomial:

@@ -114,6 +114,21 @@ class TestSmallRecords:
         assert rec.stats["asc"] == 1
         assert rec.stats["des"] == 1
 
+    def test_list_ascents_and_descents_are_padded(self):
+        # Each block is read as 0, block..., 0; an ascent or descent is an
+        # adjacent pair of that padded word that rises or falls.
+        def padded(blocks, rises):
+            count = 0
+            for block in blocks:
+                seq = (0, *block, 0)
+                count += sum(1 for a, b in zip(seq, seq[1:]) if (a < b if rises else a > b))
+            return count
+
+        for n in range(6):
+            for rec in list_partitions(n):
+                assert rec.stat("asc") == padded(rec.obj, True), rec.object_id
+                assert rec.stat("des") == padded(rec.obj, False), rec.object_id
+
     def test_stirling_permutations_of_order_two(self):
         ids = {r.object_id for r in stirling_permutations(2)}
         assert ids == {"1,1,2,2", "1,2,2,1", "2,2,1,1"}

@@ -267,8 +267,10 @@ class TestSpecialize:
             normal_order_power(parse("1/2*x + 3"), Grammar.from_text("x -> 2/3*y; y -> x"), 4),
             normal_order_power(x, Grammar.from_text("x -> x^-2*y; y -> 1"), 5),
             normal_order_power(x ** (2 ** 70), Grammar.preset("eulerian-xy"), 3),
-            # At the value x, Horner's rule cancels to zero halfway.
+            # At the value x, the terms cancel to zero.
             NormalForm(Grammar(), x, 2, (Polynomial.zero(), -x, Polynomial.one())),
+            NormalForm(Grammar(), x, 0, ()),
+            NormalForm(Grammar(), x, 2, (Polynomial.zero(),) * 3),
         ]
         values = [x + 1, x - y, 3, Fraction(2, 3), Fraction(-4, 2), parse("x^-1"),
                   parse("q^-2*y"), 0, Polynomial.zero(), q]
@@ -288,6 +290,11 @@ class TestApply:
         nf = normal_order_power(x, Grammar.preset("eulerian-xy"), 0)
         target = y ** 2 + 3
         assert nf.apply_to(target) == target
+        # Hand-built forms with no coefficient, or only zero ones, act as zero.
+        for order, coeffs in ((0, ()), (2, (Polynomial.zero(),) * 3)):
+            got = NormalForm(nf.grammar, x, order, coeffs).apply_to(target)
+            assert got == Polynomial.zero()
+            assert_canonical(got)
 
     def test_swap_square_on_product(self):
         nf = normal_order_power(x * y, Grammar.preset("swap"), 2)

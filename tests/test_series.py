@@ -59,9 +59,10 @@ class TestGeneratingFunctionIdentity:
         assert rights == ["1", "x*z", "x^3*z + x^2*z^2"]
 
     def test_rejects_uncomputed_orders(self):
-        # The series command computes through order 12 and refuses order 13.
-        for order, code, text in ((12, 0, "catalan-egf: match through order 12\n"),
-                                  (13, 2, "error: order capped at 12\n")):
+        # The series command stops at the catalan-egf check's cap of 10.
+        for order, code, text in (
+                (10, 0, "catalan-egf: match through order 10\n"),
+                (11, 2, "error: catalan-egf is capped at n=10, requested 11\n")):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 assert main(["series", "--order", str(order)]) == code
