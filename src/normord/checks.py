@@ -86,22 +86,19 @@ class Witness:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one registered check over an inclusive level range."""
+    """Outcome of one registered check over an inclusive level range; it passed if no witness."""
 
     check_id: str
     n_range: Tuple[int, int]
-    status: str
     witness: Optional[Witness]
-
-    def __post_init__(self) -> None:
-        if self.status not in ("pass", "fail"):
-            raise ValueError(f"status must be pass or fail, got {self.status!r}")
-        if self.status == "fail" and self.witness is None:
-            raise ValueError("a failing result must carry a witness")
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.witness is None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def render(self) -> str:
         lo, hi = self.n_range
@@ -546,9 +543,7 @@ def check_ids() -> List[str]:
 
 
 def _execute(spec: CheckSpec, n_max: int) -> CheckResult:
-    witness = spec.runner(spec.n_min, n_max)
-    status = "pass" if witness is None else "fail"
-    return CheckResult(spec.check_id, (spec.n_min, n_max), status, witness)
+    return CheckResult(spec.check_id, (spec.n_min, n_max), spec.runner(spec.n_min, n_max))
 
 
 def run_check(check_id: str, n_max: Optional[int] = None) -> CheckResult:

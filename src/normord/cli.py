@@ -88,40 +88,23 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
         raise UsageError(f"unknown family {args.family!r}; known: {', '.join(FAMILY_NAMES)}")
     if args.n < spec.start:
         raise UsageError(f"family {args.family!r} starts at n = {spec.start}")
-    levels = range(spec.start, args.n + 1)
     if args.format == "csv":
         print("family,n,k,l,j,entry", file=out)
-        for n in levels:
-            row = family_row(args.family, n)
-            for idx in sorted(row):
-                value = row[idx]
-                cells = {"k": "", "l": "", "j": ""}
-                for name, i in zip(spec.indices, idx):
-                    cells[name] = str(i)
-                print(
-                    f"{args.family},{n},{cells['k']},{cells['l']},{cells['j']},{_entry_json(value)}",
-                    file=out,
-                )
-        return 0
-    if args.format == "json":
-        for n in levels:
-            row = family_row(args.family, n)
-            for idx in sorted(row):
-                record = {
-                    "family": args.family,
-                    "n": n,
-                    "index": {name: i for name, i in zip(spec.indices, idx)},
-                    "entry": _entry_json(row[idx]),
-                }
-                print(json.dumps(record, sort_keys=True), file=out)
-        return 0
-    for n in levels:
+    for n in range(spec.start, args.n + 1):
         row = family_row(args.family, n)
-        parts = []
+        if args.format == "text":
+            print(",".join(f"({','.join(map(str, (n, *idx)))})={_entry_json(row[idx])}"
+                           for idx in sorted(row)), file=out)
+            continue
         for idx in sorted(row):
-            key = ",".join(str(i) for i in (n, *idx))
-            parts.append(f"({key})={_entry_json(row[idx])}")
-        print(",".join(parts), file=out)
+            index = dict(zip(spec.indices, idx))
+            if args.format == "json":
+                record = {"family": args.family, "n": n, "index": index,
+                          "entry": _entry_json(row[idx])}
+                print(json.dumps(record, sort_keys=True), file=out)
+            else:
+                print(f"{args.family},{n},{index.get('k', '')},{index.get('l', '')},"
+                      f"{index.get('j', '')},{_entry_json(row[idx])}", file=out)
     return 0
 
 
@@ -202,17 +185,12 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
-    try:
-        if args.check is not None:
-            results = [run_check(args.check, args.n_max)]
-        else:
-            if args.n_max is not None:
-                raise UsageError("--n-max applies to a single --check run")
-            results = run_all(args.profile)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0]) if exc.args else str(exc)) from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.check is not None:
+        results = [run_check(args.check, args.n_max)]
+    elif args.n_max is not None:
+        raise UsageError("--n-max applies to a single --check run")
+    else:
+        results = run_all(args.profile)
     if args.format == "json":
         print(json.dumps(results_to_json(results), indent=2, sort_keys=True), file=out)
     else:

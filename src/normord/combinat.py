@@ -356,9 +356,12 @@ def tally(keys: Iterable[tuple[int, ...]], symbols: tuple[str, ...]) -> Polynomi
     """Sum over keys of the product symbol^exponent, pairing ``symbols`` with each key.
 
     Equal keys are counted first, so one monomial is built per distinct
-    key; a symbol named twice sums its exponents.
+    key; a symbol named twice sums its exponents.  A key whose length is not
+    ``len(symbols)`` raises ValueError.
     """
-    return Polynomial((Monomial(zip(symbols, key)), count) for key, count in Counter(keys).items())
+    return Polynomial(
+        (Monomial(zip(symbols, key, strict=True)), count) for key, count in Counter(keys).items()
+    )
 
 
 def stat_keys(records: Iterable[StatRecord], names: tuple[str, ...]) -> Iterator[tuple[int, ...]]:

@@ -23,8 +23,11 @@ three step shapes and state only their own weights; beta keeps its own step:
 exponent map ``exps(n, *index) -> {symbol: exponent}``.  ``assemble`` names
 15 generating polynomials in the standard symbol layout (x/y graded by leaf
 type, z marking the operator power, and u/v/w/q for the elementary-symmetric
-family): nine are a family row under one exponent map, six iterate a
-derivative recurrence.  ``gamma_expand`` and ``e_expand`` rewrite symmetric
+family): nine read a family row under one exponent map.  Five, and
+``ctilde_xx``, state only the coefficients (a, b, c) of a first-order
+derivative recurrence, f -> (a + i*b)*f + c*df/ds at step i from f = 1,
+which one stepper iterates; ``second-order-xyz`` takes three partials from
+xyz in its own loop.  ``gamma_expand`` and ``e_expand`` rewrite symmetric
 polynomials in the bases (xy)^l * (x+y)^(d-2l) and e1^i * e2^j * e3^k
 respectively.
 """
@@ -40,9 +43,9 @@ from .poly import ONE, Monomial, Polynomial, variable
 Entry = Union[int, Polynomial]
 Row = Mapping[tuple, Entry]
 
-_P, _Q, _X = variable("p"), variable("q"), variable("x")
+_P, _Q, _X, _Z = variable("p"), variable("q"), variable("x"), variable("z")
 _X2 = _X * _X
-_XYZ = _X * variable("y") * variable("z")
+_XYZ = _X * variable("y") * _Z
 
 
 def _bump(row: dict, key: tuple, value: Entry) -> None:
@@ -278,31 +281,36 @@ def row_polynomial(family: str, n: int, exps: ExponentMap) -> Polynomial:
     return indexed_polynomial(_row(family, n), n, exps)
 
 
-def _iterate(n: int, start: Polynomial, step: Callable[[Polynomial, int], Polynomial]) -> Polynomial:
-    f = start
-    for m in range(n):
-        f = step(f, m)
-    return f
-
-
 def _from_row(family: str, exps: ExponentMap) -> Callable[[int], Polynomial]:
     return lambda n: ONE if n == 0 else row_polynomial(family, n, exps)
 
 
-def _from_recurrence(step: Callable[[Polynomial, int], Polynomial]) -> Callable[[int], Polynomial]:
-    return lambda n: _iterate(n, ONE, step)
+def _linear(
+    a: Polynomial, b: Polynomial, c: Polynomial, s: str = "x", start: int = 0
+) -> Callable[[int], Polynomial]:
+    """n -> f_n for the derivative recurrence with coefficients a, b, c in ``s``.
 
+    f_start = 1 and f_(start+i+1) = (a + i*b) * f_(start+i) + c * df_(start+i)/ds.
+    """
 
-def _assemble_eulerian_xq(n: int) -> Polynomial:
-    if n < 1:
-        raise ValueError("the cycle-refined family starts at n = 1")
-    return _iterate(n - 1, ONE, lambda f, m: ((m + 1) * _X + _Q) * f + _X * (ONE - _X) * f.diff("x"))
+    def level(n: int) -> Polynomial:
+        if n < start:
+            raise ValueError(f"level {n} is below the first level {start}")
+        f = ONE
+        for i in range(n - start):
+            f = (a + i * b) * f + c * f.diff(s)
+        return f
+
+    return level
 
 
 def _assemble_second_order_xyz(n: int) -> Polynomial:
     if n == 0:
         return ONE
-    return _iterate(n - 1, _XYZ, lambda f, m: _XYZ * (f.diff("x") + f.diff("y") + f.diff("z")))
+    f = _XYZ
+    for _ in range(n - 1):
+        f = _XYZ * (f.diff("x") + f.diff("y") + f.diff("z"))
+    return f
 
 
 ASSEMBLERS: dict[str, Callable[[int], Polynomial]] = {
@@ -316,21 +324,13 @@ ASSEMBLERS: dict[str, Callable[[int], Polynomial]] = {
     "B": _from_row("B", lambda n, k, l: {"x": k + 2 * l, "y": 2 * n - k - 2 * l, "z": k}),
     "E": _from_row("E", lambda n, k, l: {"x": k + 2 * l, "y": 2 * n - 2 * k - 2 * l, "z": k}),
     "W": _from_row("W", lambda n, k, l: {"x": k + 2 * l, "y": n - k - 2 * l, "z": k}),
-    "eulerian-x": _from_recurrence(
-        lambda f, m: (m + 1) * _X * f + _X * (ONE - _X) * f.diff("x")
-    ),
-    "eulerian-xq": _assemble_eulerian_xq,
-    "type-b-x": _from_recurrence(
-        lambda f, m: (ONE + (2 * m + 1) * _X) * f + 2 * _X * (ONE - _X) * f.diff("x")
-    ),
+    "eulerian-x": _linear(_X, _X, _X - _X2),
+    "eulerian-xq": _linear(_X + _Q, _X, _X - _X2, start=1),
+    "type-b-x": _linear(ONE + _X, 2 * _X, 2 * (_X - _X2)),
     "second-order-x": _from_row("eulerian2", lambda n, l: {"x": l}),
     "second-order-xyz": _assemble_second_order_xyz,
-    "flag-ascent-plateau-x": _from_recurrence(
-        lambda f, m: (_X + 2 * m * _X2) * f + _X * (ONE - _X2) * f.diff("x")
-    ),
-    "updown-run-x": _from_recurrence(
-        lambda f, m: _X * (ONE + m * _X) * f + _X * (ONE - _X2) * f.diff("x")
-    ),
+    "flag-ascent-plateau-x": _linear(_X, 2 * _X2, _X - _X * _X2),
+    "updown-run-x": _linear(_X, _X2, _X - _X * _X2),
 }
 
 
@@ -347,17 +347,13 @@ def assemble(name: str, n: int) -> Polynomial:
 
 def ctilde_xx(n: int) -> Polynomial:
     """Diagonal x = y of the second-order family, via its own recurrence."""
-    x, z = variable("x"), variable("z")
-    x2 = x * x
-
-    def step(f: Polynomial, m: int) -> Polynomial:
-        return (x * z + 2 * m * x2) * f - x2 * z * f.diff("z")
-
-    return _iterate(n, ONE, step)
+    return _linear(_X * _Z, 2 * _X2, -_X2 * _Z, "z")(n)
 
 
 def rising_factorial(name: str, n: int) -> Polynomial:
     """The product v(v+1)...(v+n-1) in the symbol ``name``."""
+    if n < 0:
+        raise ValueError("level must be nonnegative")
     v = variable(name)
     out = ONE
     for i in range(n):

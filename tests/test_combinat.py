@@ -304,3 +304,8 @@ class TestStatPolynomial:
 
     def test_tally_empty_is_zero(self):
         assert tally([], ("x",)).is_zero
+
+    def test_tally_rejects_key_of_other_length(self):
+        for key in [(1, 2, 3), (1,)]:
+            with pytest.raises(ValueError):
+                tally([key], ("x", "y"))

@@ -216,6 +216,47 @@ def test_rows_match_recorded_digest(family):
     assert _row_digest(family) == ROW_DIGESTS[family]
 
 
+# sha256 over the lines "n<TAB>render" of assemble(name, n), and of
+# ctilde_xx(n), for every level from the first one up to 14, recorded before
+# the derivative recurrences were folded into one stepper.
+ASSEMBLY_START = {"eulerian-xq": 1}
+ASSEMBLY_DIGESTS = {
+    "A": "6bdf5a4809a22bf02c0403c78dbbb5d6ce26a73e4d7c8dee30499ea511e7b6d6",
+    "Ap": "d7ced734d60826224735e7754b9f581f5f2cf4e753178678b006b3ea80d590af",
+    "B": "776fd9dec5efcdc18e72c1524e194087bfb3944b1107800b0869796b975b8529",
+    "Ct": "e2bab643396d2b97c5186d0c2ae03e394477caf5b373084c7920b6629c7126ce",
+    "E": "74aad584ebf6180d5ff64fedb427c1e6f8b83edca40b1aa3f4ec80b993b39551",
+    "W": "f1f438d65771245d9cb71348990c8095e5433c750f081e5f05b171a15a440977",
+    "a": "ae065861f4cc1412453102d2f561d53e926e90764fe08b1e754606cca6338d70",
+    "beta": "2681a4299823a22cc8a23faed5cdcf21e184ba86f3046e1bdfd21d562a5df36a",
+    "eulerian-x": "bd21fcc7c5218e3cb9ce1d49552cc1096639568568f519c397a50308ed297b39",
+    "eulerian-xq": "8fc075053cf7522fb43ec942ef418bc09aac2f801ade0308fbc14e3ea2d31abd",
+    "flag-ascent-plateau-x": "db2051124157991714f1db6edd3fc93c646af3776251ceeec022c8d07c55a02e",
+    "second-order-x": "bb7c0f65b34871d30af6d256099220667323b8367c36b883ffea53c604764816",
+    "second-order-xyz": "c0d462ab3f91403b503c82d3bb202dbe3112d8a14baee742974923a2f5380154",
+    "type-b-x": "237f4f2c216500ca8a0ac0138e80fb4f8c93b9fcde3d4c6a5a12a309c7576fd9",
+    "updown-run-x": "44135ca5f43ad77e70994db0c553d0ef565a76f7bfb09af8c245ad96f154902d",
+    "ctilde_xx": "d03804d2c193ceed9889f80163c8c0b7f9b9d61a88ef68b298b2251b3f766062",
+}
+
+
+def _assembly_digest(name: str) -> str:
+    fn = ctilde_xx if name == "ctilde_xx" else lambda n: assemble(name, n)
+    h = hashlib.sha256()
+    for n in range(ASSEMBLY_START.get(name, 0), 15):
+        h.update(f"{n}\t{fn(n).render()}\n".encode())
+    return h.hexdigest()
+
+
+def test_assembly_digests_cover_every_assembler():
+    assert sorted(ASSEMBLY_DIGESTS) == sorted([*triangles.ASSEMBLERS, "ctilde_xx"])
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_DIGESTS))
+def test_assemblies_match_recorded_digest(name):
+    assert _assembly_digest(name) == ASSEMBLY_DIGESTS[name]
+
+
 class TestTriangleObject:
     def test_fields(self):
         t = build_triangle("A", 5)
@@ -294,6 +335,17 @@ class TestAssemble:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             assemble("no-such-polynomial", 3)
+
+    def test_levels_below_the_first_raise(self):
+        with pytest.raises(ValueError):
+            assemble("eulerian-xq", 0)
+        with pytest.raises(ValueError):
+            ctilde_xx(-1)
+
+    def test_rising_factorial_rejects_negative_level(self):
+        assert rising_factorial("z", 0) == Polynomial.one()
+        with pytest.raises(ValueError):
+            rising_factorial("z", -2)
 
 
 class TestAssembledRecurrences:
