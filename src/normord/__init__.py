@@ -48,6 +48,7 @@ from .triangles import (
     ctilde_xx,
     e_expand,
     family_row,
+    family_spec,
     gamma_expand,
     rising_factorial,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "ctilde_xx",
     "e_expand",
     "family_row",
+    "family_spec",
     "gamma_expand",
     "grow_forests",
     "list_partitions",

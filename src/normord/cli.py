@@ -39,7 +39,7 @@ from .forests import grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import normal_order_power
 from .poly import ParseError, Polynomial, parse, variable
-from .triangles import FAMILIES, FAMILY_NAMES, family_row
+from .triangles import FAMILY_NAMES, family_row, family_spec
 
 __all__ = ["main", "build_parser"]
 
@@ -83,9 +83,7 @@ def _cmd_expand(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_triangle(args: argparse.Namespace, out) -> int:
-    spec = FAMILIES.get(args.family)
-    if spec is None:
-        raise UsageError(f"unknown family {args.family!r}; known: {', '.join(FAMILY_NAMES)}")
+    spec = family_spec(args.family)
     if args.n < spec.start:
         raise UsageError(f"family {args.family!r} starts at n = {spec.start}")
     if args.format == "csv":

@@ -5,15 +5,18 @@ every object of a class by direct insertion, compute statistics by naive
 scanning, and never consult recurrences or operator expansions.  Every
 insertion enumerator, here and in :mod:`normord.forests`, is one
 depth-first walk, :func:`grow`, from the empty object through ``n``
-insertions; each states only its insertion step ``children(obj, i)``.  Each
-yields StatRecord values that hold the raw object (a word, or a tuple of
-blocks) and its kind's table of named statistic scans.  A record computes
-its canonical text id and its statistics when they are read:
-``rec.stat(name)`` runs one scan, ``rec.stats`` runs them all and
-``rec.object_id`` renders the id.  Every tally of objects into a polynomial
-goes through one accumulator, :func:`tally`, which counts exponent keys and
-builds one monomial per distinct key; :func:`stat_polynomial` feeds it the
-assigned statistics of records, and only those.
+insertions; each states only its insertion step ``children(obj, i)``.  The
+walk is one loop over a stack of child iterators, one per insertion made,
+so an object costs the same at any depth.  Each enumerator yields
+StatRecord values that hold the raw object (a word, or a tuple of blocks)
+and its kind's table of named statistic scans.  A record computes its
+canonical text id and its statistics when they are read: ``rec.stat(name)``
+runs one scan, ``rec.stats`` runs them all and ``rec.object_id`` renders
+the id.  Every tally of objects into a polynomial goes through one
+accumulator, :func:`tally`, which counts exponent keys and builds one
+monomial per distinct key; :func:`stat_polynomial` feeds it the assigned
+statistics of records, and only those, through :func:`stat_keys`, which
+looks the names up in a kind's scan table once per kind, not per record.
 
 Conventions that matter and are easy to get wrong:
 
@@ -119,16 +122,26 @@ def grow(start: T, steps: int, children: Callable[[T, int], Iterable[T]]) -> Ite
     ``children(obj, i)`` yields, in order, the objects that insertion ``i``
     (counted from 0) makes from ``obj``; an object is yielded once all
     ``steps`` insertions are made, so ``steps == 0`` yields ``start`` alone.
+    The walk keeps one child iterator per insertion made so far on a stack
+    and yields the last insertion's objects straight from its iterator.
     """
-
-    def extend(obj: T, i: int) -> Iterator[T]:
-        if i == steps:
-            yield obj
-            return
-        for child in children(obj, i):
-            yield from extend(child, i + 1)
-
-    return extend(start, 0)
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if steps == 0:
+        yield start
+        return
+    stack = [iter(children(start, 0))]
+    push, pop = stack.append, stack.pop
+    while stack:
+        depth = len(stack)
+        if depth == steps:
+            yield from pop()
+            continue
+        for obj in stack[-1]:
+            push(iter(children(obj, depth)))
+            break
+        else:
+            pop()
 
 
 # -- permutation statistics ------------------------------------------------
@@ -364,16 +377,31 @@ def tally(keys: Iterable[tuple[int, ...]], symbols: tuple[str, ...]) -> Polynomi
     )
 
 
+def _key_function(scans: tuple[Callable[..., int], ...]) -> Callable[[tuple], tuple[int, ...]]:
+    """The function of an object that runs ``scans`` on it, in order."""
+    if len(scans) == 1:
+        (scan,) = scans
+        return lambda obj: (scan(obj),)
+    return lambda obj: tuple([scan(obj) for scan in scans])
+
+
 def stat_keys(records: Iterable[StatRecord], names: tuple[str, ...]) -> Iterator[tuple[int, ...]]:
-    """Each record's statistics ``names``, in that order; only those are scanned."""
+    """Each record's statistics ``names``, in that order; only those are scanned.
+
+    The names are resolved to scans once per record kind: again only when a
+    record's ``scans`` table differs from the one before it.
+    """
+    scans = key = None
     for rec in records:
-        try:
-            key = tuple(map(rec.stat, names))
-        except KeyError as exc:
-            raise KeyError(
-                f"record {rec.object_id!r} has no statistic {exc.args[0]!r}"
-            ) from None
-        yield key
+        if rec.scans is not scans:
+            scans = rec.scans
+            try:
+                key = _key_function(tuple([scans[name] for name in names]))
+            except KeyError as exc:
+                raise KeyError(
+                    f"record {rec.object_id!r} has no statistic {exc.args[0]!r}"
+                ) from None
+        yield key(rec.obj)
 
 
 def stat_polynomial(

@@ -193,7 +193,8 @@ FAMILY_NAMES: tuple[str, ...] = tuple(FAMILIES)
 _ROWS: dict[str, tuple[int, Row]] = {}
 
 
-def _family(family: str) -> FamilySpec:
+def family_spec(family: str) -> FamilySpec:
+    """The spec of ``family``; ``KeyError`` naming the known families if there is none."""
     spec = FAMILIES.get(family)
     if spec is None:
         known = ", ".join(FAMILY_NAMES)
@@ -202,7 +203,7 @@ def _family(family: str) -> FamilySpec:
 
 
 def _row(family: str, n: int) -> Row:
-    spec = _family(family)
+    spec = family_spec(family)
     if n < spec.start:
         raise ValueError(f"family {family!r} starts at n = {spec.start}")
     if spec.row_fn is not None:
@@ -240,7 +241,7 @@ class Triangle:
 
 
 def build_triangle(family: str, max_n: int) -> Triangle:
-    spec = _family(family)
+    spec = family_spec(family)
     entries: dict[tuple, Entry] = {}
     for n in range(spec.start, max_n + 1):
         for idx, v in _row(family, n).items():

@@ -117,7 +117,10 @@ class TestTriangle:
     def test_unknown_family(self):
         code, _, err = run("triangle", "--family", "nope", "--n", "2")
         assert code == 2
-        assert "error:" in err
+        assert err == (
+            "error: unknown family 'nope'; known families: A, Ap, a, gamma, C, beta, B, E, W,"
+            " S2, S1, eulerian, eulerian2, eulerianB, lah, bessel, catalan\n"
+        )
 
 
 class TestEnumerate:

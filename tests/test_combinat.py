@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -23,6 +24,8 @@ from normord import (
 from normord import combinat
 from normord.combinat import (
     cycle_descents,
+    grow,
+    stat_keys,
     standard_cycles,
     tally,
     type_b_descents,
@@ -71,6 +74,46 @@ class TestCounts:
         for gen, n in GENERATORS:
             ids = [r.object_id for r in gen(n)]
             assert len(ids) == len(set(ids))
+
+
+# sha256 over one "object_id<TAB>name=value ..." line per record (stats sorted
+# by name) for n = 0..n_max: pins the enumeration order and every record.
+ENUMERATION_DIGESTS = [
+    ("permutations", 7, "96f2d772cde292979b73692944c65f1c5970bae0de22661a18e1a1aea99c5286"),
+    ("signed_permutations", 5, "63513ae5dff20b0944bc75a983da1865b0bc174902870130cc871db5ea0c0d51"),
+    ("stirling_permutations", 6, "7f5c734006d9f82ac951d6cf46f97e3c45d71241406792e0cbd70d056ed46eb1"),
+    ("list_partitions", 6, "d1bb17f534e85b2e285a791cb8c2b158ea827040598792f29fb699614ab652bf"),
+    ("stirling_lists", 4, "43498905e0eb8646372c0dbb34a820f35250f18fd8b5caa1ff4b2a6f09497ad0"),
+]
+
+
+@pytest.mark.parametrize("name,n_max,want", ENUMERATION_DIGESTS)
+def test_enumeration_digest(name, n_max, want):
+    h = hashlib.sha256()
+    for n in range(n_max + 1):
+        for rec in getattr(combinat, name)(n):
+            stats = " ".join(f"{k}={v}" for k, v in sorted(rec.stats.items()))
+            h.update(f"{rec.object_id}\t{stats}\n".encode())
+    assert h.hexdigest() == want
+
+
+class TestGrow:
+    def test_depth_first_preorder(self):
+        words = grow("", 3, lambda word, i: (word + c for c in "ab"[: i + 1]))
+        assert list(words) == ["aaa", "aab", "aba", "abb"]
+
+    def test_zero_steps_yield_the_start(self):
+        assert list(grow("s", 0, lambda obj, i: ())) == ["s"]
+
+    def test_a_step_without_children_ends_its_branch(self):
+        assert list(grow(0, 2, lambda obj, i: () if obj == 1 else (obj + 1, obj + 2))) == [3, 4]
+
+    def test_negative_steps_raise(self):
+        with pytest.raises(ValueError):
+            list(grow(0, -1, lambda obj, i: (obj + 1,)))
+
+    def test_deep_walk_needs_no_recursion(self):
+        assert list(grow(0, 5000, lambda obj, i: (obj + 1,))) == [5000]
 
 
 class TestCaps:
@@ -291,6 +334,19 @@ class TestStatPolynomial:
         with pytest.raises(KeyError) as exc:
             stat_polynomial(permutations(2), {"nope": "x"})
         assert exc.value.args[0] == "record '1,2' has no statistic 'nope'"
+
+    def test_stat_keys_resolve_each_record_kind(self):
+        # Both kinds have a "des" scan, and they differ.
+        perm = next(permutations(2))
+        stirling = next(stirling_permutations(1))
+        assert perm.object_id == "1,2" and stirling.object_id == "1,1"
+        records = [perm, stirling, perm, stirling]
+        assert list(stat_keys(records, ("des",))) == [(0,), (1,), (0,), (1,)]
+        keys = stat_keys(records, ("cyc",))
+        assert next(keys) == (2,)
+        with pytest.raises(KeyError) as exc:
+            next(keys)
+        assert exc.value.args[0] == "record '1,1' has no statistic 'cyc'"
 
     def test_multi_symbol(self):
         got = stat_polynomial(permutations(2), {"des": "x", "cyc": "q"})
