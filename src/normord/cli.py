@@ -38,7 +38,7 @@ from .combinat import (
 from .forests import grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import normal_order_power
-from .poly import ParseError, Polynomial, parse, variable
+from .poly import _SYMBOL, ParseError, Polynomial, parse, variable
 from .triangles import FAMILY_NAMES, family_row, family_spec
 
 __all__ = ["main", "build_parser"]
@@ -66,7 +66,7 @@ def _entry_json(value):
 def _cmd_expand(args: argparse.Namespace, out) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    if args.at_d is not None and not args.at_d.isidentifier():
+    if args.at_d is not None and not _SYMBOL.fullmatch(args.at_d):
         raise UsageError(f"--at-d must be a symbol name, got {args.at_d!r}")
     grammar = _parse_grammar(args.grammar)
     w = parse(args.w)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .poly import Pairs, ParseError, Polynomial, Scalar, _pairs_mul, parse
+from .poly import _SYMBOL, Pairs, ParseError, Polynomial, Scalar, _pairs_mul, parse
 
 # Preset grammars are data, not code: name -> rule text.
 PRESETS: dict[str, str] = {
@@ -58,7 +58,7 @@ class Grammar:
         # rule(s)/s as (pairs, coeff).  Not a field, so ==, hash and repr
         # still see only the rules.
         object.__setattr__(self, "_table", {
-            name: tuple((_pairs_mul(m.pairs, ((name, -1),)), c) for m, c in p.terms())
+            name: tuple((_pairs_mul(k, ((name, -1),)), c) for k, c in p._terms.items())
             for name, p in clean.items()
         })
 
@@ -77,7 +77,7 @@ class Grammar:
             if not sep:
                 raise ParseError(f"rule {chunk.strip()!r} is missing '->'", at)
             name = head.strip()
-            if not name.isidentifier():
+            if not _SYMBOL.fullmatch(name):
                 raise ParseError(f"bad rule symbol {name!r}", at)
             if name in rules:
                 raise ParseError(f"duplicate rule for {name!r}", at)
@@ -112,8 +112,7 @@ class Grammar:
         table: dict[str, tuple[tuple[Pairs, Scalar], ...]] = self._table
         acc: dict[Pairs, Scalar] = {}
         get = acc.get
-        for m, c in p.terms():
-            pairs = m.pairs
+        for pairs, c in p._terms.items():
             for s, e in pairs:
                 rule = table.get(s)
                 if rule is None:
@@ -122,7 +121,7 @@ class Grammar:
                 for rp, rc in rule:
                     key = _pairs_mul(pairs, rp)
                     acc[key] = get(key, 0) + weight * rc
-        return Polynomial._collect_pairs(acc)
+        return Polynomial._collect(acc)
 
     def derive_power(self, f: Polynomial | Scalar, n: int) -> Polynomial:
         """Apply the derivation ``n`` times (``n >= 0``)."""

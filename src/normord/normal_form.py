@@ -24,7 +24,7 @@ symbols s of e_s * m * (w * rule(s)/s).  Each step multiplies a monomial by
 one term of w and at most one term of a rule(s)/s, so after n steps no
 exponent exceeds n*(W + R), with W and R the largest exponent magnitudes in
 w and in the table; that bound sets the field width.  Each coefficient
-converts back to a ``Polynomial`` once.
+converts back to pair keys once (no ``Monomial`` is built).
 
 The two readers of a normal form, ``specialize`` (D^k -> v^k) and
 ``apply_to`` (D^k -> D^k(f)), are one direct sum of coeffs[k] * values[k]
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
 from .grammar import Grammar
-from .poly import ONE, ZERO, Monomial, Polynomial, Scalar, _Packer
+from .poly import ONE, ZERO, Pairs, Polynomial, Scalar, _Packer
 
 T = TypeVar("T")
 
@@ -57,7 +57,7 @@ def _grow(order: int, entry: Callable[[int, T, T], T], one: T, zero: T) -> list[
 
 
 def _max_exponent(polys: Iterable[Polynomial]) -> int:
-    return max((abs(e) for p in polys for m, _ in p.terms() for _, e in m.pairs), default=0)
+    return max((abs(e) for p in polys for k in p._terms for _, e in k), default=0)
 
 
 def _mul_into(acc: Packed, a: Packed, b: Packed) -> Packed:
@@ -89,13 +89,13 @@ class NormalForm:
 
     def _sum(self, value: Polynomial, step: Callable[[Polynomial], Polynomial]) -> Polynomial:
         """sum_k coeffs[k] * v_k with v_0 = value, v_(k+1) = step(v_k), in one dict."""
-        acc: dict[Monomial, Scalar] = {}
+        acc: dict[Pairs, Scalar] = {}
         get = acc.get
         for k, c in enumerate(self.coeffs):
             if k:
                 value = step(value)
-            for m, x in (c * value).terms():
-                acc[m] = get(m, 0) + x
+            for key, x in (c * value)._terms.items():
+                acc[key] = get(key, 0) + x
         return Polynomial._collect(acc)
 
     def specialize(self, value: Polynomial | Scalar) -> Polynomial:
@@ -118,8 +118,11 @@ class NormalForm:
         The xi vector satisfies the companion recursion
         xi'_k = k*D(w)*xi_k + w*D(xi_k) + xi_(k-1), so it can be rebuilt
         without polynomial division; each product xi_k * w^k is verified
-        against the stored coefficient and None is returned on mismatch.
+        against ``coefficient(k)`` and None is returned on mismatch, as it
+        is when a coefficient past ``order`` is nonzero.
         """
+        if any(not c.is_zero for c in self.coeffs[self.order + 1:]):
+            return None
         w = self.multiplier
         dw = self.grammar.derive(w)
         xs = _grow(
@@ -130,7 +133,7 @@ class NormalForm:
         )
         power = ONE
         for k, xi in enumerate(xs):
-            if xi * power != self.coeffs[k]:
+            if xi * power != self.coefficient(k):
                 return None
             power = power * w
         return xs
@@ -167,7 +170,7 @@ def normal_order_power(
     wp = Polynomial._coerce(w)
     if wp is None:
         raise TypeError("multiplier must be a polynomial or exact scalar")
-    rules = {s: Polynomial._collect_pairs(dict(t)) for s, t in grammar._table.items()}
+    rules = {s: Polynomial._collect(dict(t)) for s, t in grammar._table.items()}
     # One step multiplies each monomial by a term of w and at most one term
     # of some rule(s)/s, so after n steps no exponent exceeds n times the
     # sum of their largest; taking n at least 1 also fits w*rule(s)/s.

@@ -6,7 +6,10 @@ a finite map from symbol names to nonzero signed exponents, so Laurent
 terms like ``3*x*y^-1`` are representable.  Coefficients are Python ints
 (arbitrary precision); the series layer additionally feeds in
 ``fractions.Fraction`` values, which are normalised back to ints whenever
-the denominator clears.  Floats are rejected.
+the denominator clears.  Floats are rejected.  A symbol name is an ASCII
+letter or underscore followed by ASCII letters, digits and underscores,
+the one name rule that the parser, ``Monomial(...)`` and the grammar and
+CLI front ends share.
 
 Rendering and parsing share one canonical text form: terms are sorted in
 descending graded-lexicographic order (total degree first, then exponents
@@ -14,14 +17,15 @@ compared symbol by symbol in alphabetical order), exponents are written
 ``x^2``, and all products use an explicit ``*``.  ``parse(p.render())``
 returns ``p`` for every polynomial with integer coefficients.
 
-A monomial's canonical form is its ``pairs``: (symbol, exponent) tuples
-sorted by symbol, with no zero exponent.  The public constructors
+A monomial's canonical form is its ``pairs`` (``Pairs``): (symbol,
+exponent) tuples sorted by symbol, with no zero exponent, ``()`` for the
+constant monomial.  A polynomial stores its terms keyed by those tuples
+alone, and every ring operation merges them (``_pairs_mul``) into a dict
+that the one trusted constructor, ``Polynomial._collect``, closes.
+``Monomial`` is the public view of one term: ``terms()`` and
+``sorted_terms()`` build one per term when read.  The public constructors
 ``Monomial(...)``, ``Polynomial(...)`` and ``parse`` accept any shape,
-validate it and bring it to that form.  Internal paths trust it instead:
-``Monomial._canonical`` takes pairs already in canonical form and
-``Polynomial._collect`` takes an accumulated dict, so products, ``derive``
-and the other ring operations merge raw pair tuples (``_pairs_mul``) and
-build one ``Monomial`` per distinct result.
+validate it and bring it to the canonical form.
 
 The normal-form kernel has a second, private exponent format, ``_Packer``
 (packed exponent vectors, Monagan & Pearce, CASC 2007).  Over a sorted
@@ -31,11 +35,10 @@ Keys carry no bias: reading a field adds a per-field bias, then shifts and
 masks, so Laurent exponents need no special case.  The field width follows
 from an exponent bound the caller computes from its inputs, not from a
 setting, and packing an exponent outside that bound raises
-``ArithmeticError``.  Results convert back once, through
-``Monomial._canonical`` and ``Polynomial._collect``.  ``*``, ``diff``,
-``subs`` and ``Grammar.derive`` stay on pair tuples: iterating ``derive``
-is the independent reference the packed kernel is tested against, so the
-two share no code.
+``ArithmeticError``.  Results convert back to pair keys once.  ``*``,
+``diff``, ``subs`` and ``Grammar.derive`` stay on pair tuples: iterating
+``derive`` is the independent reference the packed kernel is tested
+against, so the two share no code.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ from typing import Callable, Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
 Pairs = tuple[tuple[str, int], ...]
+
+# The one rule for symbol names: the tokenizer reads exactly these, and
+# ``Monomial(...)``, ``Grammar.from_text`` and the CLI accept no other.
+_SYMBOL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class PoleError(ZeroDivisionError):
@@ -97,8 +104,15 @@ def _pairs_mul(a: Pairs, b: Pairs) -> Pairs:
     return (*out, *a[i:], *b[j:])
 
 
-def _grlex_key(symbols: list[str]) -> Callable[["Monomial"], list[int]]:
-    """Graded-lex sort key over ``symbols`` (sorted, covering every monomial keyed).
+def _exponent(pairs: Pairs, name: str) -> int:
+    for s, e in pairs:
+        if s == name:
+            return e
+    return 0
+
+
+def _grlex_key(symbols: list[str]) -> Callable[[Pairs], list[int]]:
+    """Graded-lex sort key over ``symbols`` (sorted, covering every pair tuple keyed).
 
     The key is the total degree followed by the exponent of each symbol in
     turn, 0 where absent, so list order is the graded-lex order.
@@ -106,24 +120,29 @@ def _grlex_key(symbols: list[str]) -> Callable[["Monomial"], list[int]]:
     index = {s: i for i, s in enumerate(symbols, 1)}
     width = len(symbols) + 1
 
-    def key(m: "Monomial") -> list[int]:
+    def key(pairs: Pairs) -> list[int]:
         k = [0] * width
-        k[0] = m.degree
-        for s, e in m.pairs:
+        for s, e in pairs:
             k[index[s]] = e
+        k[0] = sum(k)  # the total degree: k[0] is still 0 here
         return k
 
     return key
 
 
+def _render_pairs(pairs: Pairs) -> str:
+    return "*".join([s if e == 1 else f"{s}^{e}" for s, e in pairs]) or "1"
+
+
 class Monomial:
     """Product of symbol powers; exponents are nonzero signed integers.
 
-    Ordering is graded lexicographic: compare total degree first, then
-    exponents symbol by symbol with symbols taken alphabetically.
+    The public view of one term: a polynomial stores only the canonical
+    ``pairs``.  Ordering is graded lexicographic: compare total degree
+    first, then exponents symbol by symbol with symbols taken alphabetically.
     """
 
-    __slots__ = ("pairs", "degree", "_hash")
+    __slots__ = ("pairs",)
 
     def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
         if isinstance(exponents, Monomial):
@@ -132,98 +151,74 @@ class Monomial:
             items = exponents.items() if isinstance(exponents, Mapping) else exponents
             merged: dict[str, int] = {}
             for name, exp in items:
+                if not _SYMBOL.fullmatch(name):
+                    raise ValueError(f"bad symbol name {name!r}")
                 if not isinstance(exp, int):
                     raise TypeError(f"integer exponent required for {name!r}")
                 merged[name] = merged.get(name, 0) + exp
             pairs = tuple(sorted((s, e) for s, e in merged.items() if e))
         self.pairs = pairs
-        self.degree = sum(e for _, e in pairs)
-        self._hash = hash(pairs)
 
     @classmethod
     def _canonical(cls, pairs: Pairs) -> "Monomial":
         """Trusted constructor: ``pairs`` must already be sorted with no zero exponent."""
-        degree = 0
-        for _, e in pairs:
-            degree += e
         m = object.__new__(cls)
         m.pairs = pairs
-        m.degree = degree
-        m._hash = hash(pairs)
         return m
 
+    @property
+    def degree(self) -> int:
+        return sum(e for _, e in self.pairs)
+
     def exponent(self, name: str) -> int:
-        for s, e in self.pairs:
-            if s == name:
-                return e
-        return 0
+        return _exponent(self.pairs, name)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        if not other.pairs:
-            return self
-        if not self.pairs:
-            return other
         return Monomial._canonical(_pairs_mul(self.pairs, other.pairs))
-
-    def without(self, name: str) -> "Monomial":
-        return Monomial._canonical(tuple(p for p in self.pairs if p[0] != name))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.pairs)
 
     def __lt__(self, other: "Monomial") -> bool:
         key = _grlex_key(sorted({s for s, _ in self.pairs} | {s for s, _ in other.pairs}))
-        return key(self) < key(other)
+        return key(self.pairs) < key(other.pairs)
 
     def render(self) -> str:
-        if not self.pairs:
-            return "1"
-        return "*".join([s if e == 1 else f"{s}^{e}" for s, e in self.pairs])
+        return _render_pairs(self.pairs)
 
     def __repr__(self) -> str:
         return f"Monomial({dict(self.pairs)!r})"
 
 
 class Polynomial:
-    """Immutable sparse polynomial: map Monomial -> nonzero exact scalar."""
+    """Immutable sparse polynomial: map canonical pairs -> nonzero exact scalar."""
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Scalar] = {}
+        acc: dict[Pairs, Scalar] = {}
         for m, c in items:
             if not isinstance(m, Monomial):
                 m = Monomial(m)
             c = _norm_scalar(c)
             if c:
-                acc[m] = acc.get(m, 0) + c
+                acc[m.pairs] = acc.get(m.pairs, 0) + c
         self._terms = {m: _norm_scalar(c) for m, c in acc.items() if c}
         self._hash = None
 
     @classmethod
-    def _collect(cls, acc: dict[Monomial, Scalar]) -> "Polynomial":
-        """Trusted constructor over an accumulated dict of exact scalars.
+    def _collect(cls, acc: dict[Pairs, Scalar]) -> "Polynomial":
+        """Trusted constructor over a dict of canonical pairs to exact scalars.
 
         Zero coefficients are dropped and Fractions with denominator 1
         become ints; keys are not checked.
         """
         p = object.__new__(cls)
         p._terms = {m: c if type(c) is int else _norm_scalar(c) for m, c in acc.items() if c}
-        p._hash = None
-        return p
-
-    @classmethod
-    def _collect_pairs(cls, acc: dict[Pairs, Scalar]) -> "Polynomial":
-        """Like ``_collect``, keyed by canonical pair tuples: one Monomial per key."""
-        canonical = Monomial._canonical
-        p = object.__new__(cls)
-        p._terms = {
-            canonical(k): c if type(c) is int else _norm_scalar(c) for k, c in acc.items() if c
-        }
         p._hash = None
         return p
 
@@ -248,21 +243,22 @@ class Polynomial:
         return not self._terms
 
     def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
-        return iter(self._terms.items())
+        canonical = Monomial._canonical
+        return ((canonical(k), c) for k, c in self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def variables(self) -> set[str]:
-        return {s for m in self._terms for s, _ in m.pairs}
+        return {s for k in self._terms for s, _ in k}
 
     def degree(self) -> int:
         """Max total degree over terms (0 for the zero polynomial)."""
-        return max((m.degree for m in self._terms), default=0)
+        return max((sum(e for _, e in k) for k in self._terms), default=0)
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if mixed."""
-        degs = {m.degree for m in self._terms}
+        degs = {sum(e for _, e in k) for k in self._terms}
         if not degs:
             return 0
         if len(degs) == 1:
@@ -272,17 +268,17 @@ class Polynomial:
     def coefficient(self, monomial: Monomial | Mapping[str, int]) -> Scalar:
         if not isinstance(monomial, Monomial):
             monomial = Monomial(monomial)
-        return self._terms.get(monomial, 0)
+        return self._terms.get(monomial.pairs, 0)
 
     def constant_term(self) -> Scalar:
-        return self._terms.get(_EMPTY, 0)
+        return self._terms.get((), 0)
 
     def slices(self, name: str) -> dict[int, "Polynomial"]:
         """Group terms by the exponent of ``name``, which is divided out."""
-        buckets: dict[int, dict[Monomial, Scalar]] = {}
+        buckets: dict[int, dict[Pairs, Scalar]] = {}
         for m, c in self._terms.items():
-            e = m.exponent(name)
-            rest = m.without(name) if e else m
+            e = _exponent(m, name)
+            rest = tuple(p for p in m if p[0] != name) if e else m
             buckets.setdefault(e, {})[rest] = c
         return {e: Polynomial._collect(d) for e, d in sorted(buckets.items())}
 
@@ -335,21 +331,20 @@ class Polynomial:
         a, b = self._terms, other._terms
         if not a or not b:
             return ZERO
-        # A constant factor keeps the other side's Monomial objects.
-        if len(a) == 1 and _EMPTY in a:
+        # A constant factor only scales the other side's coefficients.
+        if len(a) == 1 and () in a:
             a, b = b, a
-        if len(b) == 1 and _EMPTY in b:
-            k = b[_EMPTY]
+        if len(b) == 1 and () in b:
+            k = b[()]
             return Polynomial._collect({m: c * k for m, c in a.items()})
-        right = [(m.pairs, c) for m, c in b.items()]
+        right = b.items()
         acc: dict[Pairs, Scalar] = {}
         get = acc.get
         for m1, c1 in a.items():
-            p1 = m1.pairs
             for p2, c2 in right:
-                key = _pairs_mul(p1, p2)
+                key = _pairs_mul(m1, p2)
                 acc[key] = get(key, 0) + c1 * c2
-        return Polynomial._collect_pairs(acc)
+        return Polynomial._collect(acc)
 
     __rmul__ = __mul__
 
@@ -361,7 +356,7 @@ class Polynomial:
             if len(self._terms) == 1:
                 ((m, c),) = self._terms.items()
                 if c in (1, -1):
-                    inv = Polynomial._collect_pairs({tuple((s, -e) for s, e in m.pairs): c})
+                    inv = Polynomial._collect({tuple((s, -e) for s, e in m): c})
                     return inv ** (-n) if n != -1 else inv
             raise ValueError("cannot raise a non-unit polynomial to a negative power")
         result = ONE
@@ -380,10 +375,10 @@ class Polynomial:
         inverse = ((name, -1),)
         acc: dict[Pairs, Scalar] = {}
         for m, c in self._terms.items():
-            e = m.exponent(name)
+            e = _exponent(m, name)
             if e:
-                acc[_pairs_mul(m.pairs, inverse)] = c * e
-        return Polynomial._collect_pairs(acc)
+                acc[_pairs_mul(m, inverse)] = c * e
+        return Polynomial._collect(acc)
 
     def subs(self, bindings: Mapping[str, "Polynomial | Scalar"]) -> "Polynomial":
         """Simultaneous substitution; unbound symbols pass through.
@@ -405,7 +400,7 @@ class Polynomial:
         for m, c in self._terms.items():
             unbound = []
             factor = ONE
-            for s, e in m.pairs:
+            for s, e in m:
                 v = bound.get(s)
                 if v is None:
                     unbound.append((s, e))
@@ -413,16 +408,16 @@ class Polynomial:
                     factor = factor * v ** e
             rest = tuple(unbound)
             for fm, fc in factor._terms.items():
-                key = _pairs_mul(rest, fm.pairs)
+                key = _pairs_mul(rest, fm)
                 acc[key] = get(key, 0) + c * fc
-        return Polynomial._collect_pairs(acc)
+        return Polynomial._collect(acc)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
         """Exact evaluation at a rational point; poles raise PoleError."""
         total = Fraction(0)
         for m, c in self._terms.items():
             val = Fraction(c)
-            for s, e in m.pairs:
+            for s, e in m:
                 x = Fraction(point[s])
                 if not x and e < 0:
                     raise PoleError(f"{s}^{e} evaluated at {s} = 0")
@@ -441,29 +436,38 @@ class Polynomial:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            # A constant equals its scalar (see __eq__), so it hashes like it.
+            if self._terms.keys() <= {()}:
+                self._hash = hash(self.constant_term())
+            else:
+                self._hash = hash(frozenset(self._terms.items()))
         return self._hash
+
+    def _sorted_keys(self) -> list[Pairs]:
+        """Term keys in canonical (descending graded-lex) order."""
+        if len(self._terms) < 2:
+            return list(self._terms)
+        return sorted(self._terms, key=_grlex_key(sorted(self.variables())), reverse=True)
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in canonical (descending graded-lex) order."""
-        if len(self._terms) < 2:
-            return list(self._terms.items())
-        key = _grlex_key(sorted(self.variables()))
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=key, reverse=True)]
+        canonical, terms = Monomial._canonical, self._terms
+        return [(canonical(k), terms[k]) for k in self._sorted_keys()]
 
     def render(self) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for m, c in self.sorted_terms():
+        for k in self._sorted_keys():
+            c = self._terms[k]
             negative = c < 0
             mag = -c if negative else c
-            if not m.pairs:
+            if not k:
                 body = str(mag)
             elif mag == 1:
-                body = m.render()
+                body = _render_pairs(k)
             else:
-                body = f"{mag}*{m.render()}"
+                body = f"{mag}*{_render_pairs(k)}"
             if not parts:
                 parts.append(f"-{body}" if negative else body)
             else:
@@ -481,23 +485,21 @@ class Polynomial:
     def to_json_dict(self) -> dict:
         return {
             "terms": [
-                {"monomial": dict(m.pairs), "coeff": str(c)}
-                for m, c in self.sorted_terms()
+                {"monomial": dict(k), "coeff": str(self._terms[k])}
+                for k in self._sorted_keys()
             ]
         }
 
     @staticmethod
     def from_json_dict(data: Mapping) -> "Polynomial":
-        acc: dict[Monomial, Scalar] = {}
-        for entry in data["terms"]:
-            m = Monomial({str(s): int(e) for s, e in entry["monomial"].items()})
-            acc[m] = acc.get(m, 0) + _norm_scalar(Fraction(entry["coeff"]))
-        return Polynomial(acc)
+        return Polynomial(
+            (Monomial({str(s): int(e) for s, e in t["monomial"].items()}), Fraction(t["coeff"]))
+            for t in data["terms"]
+        )
 
 
-_EMPTY = Monomial()
 ZERO = Polynomial()
-ONE = Polynomial({_EMPTY: 1})
+ONE = Polynomial.constant(1)
 
 
 def variable(name: str) -> Polynomial:
@@ -539,16 +541,16 @@ class _Packer:
         self.shift = {s: i * width for i, s in enumerate(self.symbols)}
         self._bias = sum(self._half << i * width for i in range(len(self.symbols)))
         # Per symbol, exponent -> its (symbol, exponent) pair, so the
-        # monomials ``unpack`` builds share pair tuples as products do.
+        # keys ``unpack`` builds share pair tuples as products do.
         self._pairs: tuple[dict[int, tuple[str, int]], ...] = tuple({} for _ in self.symbols)
 
     def pack(self, p: Polynomial) -> dict[int, Scalar]:
         """The terms of ``p`` keyed by packed monomial."""
         shift, bound = self.shift, self.bound
         out: dict[int, Scalar] = {}
-        for m, c in p._terms.items():
+        for k, c in p._terms.items():
             key = 0
-            for s, e in m.pairs:
+            for s, e in k:
                 if not -bound <= e <= bound:
                     raise ArithmeticError(f"exponent {s}^{e} exceeds the packing bound {bound}")
                 key += e << shift[s]
@@ -561,10 +563,9 @@ class _Packer:
 
     def unpack(self, packed: dict[int, Scalar]) -> Polynomial:
         """The polynomial of a packed dict; zero coefficients are dropped."""
-        canonical = Monomial._canonical
         fields = tuple(zip(self.symbols, self._pairs))
         width, mask, half, bias = self._width, self._mask, self._half, self._bias
-        acc: dict[Monomial, Scalar] = {}
+        acc: dict[Pairs, Scalar] = {}
         for key, c in packed.items():
             k = key + bias
             pairs = []
@@ -576,7 +577,7 @@ class _Packer:
                         pair = shared[e] = (s, e)
                     pairs.append(pair)
                 k >>= width
-            acc[canonical(tuple(pairs))] = c
+            acc[tuple(pairs)] = c
         return Polynomial._collect(acc)
 
 
@@ -586,7 +587,7 @@ class _Packer:
 # frames; this bound keeps deep input a ParseError, not a RecursionError.
 MAX_PAREN_DEPTH = 100
 
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/])")
+_TOKEN = re.compile(rf"(?P<int>\d+)|(?P<name>{_SYMBOL.pattern})|(?P<op>[-+*^()/])")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -46,7 +46,7 @@ class TestExpand:
 
     def test_specialized_non_symbol_rejected(self):
         # These would render as text that does not parse back to the polynomial.
-        for at_d in ("", "q+1", "2"):
+        for at_d in ("", "q+1", "2", "é"):
             code, out, err = run(
                 "expand", "--w", "x", "--grammar", "second-order", "--n", "2",
                 "--at-d", at_d,

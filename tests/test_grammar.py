@@ -108,6 +108,7 @@ class TestConstruction:
         ("x -> y; y", 8),
         ("x -> y; 1x -> y", 8),
         ("x -> y; x -> y", 8),
+        ("x -> y; é -> y", 8),
     ])
     def test_error_position_in_full_text(self, text, position):
         with pytest.raises(ParseError) as info:

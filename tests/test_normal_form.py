@@ -279,6 +279,9 @@ class TestSpecialize:
                 got = nf.specialize(value)
                 assert got == reference_specialize(nf, value), (nf.render(), value)
                 assert_canonical(got)
+        # The hand-built forms read missing coefficients as zero, so none factors.
+        for nf in forms[5:]:
+            assert nf.xi_coefficients() is None
 
 
 class TestApply:
@@ -337,6 +340,17 @@ class TestXiFactorization:
     def test_order_zero(self):
         nf = normal_order_power(x, Grammar.preset("eulerian-xy"), 0)
         assert nf.xi_coefficients() == [Polynomial.one()]
+
+    def test_hand_built_coefficients(self):
+        g = Grammar.preset("swap")
+        nf = normal_order_power(x, g, 2)
+        assert NormalForm(g, x, 2, ()).xi_coefficients() is None
+        assert NormalForm(g, x, 2, nf.coeffs[:2]).xi_coefficients() is None
+        # Zero coefficients past the order change nothing; a nonzero one never matches.
+        xs = nf.xi_coefficients()
+        assert xs is not None
+        assert NormalForm(g, x, 2, (*nf.coeffs, Polynomial.zero())).xi_coefficients() == xs
+        assert NormalForm(g, x, 2, (*nf.coeffs, x)).xi_coefficients() is None
 
 
 class TestJson:

@@ -36,6 +36,24 @@ class TestConstruction:
         assert (x - x).is_zero
         assert len(list((x + y - y).terms())) == 1
 
+    def test_constants_hash_like_their_scalar(self):
+        for p, c in ((Polynomial.constant(3), 3), (parse("1/2"), Fraction(1, 2)),
+                     (Polynomial(), 0), (x - x + 5, 5)):
+            assert p == c and hash(p) == hash(c)
+            assert len({p, c}) == 1
+
+    def test_symbol_names_follow_the_parser(self):
+        # Each of these would render as text that parse rejects.
+        for name in ("", "x y", "2x", "é", "x-1", "x\n"):
+            with pytest.raises(ValueError, match="bad symbol name"):
+                Monomial({name: 1})
+            with pytest.raises(ValueError, match="bad symbol name"):
+                variable(name)
+            with pytest.raises(ValueError, match="bad symbol name"):
+                mono(**{name: 2})
+        p = mono(3, _a=1, B2=-2) + variable("x_1")
+        assert parse(p.render()) == p
+
 
 class TestRender:
     def test_difference_of_squares(self):
@@ -271,7 +289,7 @@ def _graded_lex(m1: Monomial, m2: Monomial) -> int:
 
 
 def assert_canonical(p: Polynomial) -> None:
-    """Every term is in canonical form and the render order is graded-lex."""
+    """Every term is in canonical form, agrees with its public view, and renders graded-lex."""
     monomials = []
     for m, c in p.terms():
         names = [s for s, _ in m.pairs]
@@ -282,7 +300,11 @@ def assert_canonical(p: Polynomial) -> None:
         assert m == twin and hash(m) == hash(twin)
         assert c != 0
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+        assert p.coefficient(m) == c
         monomials.append(m)
+    # The stored terms and the public view of them describe one polynomial.
+    rebuilt = Polynomial(dict(p.terms()))
+    assert rebuilt == p and hash(rebuilt) == hash(p)
     order = [m for m, _ in p.sorted_terms()]
     assert order == sorted(monomials, reverse=True)
     assert order == sorted(monomials, key=functools.cmp_to_key(_graded_lex), reverse=True)
