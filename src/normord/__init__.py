@@ -22,6 +22,7 @@ from .combinat import (
     StatRecord,
     list_partitions,
     permutations,
+    records,
     signed_permutations,
     stat_polynomial,
     stirling_lists,
@@ -86,6 +87,7 @@ __all__ = [
     "normal_order_power",
     "parse",
     "permutations",
+    "records",
     "render_report",
     "results_to_json",
     "rising_factorial",

@@ -24,17 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-from .combinat import (
-    list_partitions,
-    permutations,
-    signed_permutations,
-    stat_keys,
-    stat_polynomial,
-    stirling_lists,
-    stirling_permutations,
-    tally,
-)
-from .forests import grow_forests
+from .combinat import stat_keys, stat_polynomial, tally
+from .forests import census, grow_forests
 from .grammar import Grammar
 from .normal_form import normal_order_power
 from .poly import Monomial, Polynomial, mono, variable
@@ -184,8 +175,8 @@ def check(check_id: str, summary: str, n_min: int, full_cap: int, quick_cap: int
 
 
 def _forest_poly(flavor: str, n: int, names: Tuple[str, ...]) -> Polynomial:
-    """Forest tally: the first leaf counts, then the tree count, one symbol each."""
-    return tally(((*f.leaves[: len(names) - 1], f.k) for f in grow_forests(flavor, n)), names)
+    """Forest tally: the x, y and z leaf counts, then the tree count, one symbol each."""
+    return tally(map(census, grow_forests(flavor, n)), names)
 
 
 def _slice_one_up(family: str, n: int) -> Polynomial:
@@ -218,7 +209,7 @@ def _forest_triple(grammar: str, multiplier: Polynomial, assembly: str, flavor: 
         tri = assemble(assembly, n)
         yield "normal order vs triangle assembly", op, tri
         yield ("triangle assembly vs forest enumeration", tri,
-               _forest_poly(flavor, n, ("x", "y", "z")))
+               _forest_poly(flavor, n, ("x", "y", "w", "z")))  # no z leaves here, so no w
 
     return sides
 
@@ -260,7 +251,7 @@ def _eulerian_grammar_self_dual(n: int):
     yield ("iterated derivative vs descent triangle", da,
            row_polynomial("eulerian", n, lambda n, k: {"a": k, "b": n + 1 - k}))
     yield ("iterated derivative vs descent enumeration", da,
-           tally(((d + 1, n - d) for (d,) in stat_keys(permutations(n), ("des",))), ("a", "b")))
+           tally(((d + 1, n - d) for (d,) in stat_keys("permutations", n, ("des",))), ("a", "b")))
     nf = normal_order_power(X * Y, Grammar.preset("eulerian-full"), n)
     fx = nf.apply_to(X)
     yield "product-multiplier action on x vs on y", fx, nf.apply_to(Y)
@@ -296,10 +287,9 @@ def _eulerian_specialization_chain(n: int):
 def _pq_eulerian_cycle_stats(n: int):
     spec = normal_order_power(X, Grammar.preset("pq-eulerian"), n).specialize(Z)
     yield "normal order vs weighted triangle assembly", spec, assemble("Ap", n)
+    keys = stat_keys("permutations", n, ("exc", "cdes", "cyc"))
     yield ("normal order vs excedance-cycle enumeration", spec,
-           tally(((n - exc, exc, cdes, cyc)
-                  for exc, cdes, cyc in stat_keys(permutations(n), ("exc", "cdes", "cyc"))),
-                 ("x", "y", "p", "z")))
+           tally(((n - exc, exc, cdes, cyc) for exc, cdes, cyc in keys), ("x", "y", "p", "z")))
     yield "weight-one reduction vs plain triangle assembly", spec.subs({"p": ONE}), assemble("A", n)
 
 
@@ -334,7 +324,7 @@ def _lah_closed_form(n: int):
 @check("list-partition-ascents",
        "ascent statistics over list partitions reproduce the triangle", 1, 6, 5)
 def _list_partition_ascents(n: int):
-    enum = stat_polynomial(list_partitions(n), {"asc": "x", "blocks": "z"})
+    enum = stat_polynomial("list-partitions", n, {"asc": "x", "blocks": "z"})
     yield ("list-partition ascent enumeration vs triangle", enum,
            row_polynomial("a", n, lambda n, k, l: {"x": l, "z": k}))
     yield ("list-partition block counts vs list-count triangle", enum.subs({"x": ONE}),
@@ -346,7 +336,7 @@ def _list_partition_ascents(n: int):
 def _gamma_valley_enumeration(n: int):
     yield ("valley enumeration without double descents vs triangle",
            tally(((blocks + val, blocks)
-                  for blocks, val, dd in stat_keys(list_partitions(n), ("blocks", "val", "dd"))
+                  for blocks, val, dd in stat_keys("list-partitions", n, ("blocks", "val", "dd"))
                   if dd == 0), ("u", "z")),
            row_polynomial("gamma", n, _u_l_z_k))
 
@@ -400,9 +390,9 @@ def _trivariate_second_order(n: int):
     yield ("product-rule recurrence vs iterated derivative", dum,
            Grammar.preset("trivariate-second-order").derive_power(X, n))
     yield ("recurrence vs ascent-descent-plateau enumeration", dum,
-           stat_polynomial(stirling_permutations(n), {"asc": "x", "des": "y", "plat": "z"}))
+           stat_polynomial("stirling-permutations", n, {"asc": "x", "des": "y", "plat": "z"}))
     yield ("recurrence vs single-tree leaf enumeration", dum,
-           tally((f.leaves for f in grow_forests("full-ternary", n) if f.k == 1), ("x", "y", "z")))
+           _forest_poly("full-ternary", n, ("x", "y", "z", "q")).slices("q").get(1, Polynomial()))
     yield "symmetry under swapping first two slots", dum, dum.subs({"x": Y, "y": X})
     yield "symmetry under swapping outer slots", dum, dum.subs({"x": Z, "z": X})
 
@@ -420,10 +410,11 @@ def _full_ternary_forest(n: int):
 def _stirling_list_distribution(n: int):
     op = normal_order_power(X * Y * Z, Grammar.preset("full-ternary"), n).specialize(Q)
     yield ("normal order vs block-list enumeration", op,
-           stat_polynomial(stirling_lists(n), {"asc": "x", "plat": "y", "des": "z", "blocks": "q"}))
+           stat_polynomial("stirling-lists", n,
+                           {"asc": "x", "plat": "y", "des": "z", "blocks": "q"}))
     yield ("single-block slice vs ascent-descent-plateau polynomial",
            op.slices("q").get(1, Polynomial()),
-           stat_polynomial(stirling_permutations(n), {"asc": "x", "plat": "y", "des": "z"}))
+           stat_polynomial("stirling-permutations", n, {"asc": "x", "plat": "y", "des": "z"}))
 
 
 @check("beta-e-expansion",
@@ -460,7 +451,7 @@ def _type_b_eulerian_numbers(n: int):
        "signed-word descent enumeration reproduces the recurrence polynomial", 0, 7, 5)
 def _signed_permutation_descents(n: int):
     yield ("signed-word descent enumeration vs recurrence",
-           stat_polynomial(signed_permutations(n), {"des_b": "x"}), assemble("type-b-x", n))
+           stat_polynomial("signed-permutations", n, {"des_b": "x"}), assemble("type-b-x", n))
 
 
 @check("swap-grammar-expansion",
@@ -493,7 +484,7 @@ def _type_b_normal_order_rows(n: int):
 def _flag_ascent_plateau(n: int):
     poly = assemble("flag-ascent-plateau-x", n)
     yield ("derivative recurrence vs flagged-plateau enumeration", poly,
-           stat_polynomial(stirling_permutations(n), {"fap": "x"}))
+           stat_polynomial("stirling-permutations", n, {"fap": "x"}))
     yield ("triangle assembly at unit slots vs recurrence",
            assemble("B", n).subs({"y": ONE, "z": ONE}), poly)
 
@@ -502,7 +493,7 @@ def _flag_ascent_plateau(n: int):
        "plateau-start counts match the single-slice row one level up", 0, 7, 5)
 def _ascent_plateau_rows(n: int):
     yield ("single-slice row one level up vs plateau-start enumeration",
-           _slice_one_up("E", n), stat_polynomial(stirling_permutations(n), {"ap": "x"}))
+           _slice_one_up("E", n), stat_polynomial("stirling-permutations", n, {"ap": "x"}))
 
 
 @check("bessel-diagonal",
@@ -519,7 +510,7 @@ def _bessel_diagonal(n: int):
        "alternating-run enumeration matches the derivative recurrence", 0, 8, 6)
 def _updown_runs(n: int):
     yield ("derivative recurrence vs alternating-run enumeration",
-           assemble("updown-run-x", n), stat_polynomial(permutations(n), {"udrun": "x"}))
+           assemble("updown-run-x", n), stat_polynomial("permutations", n, {"udrun": "x"}))
 
 
 @check("updown-normal-order",

@@ -28,14 +28,7 @@ import sys
 from typing import Iterable, List, Optional
 
 from .checks import check_ids, render_report, results_to_json, run_all, run_check
-from .combinat import (
-    list_partitions,
-    permutations,
-    signed_permutations,
-    stirling_lists,
-    stirling_permutations,
-)
-from .forests import grow_forests
+from .combinat import CAPS, SCANS, records
 from .grammar import PRESETS, Grammar
 from .normal_form import normal_order_power
 from .poly import _SYMBOL, ParseError, Polynomial, parse, variable
@@ -108,22 +101,7 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
 
 # -- enumerate -------------------------------------------------------------
 
-_OBJECT_GENERATORS = {
-    "permutations": permutations,
-    "signed-permutations": signed_permutations,
-    "stirling-permutations": stirling_permutations,
-    "list-partitions": list_partitions,
-    "stirling-lists": stirling_lists,
-}
-
-_FOREST_OBJECTS = {
-    "binary-forests": "binary",
-    "full-binary-forests": "full-binary",
-    "ternary-forests": "ternary",
-    "full-ternary-forests": "full-ternary",
-}
-
-OBJECT_NAMES = tuple(sorted(_OBJECT_GENERATORS)) + tuple(sorted(_FOREST_OBJECTS))
+OBJECT_NAMES = tuple(sorted(SCANS)) + tuple(sorted(set(CAPS) - set(SCANS)))
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
@@ -134,11 +112,10 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
         wanted = [s.strip() for s in args.stats.split(",") if s.strip()]
         if not wanted:
             raise UsageError("--stats must name at least one statistic")
-    if args.objects in _FOREST_OBJECTS:
-        flavor = _FOREST_OBJECTS[args.objects]
+    if args.objects not in SCANS:
         if wanted is not None:
             raise UsageError("--stats applies to statistic-bearing objects, not forests")
-        for forest in grow_forests(flavor, args.n):
+        for forest in records(args.objects, args.n):
             if args.format == "json":
                 record = {
                     "object": forest.encode(),
@@ -153,21 +130,14 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
                     file=out,
                 )
         return 0
-    first = True
-    # Over its cap, a generator raises ValueError on the first record, before any output.
-    for record in _OBJECT_GENERATORS[args.objects](args.n):
-        if wanted is None:
-            stats = record.stats
-        else:
-            if first:
-                missing = [s for s in wanted if s not in record.scans]
-                if missing:
-                    known = ", ".join(sorted(record.scans))
-                    raise UsageError(
-                        f"unknown statistic(s) {', '.join(missing)}; known: {known}"
-                    )
-            stats = {s: record.stat(s) for s in wanted}
-        first = False
+    # Over its cap, records raises ValueError when called, before any output.
+    views = records(args.objects, args.n)
+    missing = [s for s in wanted or () if s not in SCANS[args.objects]]
+    if missing:
+        known = ", ".join(sorted(SCANS[args.objects]))
+        raise UsageError(f"unknown statistic(s) {', '.join(missing)}; known: {known}")
+    for record in views:
+        stats = record.stats if wanted is None else {s: record.stat(s) for s in wanted}
         if args.format == "json":
             print(
                 json.dumps({"object": record.object_id, "stats": stats}, sort_keys=True),

@@ -1,22 +1,24 @@
 """Brute-force enumeration of labelled objects together with their statistics.
 
-These generators are the independent oracles of the package: they build
+These enumerators are the independent oracles of the package: they build
 every object of a class by direct insertion, compute statistics by naive
 scanning, and never consult recurrences or operator expansions.  Every
 insertion enumerator, here and in :mod:`normord.forests`, is one
 depth-first walk, :func:`grow`, from the empty object through ``n``
 insertions; each states only its insertion step ``children(obj, i)``.  The
 walk is one loop over a stack of child iterators, one per insertion made,
-so an object costs the same at any depth.  Each enumerator yields
-StatRecord values that hold the raw object (a word, or a tuple of blocks)
-and its kind's table of named statistic scans.  A record computes its
-canonical text id and its statistics when they are read: ``rec.stat(name)``
-runs one scan, ``rec.stats`` runs them all and ``rec.object_id`` renders
-the id.  Every tally of objects into a polynomial goes through one
-accumulator, :func:`tally`, which counts exponent keys and builds one
-monomial per distinct key; :func:`stat_polynomial` feeds it the assigned
-statistics of records, and only those, through :func:`stat_keys`, which
-looks the names up in a kind's scan table once per kind, not per record.
+so an object costs the same at any depth.
+
+An enumerator checks its cap when called and returns its walk, which
+yields the raw objects: one-line, signed or Stirling words, or tuples of
+blocks.  :data:`SCANS` holds each kind's named statistic scans of one raw
+object, and ``_ENUMERATORS`` its enumerator, both keyed like :data:`CAPS`.
+Every tally of objects into a polynomial goes through one accumulator,
+:func:`tally`, which counts exponent keys and builds one monomial per
+distinct key; :func:`stat_polynomial` feeds it the assigned statistics of
+a kind's objects, and only those, through :func:`stat_keys`.  The public
+views, a :class:`StatRecord` per object or a forest, are built by
+:func:`records` for callers that read ids, as ``normord enumerate`` does.
 
 Conventions that matter and are easy to get wrong:
 
@@ -43,13 +45,17 @@ caps keep full enumerations inside a test-friendly budget; pass a larger
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, repeat
 from itertools import permutations as _one_line_words
 from itertools import product as _product
-from operator import eq, gt, lt
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from operator import eq, gt, lt, neg
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .poly import Monomial, Polynomial
+
+if TYPE_CHECKING:
+    from .forests import Forest
 
 T = TypeVar("T")
 
@@ -71,11 +77,11 @@ Scans = Mapping[str, Callable[..., int]]
 
 
 class StatRecord:
-    """An enumerated object with its kind's statistic scans; id and stats are computed when read.
+    """The public view of one raw object; its id and statistics are computed when read.
 
     ``obj`` is the raw object: a one-line word, a signed word or a Stirling
-    word here, a tuple of blocks in :class:`_BlocksRecord`.  ``scans`` maps
-    each statistic name to a function of ``obj``.
+    word here, a tuple of blocks in :class:`_BlocksRecord`.  ``scans`` is
+    its kind's :data:`SCANS` entry.
     """
 
     __slots__ = ("obj", "scans")
@@ -241,35 +247,24 @@ def list_double_descents(block: tuple[int, ...]) -> int:
     )
 
 
-# -- object generators -----------------------------------------------------
+# -- enumerators -----------------------------------------------------------
 
 
-# cyc and cdes both read the cycle form; reading both of one word builds it once.
-_word_cycles = lru_cache(maxsize=1)(standard_cycles)
-
-_PERMUTATION_SCANS: Scans = {
-    "des": descents,
-    "exc": excedances,
-    "cyc": lambda word: len(_word_cycles(word)),
-    "cdes": lambda word: sum(map(descents, _word_cycles(word))),
-    "udrun": updown_runs,
-}
-_SIGNED_PERMUTATION_SCANS: Scans = {"des_b": type_b_descents}
-
-
-def permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
-    """All permutations of [n] with des, exc, cyc, cdes and udrun."""
+def permutations(n: int, *, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All permutations of [n] as one-line words, in lexicographic order."""
     check_cap("permutations", n, cap)
-    for word in _one_line_words(range(1, n + 1)):
-        yield StatRecord(word, _PERMUTATION_SCANS)
+    return _one_line_words(range(1, n + 1))
 
 
-def signed_permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
-    """All signed permutations of [n] with the type B descent count."""
+def _signings(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every sign choice on ``word``, each letter positive before negative."""
+    return _product(*zip(word, map(neg, word)))
+
+
+def signed_permutations(n: int, *, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All signed permutations of [n]: each one-line word under every sign choice."""
     check_cap("signed-permutations", n, cap)
-    for word in _one_line_words(range(1, n + 1)):
-        for signed in _product(*((v, -v) for v in word)):
-            yield StatRecord(signed, _SIGNED_PERMUTATION_SCANS)
+    return chain.from_iterable(map(_signings, _one_line_words(range(1, n + 1))))
 
 
 def _stirling_words(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -283,34 +278,57 @@ def _stirling_words(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return grow((), len(values), children)
 
 
-_STIRLING_PERMUTATION_SCANS: Scans = {
-    "asc": stirling_ascents,
-    "des": stirling_descents,
-    "plat": plateaus,
-    "ap": ascent_plateaus,
-    "fap": flag_ascent_plateaus,
-}
-
-
-def stirling_permutations(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
-    """All Stirling permutations of {1^2, ..., n^2} with their statistics."""
+def stirling_permutations(n: int, *, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All Stirling permutations of {1^2, ..., n^2} as words."""
     check_cap("stirling-permutations", n, cap)
-    for word in _stirling_words(tuple(range(1, n + 1))):
-        yield StatRecord(word, _STIRLING_PERMUTATION_SCANS)
+    return _stirling_words(tuple(range(1, n + 1)))
 
 
-def _list_partition_shapes(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Partitions of [n] into ordered lists; blocks sorted by their minima."""
+def _list_insertions(blocks: tuple[tuple[int, ...], ...], m: int):
+    v = m + 1
+    for bi, block in enumerate(blocks):
+        for pos in range(len(block) + 1):
+            grown = block[:pos] + (v,) + block[pos:]
+            yield blocks[:bi] + (grown,) + blocks[bi + 1 :]
+    yield blocks + ((v,),)
 
-    def children(blocks: tuple[tuple[int, ...], ...], m: int):
-        v = m + 1
-        for bi, block in enumerate(blocks):
-            for pos in range(len(block) + 1):
-                grown = block[:pos] + (v,) + block[pos:]
-                yield blocks[:bi] + (grown,) + blocks[bi + 1 :]
-        yield blocks + ((v,),)
 
-    return grow((), n, children)
+def list_partitions(n: int, *, cap: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Partitions of [n] into ordered lists, as tuples of blocks sorted by their minima."""
+    check_cap("list-partitions", n, cap)
+    return grow((), n, _list_insertions)
+
+
+def _set_insertions(blocks: tuple[tuple[int, ...], ...], m: int):
+    v = m + 1
+    for bi, block in enumerate(blocks):
+        yield blocks[:bi] + (block + (v,),) + blocks[bi + 1 :]
+    yield blocks + ((v,),)
+
+
+def _stirling_fillings(blocks: tuple[tuple[int, ...], ...]) -> Iterator[tuple]:
+    """Every choice of one Stirling permutation of each block's values."""
+    return _product(*map(_stirling_words, blocks))
+
+
+def stirling_lists(n: int, *, cap: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Partitions of {1^2, ..., n^2} into blocks of Stirling permutations.
+
+    Each set partition of [n] (blocks sorted by their minima) is filled with
+    every choice of one Stirling permutation per block.
+    """
+    check_cap("stirling-lists", n, cap)
+    return chain.from_iterable(map(_stirling_fillings, grow((), n, _set_insertions)))
+
+
+# Keyed like CAPS; the one table through which tallies and records reach an enumerator.
+_ENUMERATORS = {
+    "permutations": permutations,
+    "signed-permutations": signed_permutations,
+    "stirling-permutations": stirling_permutations,
+    "list-partitions": list_partitions,
+    "stirling-lists": stirling_lists,
+}
 
 
 def _summed(scan: Callable[[tuple[int, ...]], int]) -> Callable[..., int]:
@@ -318,51 +336,58 @@ def _summed(scan: Callable[[tuple[int, ...]], int]) -> Callable[..., int]:
     return lambda blocks: sum(map(scan, blocks))
 
 
-_LIST_PARTITION_SCANS: Scans = {
-    "blocks": len,
-    "asc": _summed(stirling_ascents),
-    "des": _summed(stirling_descents),
-    "val": _summed(list_valleys),
-    "dd": _summed(list_double_descents),
+# cyc and cdes both read the cycle form; reading both of one word builds it once.
+_word_cycles = lru_cache(maxsize=1)(standard_cycles)
+
+# Each statistic-bearing kind's named scans of one raw object.
+SCANS: Mapping[str, Scans] = {
+    "permutations": {
+        "des": descents,
+        "exc": excedances,
+        "cyc": lambda word: len(_word_cycles(word)),
+        "cdes": lambda word: sum(map(descents, _word_cycles(word))),
+        "udrun": updown_runs,
+    },
+    "signed-permutations": {"des_b": type_b_descents},
+    "stirling-permutations": {
+        "asc": stirling_ascents,
+        "des": stirling_descents,
+        "plat": plateaus,
+        "ap": ascent_plateaus,
+        "fap": flag_ascent_plateaus,
+    },
+    "list-partitions": {
+        "blocks": len,
+        "asc": _summed(stirling_ascents),
+        "des": _summed(stirling_descents),
+        "val": _summed(list_valleys),
+        "dd": _summed(list_double_descents),
+    },
+    "stirling-lists": {
+        "blocks": len,
+        "asc": _summed(stirling_ascents),
+        "des": _summed(stirling_descents),
+        "plat": _summed(plateaus),
+    },
 }
 
 
-def list_partitions(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
-    """Partitions of [n] into lists, with block count and padded-word stats."""
-    check_cap("list-partitions", n, cap)
-    for blocks in _list_partition_shapes(n):
-        yield _BlocksRecord(blocks, _LIST_PARTITION_SCANS)
+def records(kind: str, n: int, *, cap: int | None = None) -> Iterator[StatRecord | Forest]:
+    """The public view of each object of ``kind`` on [n], in enumeration order.
 
-
-def _set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    def children(blocks: tuple[tuple[int, ...], ...], m: int):
-        v = m + 1
-        for bi, block in enumerate(blocks):
-            yield blocks[:bi] + (block + (v,),) + blocks[bi + 1 :]
-        yield blocks + ((v,),)
-
-    return grow((), n, children)
-
-
-_STIRLING_LIST_SCANS: Scans = {
-    "blocks": len,
-    "asc": _summed(stirling_ascents),
-    "des": _summed(stirling_descents),
-    "plat": _summed(plateaus),
-}
-
-
-def stirling_lists(n: int, *, cap: int | None = None) -> Iterator[StatRecord]:
-    """Partitions of {1^2, ..., n^2} into blocks of Stirling permutations.
-
-    Statistics are summed over blocks, each block word padded with 0 at
-    both ends for ascents and descents; plateaus are interior.
+    ``kind`` is an ``enumerate --objects`` name.  A statistic-bearing kind
+    yields a :class:`StatRecord` per object, a forest kind a
+    :class:`normord.forests.Forest`.  Size and cap are checked when called.
     """
-    check_cap("stirling-lists", n, cap)
-    for blocks in _set_partitions(n):
-        per_block = [list(_stirling_words(b)) for b in blocks]
-        for choice in _product(*per_block):
-            yield _BlocksRecord(choice, _STIRLING_LIST_SCANS)
+    if kind not in CAPS:
+        raise KeyError(f"unknown objects {kind!r}; known: {', '.join(CAPS)}")
+    if kind in SCANS:
+        view = _BlocksRecord if kind in ("list-partitions", "stirling-lists") else StatRecord
+        return map(view, _ENUMERATORS[kind](n, cap=cap), repeat(SCANS[kind]))
+    from .forests import Forest, grow_forests  # forests builds on this module
+
+    flavor = kind.removesuffix("-forests")
+    return map(partial(Forest, flavor), grow_forests(flavor, n, cap=cap))
 
 
 def tally(keys: Iterable[tuple[int, ...]], symbols: tuple[str, ...]) -> Polynomial:
@@ -385,32 +410,25 @@ def _key_function(scans: tuple[Callable[..., int], ...]) -> Callable[[tuple], tu
     return lambda obj: tuple([scan(obj) for scan in scans])
 
 
-def stat_keys(records: Iterable[StatRecord], names: tuple[str, ...]) -> Iterator[tuple[int, ...]]:
-    """Each record's statistics ``names``, in that order; only those are scanned.
+def stat_keys(kind: str, n: int, names: tuple[str, ...]) -> Iterator[tuple[int, ...]]:
+    """The statistics ``names``, in that order, of each object of ``kind`` on [n].
 
-    The names are resolved to scans once per record kind: again only when a
-    record's ``scans`` table differs from the one before it.
+    Only the named scans run.  The names and the cap are checked when
+    called: a name the kind lacks raises KeyError naming it.
     """
-    scans = key = None
-    for rec in records:
-        if rec.scans is not scans:
-            scans = rec.scans
-            try:
-                key = _key_function(tuple([scans[name] for name in names]))
-            except KeyError as exc:
-                raise KeyError(
-                    f"record {rec.object_id!r} has no statistic {exc.args[0]!r}"
-                ) from None
-        yield key(rec.obj)
+    if kind not in SCANS:
+        raise KeyError(f"no statistics for objects {kind!r}; known: {', '.join(SCANS)}")
+    scans = SCANS[kind]
+    missing = [name for name in names if name not in scans]
+    if missing:
+        raise KeyError(f"no statistic {missing[0]!r} on {kind}; known: {', '.join(scans)}")
+    return map(_key_function(tuple([scans[name] for name in names])), _ENUMERATORS[kind](n))
 
 
-def stat_polynomial(
-    records: Iterable[StatRecord], assignment: Mapping[str, str]
-) -> Polynomial:
-    """Tally sum over records of the product symbol^statistic.
+def stat_polynomial(kind: str, n: int, assignment: Mapping[str, str]) -> Polynomial:
+    """Tally, over the objects of ``kind`` on [n], the product symbol^statistic.
 
-    ``assignment`` maps statistic names to symbol names; every assigned
-    statistic must be present on every record.  Only the assigned
+    ``assignment`` maps statistic names to symbol names; only the assigned
     statistics are computed.
     """
-    return tally(stat_keys(records, tuple(assignment)), tuple(assignment.values()))
+    return tally(stat_keys(kind, n, tuple(assignment)), tuple(assignment.values()))

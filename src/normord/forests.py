@@ -19,6 +19,11 @@ existing leaf, whose letter becomes ``m+1(<node slots>)``, or as a new
 rightmost root; the leaves are tried in that preorder, then the new root.
 This insertion procedure generates every forest exactly once, which the
 tests verify by checking encodings for duplicates against known counts.
+
+:func:`grow_forests` checks the flavor and the cap when called and returns
+the walk of encodings.  A tally reads each encoding with one
+:func:`census`; :class:`Forest` is the public view that
+``normord enumerate`` builds per encoding.
 """
 
 from __future__ import annotations
@@ -39,6 +44,11 @@ FLAVORS = {
 }
 
 
+def census(word: str) -> tuple[int, int, int, int]:
+    """The x, y and z leaf counts of an encoding, then its tree count."""
+    return word.count("x"), word.count("y"), word.count("z"), word.count("+") + (word != "")
+
+
 @dataclass(frozen=True)
 class Forest:
     """A forest held as its encoding; ``k`` and the leaf counts are scans of it."""
@@ -48,12 +58,11 @@ class Forest:
 
     @property
     def k(self) -> int:
-        return self.encoding.count("+") + 1 if self.encoding else 0
+        return census(self.encoding)[3]
 
     @property
     def leaves(self) -> Leaves:
-        word = self.encoding
-        return (word.count("x"), word.count("y"), word.count("z"))
+        return census(self.encoding)[:3]
 
     def leaf_count(self, letter: str) -> int:
         return self.leaves["xyz".index(letter)]
@@ -62,8 +71,8 @@ class Forest:
         return self.encoding
 
 
-def grow_forests(flavor: str, n: int, *, cap: int | None = None) -> Iterator[Forest]:
-    """All forests of the flavor on [n], one at a time."""
+def grow_forests(flavor: str, n: int, *, cap: int | None = None) -> Iterator[str]:
+    """The encodings of all forests of the flavor on [n], one at a time."""
     if flavor not in FLAVORS:
         known = ", ".join(FLAVORS)
         raise KeyError(f"unknown forest flavor {flavor!r}; known: {known}")
@@ -78,5 +87,4 @@ def grow_forests(flavor: str, n: int, *, cap: int | None = None) -> Iterator[For
         root = f"{m + 1}({root_slots})"
         yield f"{word} + {root}" if word else root
 
-    for word in grow("", n, children):
-        yield Forest(flavor, word)
+    return grow("", n, children)

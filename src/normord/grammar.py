@@ -49,6 +49,10 @@ class Grammar:
     def __post_init__(self):
         clean: dict[str, Polynomial] = {}
         for name, rhs in self.rules.items():
+            if not isinstance(name, str):
+                raise TypeError(f"rule key {name!r} is not a symbol name")
+            if not _SYMBOL.fullmatch(name):
+                raise ValueError(f"bad rule symbol {name!r}")
             p = Polynomial._coerce(rhs)
             if p is None:
                 raise TypeError(f"rule for {name!r} is not a polynomial")

@@ -19,18 +19,13 @@ from normord import (
     e_expand,
     family_row,
     gamma_expand,
-    grow_forests,
-    list_partitions,
     mono,
     normal_order_power,
     parse,
-    permutations,
+    records,
     rising_factorial,
     run_check,
-    signed_permutations,
     stat_polynomial,
-    stirling_lists,
-    stirling_permutations,
     variable,
 )
 
@@ -67,7 +62,7 @@ def row_to_coefficient(row: dict, k: int, term) -> Polynomial:
 
 def forest_tally(flavor: str, n: int) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
-    for f in grow_forests(flavor, n):
+    for f in records(f"{flavor}-forests", n):
         key = (f.k, f.leaf_count("x"))
         out[key] = out.get(key, 0) + 1
     return out
@@ -159,7 +154,7 @@ def test_cycle_statistic_expansion():
     for n in range(1, 9):
         op = normal_order_power(x, g, n).specialize(q)
         enum = Polynomial()
-        for rec in permutations(n):
+        for rec in records("permutations", n):
             s = rec.stats
             enum = enum + mono(
                 1, x=n - s["exc"], y=s["exc"], p=s["cdes"], q=s["cyc"]
@@ -178,7 +173,7 @@ def test_full_binary_and_list_partition_tallies():
             assert nf.coefficient(k) == want, (n, k)
         assert forest_tally("full-binary", n) == row, n
         lists: dict[tuple[int, int], int] = {}
-        for rec in list_partitions(n):
+        for rec in records("list-partitions", n):
             key = (rec.stats["blocks"], rec.stats["asc"])
             lists[key] = lists.get(key, 0) + 1
         assert lists == row, n
@@ -195,7 +190,7 @@ def test_full_binary_and_list_partition_tallies():
         gamma = gamma_expand(assemble("a", n))
         assert all(v >= 0 for v in gamma.values()), n
         valleys: dict[tuple[int, int], int] = {}
-        for rec in list_partitions(n):
+        for rec in records("list-partitions", n):
             if rec.stats["dd"]:
                 continue
             key = (rec.stats["blocks"], rec.stats["blocks"] + rec.stats["val"])
@@ -237,10 +232,10 @@ def test_ternary_families_and_series():
         from_grammar = tri.derive_power(x, n)
         from_recurrence = assemble("second-order-xyz", n)
         from_words = stat_polynomial(
-            stirling_permutations(n), {"asc": "x", "des": "y", "plat": "z"}
+            "stirling-permutations", n, {"asc": "x", "des": "y", "plat": "z"}
         )
         trees = Polynomial()
-        for f in grow_forests("full-ternary", n):
+        for f in records("full-ternary-forests", n):
             if f.k == 1:
                 trees = trees + mono(1, x=f.leaves[0], y=f.leaves[1], z=f.leaves[2])
         assert from_grammar == from_recurrence == from_words == trees, n
@@ -252,7 +247,7 @@ def test_ternary_families_and_series():
     for n in range(1, 6):
         op = normal_order_power(x * y * z, ful, n).specialize(q)
         enum = stat_polynomial(
-            stirling_lists(n), {"asc": "x", "plat": "y", "des": "z", "blocks": "q"}
+            "stirling-lists", n, {"asc": "x", "plat": "y", "des": "z", "blocks": "q"}
         )
         assert op == enum, n
 
@@ -284,7 +279,7 @@ def test_type_b_families():
 
     for n in range(1, 8):
         tally: dict[int, int] = {}
-        for rec in signed_permutations(n):
+        for rec in records("signed-permutations", n):
             d = rec.stats["des_b"]
             tally[d] = tally.get(d, 0) + 1
         eb = family_row("eulerianB", n)
@@ -293,13 +288,13 @@ def test_type_b_families():
     for n in range(1, 8):
         b_spec = assemble("B", n).subs({"y": 1, "z": 1})
         f_row = assemble("flag-ascent-plateau-x", n)
-        enum = stat_polynomial(stirling_permutations(n), {"fap": "x"})
+        enum = stat_polynomial("stirling-permutations", n, {"fap": "x"})
         assert b_spec == f_row == enum, n
 
     for n in range(1, 8):
         row = family_row("E", n + 1)
         counts: dict[int, int] = {}
-        for rec in stirling_permutations(n):
+        for rec in records("stirling-permutations", n):
             a = rec.stats["ap"]
             counts[a] = counts.get(a, 0) + 1
         assert {l: v for (k, l), v in row.items() if k == 1} == counts, n
@@ -319,7 +314,7 @@ def test_type_b_families():
 
     for n in range(1, 9):
         t_rec = assemble("updown-run-x", n)
-        t_enum = stat_polynomial(permutations(n), {"udrun": "x"})
+        t_enum = stat_polynomial("permutations", n, {"udrun": "x"})
         assert t_rec == t_enum, n
         homog = Polynomial()
         for m, c in t_rec.terms():

@@ -4,11 +4,14 @@ Wrapping the registry's one compare function records, for each check, the
 ordered lines ``n, note, sha256(left render), sha256(right render)``.  Their
 count and sha256 must match ``data/check_comparisons_quick.json``, so a
 change to which sides a check compares, in what order, or what they render
-to fails the test named after that check.
+to fails the test named after that check.  The full profile is pinned the
+same way by ``data/check_comparisons_full.json``: it reaches the levels the
+quick profile never does, such as n = 7..9 of the forest and signed-word
+enumerations.
 
-``python tests/test_check_comparisons.py full`` prints the same record for
-the full profile (about 25 s) as JSON, to compare against a record taken at
-another revision.
+``python tests/test_check_comparisons.py full`` prints the full record as
+JSON (4.3-4.9 s on a 2-vCPU host under CPython 3.11), to compare against a
+record taken at another revision.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import pytest
 from normord import checks
 
 RECORD = Path(__file__).parent / "data" / "check_comparisons_quick.json"
+FULL_RECORD = Path(__file__).parent / "data" / "check_comparisons_full.json"
 
 
 def _sha(text: str) -> str:
@@ -67,6 +71,18 @@ def test_record_covers_the_registry(quick_record):
 @pytest.mark.parametrize("check_id", sorted(json.loads(RECORD.read_text())))
 def test_comparisons_match_record(quick_record, check_id):
     assert quick_record[check_id] == json.loads(RECORD.read_text())[check_id]
+
+
+@pytest.fixture(scope="module")
+def full_record() -> dict:
+    return record_comparisons("full")
+
+
+@pytest.mark.parametrize("check_id", sorted(json.loads(FULL_RECORD.read_text())))
+def test_full_comparisons_match_record(full_record, check_id):
+    expected = json.loads(FULL_RECORD.read_text())
+    assert sorted(full_record) == sorted(expected)
+    assert full_record[check_id] == expected[check_id]
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from normord import (
     mono,
     parse,
     permutations,
+    records,
     signed_permutations,
     stat_polynomial,
     stirling_lists,
@@ -23,6 +24,8 @@ from normord import (
 )
 from normord import combinat
 from normord.combinat import (
+    CAPS,
+    SCANS,
     cycle_descents,
     grow,
     stat_keys,
@@ -32,12 +35,13 @@ from normord.combinat import (
     updown_runs,
 )
 
-GENERATORS = (
-    (permutations, 5),
-    (signed_permutations, 4),
-    (stirling_permutations, 4),
-    (list_partitions, 4),
-    (stirling_lists, 3),
+# Each statistic-bearing kind with a size small enough for record-by-record tests.
+KINDS = (
+    ("permutations", 5),
+    ("signed-permutations", 4),
+    ("stirling-permutations", 4),
+    ("list-partitions", 4),
+    ("stirling-lists", 3),
 )
 
 
@@ -71,8 +75,8 @@ class TestCounts:
             assert sum(1 for _ in list_partitions(n)) == want
 
     def test_object_ids_unique(self):
-        for gen, n in GENERATORS:
-            ids = [r.object_id for r in gen(n)]
+        for kind, n in KINDS:
+            ids = [r.object_id for r in records(kind, n)]
             assert len(ids) == len(set(ids))
 
 
@@ -91,7 +95,7 @@ ENUMERATION_DIGESTS = [
 def test_enumeration_digest(name, n_max, want):
     h = hashlib.sha256()
     for n in range(n_max + 1):
-        for rec in getattr(combinat, name)(n):
+        for rec in records(name.replace("_", "-"), n):
             stats = " ".join(f"{k}={v}" for k, v in sorted(rec.stats.items()))
             h.update(f"{rec.object_id}\t{stats}\n".encode())
     assert h.hexdigest() == want
@@ -139,20 +143,20 @@ class TestCaps:
 
 class TestSmallRecords:
     def test_single_permutation(self):
-        (rec,) = permutations(1)
+        (rec,) = records("permutations", 1)
         assert rec.stats == {"des": 0, "exc": 0, "cyc": 1, "cdes": 0, "udrun": 1}
 
     def test_empty_permutation(self):
-        (rec,) = permutations(0)
+        (rec,) = records("permutations", 0)
         assert rec.stats["udrun"] == 0
 
     def test_single_stirling_permutation(self):
-        (rec,) = stirling_permutations(1)
+        (rec,) = records("stirling-permutations", 1)
         assert rec.object_id == "1,1"
         assert rec.stats == {"asc": 1, "des": 1, "plat": 1, "ap": 0, "fap": 1}
 
     def test_single_list(self):
-        (rec,) = list_partitions(1)
+        (rec,) = records("list-partitions", 1)
         assert rec.stats["blocks"] == 1
         assert rec.stats["asc"] == 1
         assert rec.stats["des"] == 1
@@ -168,49 +172,49 @@ class TestSmallRecords:
             return count
 
         for n in range(6):
-            for rec in list_partitions(n):
+            for rec in records("list-partitions", n):
                 assert rec.stat("asc") == padded(rec.obj, True), rec.object_id
                 assert rec.stat("des") == padded(rec.obj, False), rec.object_id
 
     def test_stirling_permutations_of_order_two(self):
-        ids = {r.object_id for r in stirling_permutations(2)}
+        ids = {r.object_id for r in records("stirling-permutations", 2)}
         assert ids == {"1,1,2,2", "1,2,2,1", "2,2,1,1"}
 
     def test_stirling_lists_of_order_two(self):
-        ids = {r.object_id for r in stirling_lists(2)}
+        ids = {r.object_id for r in records("stirling-lists", 2)}
         assert ids == {"1,1,2,2", "1,2,2,1", "2,2,1,1", "1,1|2,2"}
-        blocks = {r.object_id: r.stats["blocks"] for r in stirling_lists(2)}
+        blocks = {r.object_id: r.stats["blocks"] for r in records("stirling-lists", 2)}
         assert blocks["1,1|2,2"] == 2
 
     def test_signed_order_one(self):
-        stats = {r.object_id: r.stats["des_b"] for r in signed_permutations(1)}
+        stats = {r.object_id: r.stats["des_b"] for r in records("signed-permutations", 1)}
         assert stats == {"1": 0, "-1": 1}
 
     def test_signed_order_two_sequence(self):
-        ids = [r.object_id for r in signed_permutations(2)]
+        ids = [r.object_id for r in records("signed-permutations", 2)]
         assert ids == ["1,2", "1,-2", "-1,2", "-1,-2", "2,1", "2,-1", "-2,1", "-2,-1"]
 
 
 class TestLazyRecords:
     def test_stat_matches_stats(self):
-        for gen, n in GENERATORS:
-            for rec in gen(n):
+        for kind, n in KINDS:
+            for rec in records(kind, n):
                 assert rec.stats == {name: rec.stat(name) for name in rec.scans}
 
     def test_unknown_stat_raises(self):
-        (rec,) = permutations(1)
+        (rec,) = records("permutations", 1)
         with pytest.raises(KeyError):
             rec.stat("nope")
 
     def test_stats_build_cycle_form_once_per_word(self):
         combinat._word_cycles.cache_clear()
-        for rec in permutations(4):
+        for rec in records("permutations", 4):
             rec.stats
         info = combinat._word_cycles.cache_info()
         assert (info.misses, info.hits) == (24, 24)
 
     def test_stat_polynomial_scans_only_assigned(self, monkeypatch):
-        scans = next(stirling_permutations(1)).scans
+        scans = SCANS["stirling-permutations"]
         fap = scans["fap"]
         calls = []
 
@@ -224,7 +228,7 @@ class TestLazyRecords:
         for name in scans:
             monkeypatch.setitem(scans, name, unassigned)
         monkeypatch.setitem(scans, "fap", counted)
-        got = stat_polynomial(stirling_permutations(3), {"fap": "x"})
+        got = stat_polynomial("stirling-permutations", 3, {"fap": "x"})
         assert got == assemble("flag-ascent-plateau-x", 3)
         assert len(calls) == 15
 
@@ -253,7 +257,7 @@ class TestStatisticValues:
 
     def test_permutation_invariant(self):
         for n in range(7):
-            for rec in permutations(n):
+            for rec in records("permutations", n):
                 s = rec.stats
                 assert s["exc"] + s["cdes"] + s["cyc"] == n
 
@@ -261,56 +265,54 @@ class TestStatisticValues:
 class TestDistributions:
     def test_descents_and_excedances_agree(self):
         for n in range(1, 8):
-            recs = list(permutations(n))
-            assert stat_polynomial(recs, {"des": "x"}) == stat_polynomial(
-                recs, {"exc": "x"}
+            assert stat_polynomial("permutations", n, {"des": "x"}) == stat_polynomial(
+                "permutations", n, {"exc": "x"}
             )
 
     def test_descent_polynomial(self):
-        got = stat_polynomial(permutations(3), {"des": "x"}) * variable("x")
+        got = stat_polynomial("permutations", 3, {"des": "x"}) * variable("x")
         assert got == assemble("eulerian-x", 3)
 
     def test_cycle_polynomial_matches_recurrence(self):
         # The displayed recurrence output times q equals the enumeration.
         for n in range(1, 8):
             got = Polynomial()
-            for rec in permutations(n):
+            for rec in records("permutations", n):
                 got = got + mono(1, x=rec.stats["exc"], q=rec.stats["cyc"])
             assert got == assemble("eulerian-xq", n) * variable("q")
 
     def test_type_b_descent_polynomial(self):
         for n in range(1, 6):
-            got = stat_polynomial(signed_permutations(n), {"des_b": "x"})
+            got = stat_polynomial("signed-permutations", n, {"des_b": "x"})
             assert got == assemble("type-b-x", n)
 
     def test_stirling_trivariate(self):
         got = stat_polynomial(
-            stirling_permutations(2), {"asc": "x", "des": "y", "plat": "z"}
+            "stirling-permutations", 2, {"asc": "x", "des": "y", "plat": "z"}
         )
         assert got == parse("x*y^2*z^2 + x^2*y*z^2 + x^2*y^2*z")
 
     def test_stirling_slots_equidistributed(self):
         for n in range(1, 6):
-            recs = list(stirling_permutations(n))
-            a = stat_polynomial(recs, {"asc": "x"})
-            d = stat_polynomial(recs, {"des": "x"})
-            p = stat_polynomial(recs, {"plat": "x"})
+            a = stat_polynomial("stirling-permutations", n, {"asc": "x"})
+            d = stat_polynomial("stirling-permutations", n, {"des": "x"})
+            p = stat_polynomial("stirling-permutations", n, {"plat": "x"})
             assert a == d == p == assemble("second-order-x", n)
 
     def test_flag_ascent_plateau_polynomial(self):
         for n in range(1, 6):
-            got = stat_polynomial(stirling_permutations(n), {"fap": "x"})
+            got = stat_polynomial("stirling-permutations", n, {"fap": "x"})
             assert got == assemble("flag-ascent-plateau-x", n)
 
     def test_updown_run_polynomial(self):
         for n in range(1, 7):
-            got = stat_polynomial(permutations(n), {"udrun": "x"})
+            got = stat_polynomial("permutations", n, {"udrun": "x"})
             assert got == assemble("updown-run-x", n)
 
     def test_list_partition_joint_distribution(self):
         for n in range(1, 6):
             tally: dict[tuple[int, int], int] = {}
-            for rec in list_partitions(n):
+            for rec in records("list-partitions", n):
                 key = (rec.stats["blocks"], rec.stats["asc"])
                 tally[key] = tally.get(key, 0) + 1
             assert tally == family_row("a", n)
@@ -318,7 +320,7 @@ class TestDistributions:
     def test_valley_statistics_match_gamma(self):
         for n in range(1, 6):
             tally: dict[tuple[int, int], int] = {}
-            for rec in list_partitions(n):
+            for rec in records("list-partitions", n):
                 if rec.stats["dd"]:
                     continue
                 key = (rec.stats["blocks"], rec.stats["blocks"] + rec.stats["val"])
@@ -327,29 +329,15 @@ class TestDistributions:
 
 
 class TestStatPolynomial:
-    def test_empty_is_zero(self):
-        assert stat_polynomial([], {"des": "x"}).is_zero
-
     def test_missing_statistic(self):
         with pytest.raises(KeyError) as exc:
-            stat_polynomial(permutations(2), {"nope": "x"})
-        assert exc.value.args[0] == "record '1,2' has no statistic 'nope'"
-
-    def test_stat_keys_resolve_each_record_kind(self):
-        # Both kinds have a "des" scan, and they differ.
-        perm = next(permutations(2))
-        stirling = next(stirling_permutations(1))
-        assert perm.object_id == "1,2" and stirling.object_id == "1,1"
-        records = [perm, stirling, perm, stirling]
-        assert list(stat_keys(records, ("des",))) == [(0,), (1,), (0,), (1,)]
-        keys = stat_keys(records, ("cyc",))
-        assert next(keys) == (2,)
-        with pytest.raises(KeyError) as exc:
-            next(keys)
-        assert exc.value.args[0] == "record '1,1' has no statistic 'cyc'"
+            stat_polynomial("permutations", 2, {"nope": "x"})
+        assert exc.value.args[0] == (
+            "no statistic 'nope' on permutations; known: des, exc, cyc, cdes, udrun"
+        )
 
     def test_multi_symbol(self):
-        got = stat_polynomial(permutations(2), {"des": "x", "cyc": "q"})
+        got = stat_polynomial("permutations", 2, {"des": "x", "cyc": "q"})
         assert got == parse("q^2 + x*q")
 
     def test_tally_repeated_symbol_sums_exponents(self):
@@ -365,3 +353,64 @@ class TestStatPolynomial:
         for key in [(1, 2, 3), (1,)]:
             with pytest.raises(ValueError):
                 tally([key], ("x", "y"))
+
+
+def record_tally(kind: str, n: int, assignment: dict[str, str]) -> Polynomial:
+    """The tally of ``assignment`` built record by record from the public views."""
+    got = Polynomial()
+    for rec in records(kind, n):
+        exponents: dict[str, int] = {}
+        for name, symbol in assignment.items():
+            exponents[symbol] = exponents.get(symbol, 0) + rec.stat(name)
+        got = got + mono(1, **exponents)
+    return got
+
+
+class TestTallyPath:
+    @pytest.mark.parametrize("kind", sorted(SCANS))
+    def test_each_statistic_matches_the_records(self, kind):
+        for name in SCANS[kind]:
+            for n in range(6):
+                want = record_tally(kind, n, {name: "x"})
+                assert stat_polynomial(kind, n, {name: "x"}) == want, (name, n)
+
+    @pytest.mark.parametrize("kind", sorted(SCANS))
+    def test_every_statistic_at_once_matches_the_records(self, kind):
+        assignment = {name: f"s{i}" for i, name in enumerate(SCANS[kind])}
+        for n in range(6):
+            assert stat_polynomial(kind, n, assignment) == record_tally(kind, n, assignment), n
+
+    def test_stat_keys_follow_the_record_order(self):
+        for kind, n in KINDS:
+            names = tuple(SCANS[kind])
+            want = [tuple(rec.stat(name) for name in names) for rec in records(kind, n)]
+            assert list(stat_keys(kind, n, names)) == want, kind
+
+    def test_raw_objects_are_the_record_objects(self):
+        for kind, n in KINDS:
+            raw = list(combinat._ENUMERATORS[kind](n))
+            assert raw == [rec.obj for rec in records(kind, n)], kind
+
+    @pytest.mark.parametrize("kind", sorted(SCANS))
+    def test_over_cap_raises_when_called(self, kind):
+        over = CAPS[kind] + 1
+        for call in (
+            lambda: stat_polynomial(kind, over, {next(iter(SCANS[kind])): "x"}),
+            lambda: stat_keys(kind, over, ()),
+            lambda: records(kind, over),
+        ):
+            with pytest.raises(ValueError, match=f"{kind} enumeration capped at n = {CAPS[kind]}"):
+                call()
+
+    def test_unknown_kind_is_named(self):
+        with pytest.raises(KeyError, match="'necklaces'"):
+            stat_polynomial("necklaces", 3, {"des": "x"})
+        with pytest.raises(KeyError, match="'necklaces'"):
+            records("necklaces", 3)
+        # Forests have records but no statistic scans.
+        with pytest.raises(KeyError, match="'binary-forests'"):
+            stat_keys("binary-forests", 3, ("des",))
+
+    def test_unknown_statistic_is_named_when_called(self):
+        with pytest.raises(KeyError, match="'nope' on stirling-lists"):
+            stat_keys("stirling-lists", 2, ("asc", "nope"))

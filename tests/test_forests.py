@@ -6,12 +6,28 @@ import hashlib
 
 import pytest
 
-from normord import Grammar, Polynomial, family_row, grow_forests, mono, normal_order_power, variable
+from normord import (
+    Grammar,
+    Polynomial,
+    family_row,
+    grow_forests,
+    mono,
+    normal_order_power,
+    records,
+    variable,
+)
+from normord.checks import _forest_poly
+from normord.forests import census
+
+
+def views(flavor: str, n: int):
+    """The Forest view of each forest of the flavor on [n], as ``normord enumerate`` reads them."""
+    return records(f"{flavor}-forests", n)
 
 
 def tally_by_slot_and_x(flavor: str, n: int) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
-    for f in grow_forests(flavor, n):
+    for f in views(flavor, n):
         key = (f.k, f.leaf_count("x"))
         out[key] = out.get(key, 0) + 1
     return out
@@ -19,7 +35,7 @@ def tally_by_slot_and_x(flavor: str, n: int) -> dict[tuple[int, int], int]:
 
 class TestBasics:
     def test_empty_input(self):
-        (f,) = grow_forests("binary", 0)
+        (f,) = views("binary", 0)
         assert f.k == 0
         assert f.leaves == (0, 0, 0)
         assert f.encode() == ""
@@ -34,17 +50,17 @@ class TestBasics:
         ],
     )
     def test_single_vertex(self, flavor, encoded, leaves):
-        (f,) = grow_forests(flavor, 1)
+        (f,) = views(flavor, 1)
         assert f.encode() == encoded
         assert f.leaves == leaves
         assert f.k == 1
 
     def test_component_count_matches_encoding(self):
-        for f in grow_forests("binary", 4):
+        for f in views("binary", 4):
             assert f.encode().count(" + ") + 1 == f.k
 
     def test_leaf_count_accessor(self):
-        for f in grow_forests("full-ternary", 3):
+        for f in views("full-ternary", 3):
             assert (
                 f.leaf_count("x"),
                 f.leaf_count("y"),
@@ -52,7 +68,7 @@ class TestBasics:
             ) == f.leaves
 
     def test_leaf_count_rejects_other_letters(self):
-        (f,) = grow_forests("full-ternary", 1)
+        (f,) = views("full-ternary", 1)
         with pytest.raises(ValueError):
             f.leaf_count("w")
 
@@ -63,12 +79,29 @@ class TestBasics:
             ("ternary", 5),
             ("full-ternary", 4),
         ]:
-            seen = [f.encode() for f in grow_forests(flavor, n)]
+            seen = [f.encode() for f in views(flavor, n)]
             assert len(seen) == len(set(seen))
 
     def test_unknown_flavor(self):
         with pytest.raises(KeyError):
             next(grow_forests("septenary", 2))
+
+    def test_raw_walk_yields_encodings(self):
+        assert list(grow_forests("binary", 2)) == ["1(2(x,y))", "1(x) + 2(x)"]
+        assert [f.encode() for f in views("binary", 2)] == list(grow_forests("binary", 2))
+
+    def test_census_counts_leaves_then_trees(self):
+        assert census("") == (0, 0, 0, 0)
+        assert census("1(x,2(x,y,z)) + 3(y,y,z)") == (2, 3, 2, 2)
+
+    def test_errors_raise_when_called(self):
+        # The flavor and the cap are checked before the walk is returned.
+        with pytest.raises(KeyError, match="septenary"):
+            grow_forests("septenary", 2)
+        with pytest.raises(ValueError, match="binary-forests"):
+            grow_forests("binary", 10)
+        with pytest.raises(KeyError, match="septenary-forests"):
+            records("septenary-forests", 2)
 
     def test_caps(self):
         with pytest.raises(ValueError):
@@ -93,7 +126,7 @@ GROWTH_DIGESTS = [
 def test_growth_order_digest(flavor, n_max, want):
     h = hashlib.sha256()
     for n in range(n_max + 1):
-        for f in grow_forests(flavor, n):
+        for f in views(flavor, n):
             h.update(f"{f.encode()}\t{f.k}\t{','.join(map(str, f.leaves))}\n".encode())
     assert h.hexdigest() == want
 
@@ -115,13 +148,13 @@ class TestTriangleTallies:
         # Total slot weight per flavor: n for binary, n+k for full binary,
         # 2n-k for ternary, 2n+k for full ternary.
         for n in range(1, 5):
-            for f in grow_forests("binary", n):
+            for f in views("binary", n):
                 assert sum(f.leaves) == n
-            for f in grow_forests("full-binary", n):
+            for f in views("full-binary", n):
                 assert sum(f.leaves) == n + f.k
-            for f in grow_forests("ternary", n):
+            for f in views("ternary", n):
                 assert sum(f.leaves) == 2 * n - f.k
-            for f in grow_forests("full-ternary", n):
+            for f in views("full-ternary", n):
                 assert sum(f.leaves) == 2 * n + f.k
 
 
@@ -144,9 +177,20 @@ class TestOperatorTallies:
         g = Grammar.preset(preset)
         for n in range(1, n_max + 1):
             sums: dict[int, Polynomial] = {}
-            for f in grow_forests(flavor, n):
+            for f in views(flavor, n):
                 term = mono(1, x=f.leaves[0], y=f.leaves[1], z=f.leaves[2])
                 sums[f.k] = sums.get(f.k, Polynomial()) + term
             nf = normal_order_power(w, g, n)
             for k in range(1, n + 1):
                 assert sums.get(k, Polynomial()) == nf.coefficient(k)
+
+
+class TestTallyPath:
+    @pytest.mark.parametrize("flavor", ["binary", "full-binary", "ternary", "full-ternary"])
+    def test_census_tally_matches_views(self, flavor):
+        # The checks tally one census per raw encoding; the views read k and leaves.
+        for n in range(6):
+            want = Polynomial()
+            for f in views(flavor, n):
+                want = want + mono(1, x=f.leaves[0], y=f.leaves[1], z=f.leaves[2], q=f.k)
+            assert _forest_poly(flavor, n, ("x", "y", "z", "q")) == want, n

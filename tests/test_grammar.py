@@ -103,6 +103,19 @@ class TestConstruction:
         with pytest.raises(ParseError):
             Grammar.from_text("x->y; x->z")
 
+    @pytest.mark.parametrize("name", ["x y", "1x", "", "é"])
+    def test_constructor_rejects_bad_symbol_names(self, name):
+        # Such a rule could never fire: no monomial may hold that symbol.
+        with pytest.raises(ValueError) as info:
+            Grammar({name: variable("x")})
+        assert str(info.value) == f"bad rule symbol {name!r}"
+
+    @pytest.mark.parametrize("key", [3, ("x",), None])
+    def test_constructor_rejects_keys_that_are_not_strings(self, key):
+        with pytest.raises(TypeError) as info:
+            Grammar({key: variable("x")})
+        assert str(info.value) == f"rule key {key!r} is not a symbol name"
+
     @pytest.mark.parametrize("text, position", [
         ("x -> y; y -> y + * 2", 17),
         ("x -> y; y", 8),
