@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .combinat import stat_keys, stat_polynomial, tally
@@ -175,8 +176,9 @@ def check(check_id: str, summary: str, n_min: int, full_cap: int, quick_cap: int
 
 
 def _forest_poly(flavor: str, n: int, names: Tuple[str, ...]) -> Polynomial:
-    """Forest tally: the x, y and z leaf counts, then the tree count, one symbol each."""
-    return tally(map(census, grow_forests(flavor, n)), names)
+    """Forest tally: the first len(names) - 1 of the x, y, z leaf counts, then the tree count."""
+    key = itemgetter(*range(len(names) - 1), 3)
+    return tally(map(key, map(census, grow_forests(flavor, n))), names)
 
 
 def _slice_one_up(family: str, n: int) -> Polynomial:
@@ -209,7 +211,7 @@ def _forest_triple(grammar: str, multiplier: Polynomial, assembly: str, flavor: 
         tri = assemble(assembly, n)
         yield "normal order vs triangle assembly", op, tri
         yield ("triangle assembly vs forest enumeration", tri,
-               _forest_poly(flavor, n, ("x", "y", "w", "z")))  # no z leaves here, so no w
+               _forest_poly(flavor, n, ("x", "y", "z")))
 
     return sides
 
@@ -391,8 +393,9 @@ def _trivariate_second_order(n: int):
            Grammar.preset("trivariate-second-order").derive_power(X, n))
     yield ("recurrence vs ascent-descent-plateau enumeration", dum,
            stat_polynomial("stirling-permutations", n, {"asc": "x", "des": "y", "plat": "z"}))
+    trees = map(census, grow_forests("full-ternary", n))
     yield ("recurrence vs single-tree leaf enumeration", dum,
-           _forest_poly("full-ternary", n, ("x", "y", "z", "q")).slices("q").get(1, Polynomial()))
+           tally(((x, y, z) for x, y, z, k in trees if k == 1), ("x", "y", "z")))
     yield "symmetry under swapping first two slots", dum, dum.subs({"x": Y, "y": X})
     yield "symmetry under swapping outer slots", dum, dum.subs({"x": Z, "z": X})
 

@@ -372,22 +372,22 @@ SCANS: Mapping[str, Scans] = {
 }
 
 
-def records(kind: str, n: int, *, cap: int | None = None) -> Iterator[StatRecord | Forest]:
+def records(kind: str, n: int) -> Iterator[StatRecord | Forest]:
     """The public view of each object of ``kind`` on [n], in enumeration order.
 
     ``kind`` is an ``enumerate --objects`` name.  A statistic-bearing kind
     yields a :class:`StatRecord` per object, a forest kind a
-    :class:`normord.forests.Forest`.  Size and cap are checked when called.
+    :class:`normord.forests.Forest`.  The kind and its cap are checked when called.
     """
     if kind not in CAPS:
         raise KeyError(f"unknown objects {kind!r}; known: {', '.join(CAPS)}")
     if kind in SCANS:
         view = _BlocksRecord if kind in ("list-partitions", "stirling-lists") else StatRecord
-        return map(view, _ENUMERATORS[kind](n, cap=cap), repeat(SCANS[kind]))
+        return map(view, _ENUMERATORS[kind](n), repeat(SCANS[kind]))
     from .forests import Forest, grow_forests  # forests builds on this module
 
     flavor = kind.removesuffix("-forests")
-    return map(partial(Forest, flavor), grow_forests(flavor, n, cap=cap))
+    return map(partial(Forest, flavor), grow_forests(flavor, n))
 
 
 def tally(keys: Iterable[tuple[int, ...]], symbols: tuple[str, ...]) -> Polynomial:
