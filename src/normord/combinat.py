@@ -179,8 +179,12 @@ def standard_cycles(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(cycles)
 
 
+# cyc and cdes both read the cycle form; reading both of one word builds it once.
+_word_cycles = lru_cache(maxsize=1)(standard_cycles)
+
+
 def cycle_descents(word: tuple[int, ...]) -> int:
-    return sum(descents(c) for c in standard_cycles(word))
+    return sum(map(descents, _word_cycles(word)))
 
 
 def updown_runs(word: tuple[int, ...]) -> int:
@@ -336,16 +340,13 @@ def _summed(scan: Callable[[tuple[int, ...]], int]) -> Callable[..., int]:
     return lambda blocks: sum(map(scan, blocks))
 
 
-# cyc and cdes both read the cycle form; reading both of one word builds it once.
-_word_cycles = lru_cache(maxsize=1)(standard_cycles)
-
 # Each statistic-bearing kind's named scans of one raw object.
 SCANS: Mapping[str, Scans] = {
     "permutations": {
         "des": descents,
         "exc": excedances,
         "cyc": lambda word: len(_word_cycles(word)),
-        "cdes": lambda word: sum(map(descents, _word_cycles(word))),
+        "cdes": cycle_descents,
         "udrun": updown_runs,
     },
     "signed-permutations": {"des_b": type_b_descents},
@@ -402,14 +403,6 @@ def tally(keys: Iterable[tuple[int, ...]], symbols: tuple[str, ...]) -> Polynomi
     )
 
 
-def _key_function(scans: tuple[Callable[..., int], ...]) -> Callable[[tuple], tuple[int, ...]]:
-    """The function of an object that runs ``scans`` on it, in order."""
-    if len(scans) == 1:
-        (scan,) = scans
-        return lambda obj: (scan(obj),)
-    return lambda obj: tuple([scan(obj) for scan in scans])
-
-
 def stat_keys(kind: str, n: int, names: tuple[str, ...]) -> Iterator[tuple[int, ...]]:
     """The statistics ``names``, in that order, of each object of ``kind`` on [n].
 
@@ -422,7 +415,11 @@ def stat_keys(kind: str, n: int, names: tuple[str, ...]) -> Iterator[tuple[int, 
     missing = [name for name in names if name not in scans]
     if missing:
         raise KeyError(f"no statistic {missing[0]!r} on {kind}; known: {', '.join(scans)}")
-    return map(_key_function(tuple([scans[name] for name in names])), _ENUMERATORS[kind](n))
+    named = [scans[name] for name in names]
+    walk = _ENUMERATORS[kind](n)
+    if len(named) == 1:
+        return zip(map(named[0], walk))  # the 1-tuple keys, built in C
+    return map(lambda obj: tuple([scan(obj) for scan in named]), walk)
 
 
 def stat_polynomial(kind: str, n: int, assignment: Mapping[str, str]) -> Polynomial:

@@ -109,14 +109,14 @@ class TestRunCheck:
 
 
 class TestRunAll:
-    def test_quick_profile_green(self):
-        results = run_all("quick")
+    def test_quick_profile_green(self, quick_run):
+        results = quick_run.results
         assert len(results) == len(EXPECTED_CHECK_IDS)
         assert all(r.passed for r in results)
         assert [r.check_id for r in results] == sorted(r.check_id for r in results)
 
-    def test_quick_profile_clamps_to_quick_caps(self):
-        for r in run_all("quick"):
+    def test_quick_profile_clamps_to_quick_caps(self, quick_run):
+        for r in quick_run.results:
             spec = REGISTRY[r.check_id]
             assert r.n_range == (spec.n_min, spec.quick_cap)
 
@@ -124,8 +124,8 @@ class TestRunAll:
         with pytest.raises(ValueError):
             run_all("exhaustive")
 
-    def test_full_profile_green(self):
-        results = run_all("full")
+    def test_full_profile_green(self, full_run):
+        results = full_run.results
         assert all(r.passed for r in results)
         for r in results:
             spec = REGISTRY[r.check_id]

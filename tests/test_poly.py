@@ -348,6 +348,17 @@ class TestCanonicalForm:
             assert (m1 < m2) == (_graded_lex(m1, m2) < 0)
             assert (m1 > m2) == (_graded_lex(m1, m2) > 0)
 
+    def test_sorting_monomials_gives_the_canonical_term_order(self):
+        p = parse("x^-2 + 3 + z + x^2*y^-1 + x*y + y^3")
+        order = [m for m, _ in p.sorted_terms()]
+        assert [m.render() for m in order] == ["y^3", "x*y", "x^2*y^-1", "z", "1", "x^-2"]
+        rng = random.Random(6121)
+        for q in (p, parse("a*b^-2 + b^-1 - a^-1*c^2 + 5*c - 1 + a^2*b^-2*c"),
+                  parse("x^-1*y^-1 + x^-2 + y^-2 + 7*x^-1 + y^-1")):
+            monomials = [m for m, _ in q.terms()]
+            rng.shuffle(monomials)
+            assert sorted(monomials, reverse=True) == [m for m, _ in q.sorted_terms()]
+
     def test_public_constructors_reject_floats(self):
         with pytest.raises(TypeError):
             Monomial({"x": 1.5})
