@@ -182,7 +182,9 @@ class Monomial:
     def __hash__(self) -> int:
         return hash(self.pairs)
 
-    def __lt__(self, other: "Monomial") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Monomial):
+            return NotImplemented
         key = _grlex_key(sorted({s for s, _ in self.pairs} | {s for s, _ in other.pairs}))
         return key(self.pairs) < key(other.pairs)
 
@@ -413,12 +415,15 @@ class Polynomial:
         return Polynomial._collect(acc)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
-        """Exact evaluation at a rational point; poles raise PoleError."""
+        """Exact evaluation at a rational point; poles raise PoleError.
+
+        Each value must be an int or a Fraction; anything else raises TypeError.
+        """
         total = Fraction(0)
         for m, c in self._terms.items():
             val = Fraction(c)
             for s, e in m:
-                x = Fraction(point[s])
+                x = Fraction(_norm_scalar(point[s]))
                 if not x and e < 0:
                     raise PoleError(f"{s}^{e} evaluated at {s} = 0")
                 val *= x ** e

@@ -27,18 +27,18 @@ family): nine read a family row under one exponent map.  Five, and
 ``ctilde_xx``, state only the coefficients (a, b, c) of a first-order
 derivative recurrence, f -> (a + i*b)*f + c*df/ds at step i from f = 1,
 which one stepper iterates; ``second-order-xyz`` takes three partials from
-xyz in its own loop.  ``gamma_expand`` and ``e_expand`` rewrite symmetric
-polynomials in the bases (xy)^l * (x+y)^(d-2l) and e1^i * e2^j * e3^k
-respectively.
+xyz in its own loop.  ``e_expand`` and, slice by slice, ``gamma_expand``
+peel a symmetric polynomial into elementary symmetric powers; the gamma
+basis (xy)^l * (x+y)^(d-2l) is e2^l * e1^(d-2l) in two symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Mapping, Optional, Union
 
-from .poly import ONE, Monomial, Polynomial, variable
+from .poly import ONE, ZERO, Monomial, Polynomial, variable
 
 Entry = Union[int, Polynomial]
 Row = Mapping[tuple, Entry]
@@ -365,77 +365,76 @@ def rising_factorial(name: str, n: int) -> Polynomial:
 # -- symmetric-basis expansions -------------------------------------------
 
 
+def _check_symmetric(f: Polynomial, symbols: tuple[str, ...], what: str) -> None:
+    """Raise ValueError unless f is a polynomial in the distinct ``symbols``, symmetric in them."""
+    for i, s in enumerate(symbols):
+        if s in symbols[:i]:
+            raise ValueError(f"basis symbol {s!r} is repeated")
+    extra = f.variables() - set(symbols)
+    if extra:
+        raise ValueError(f"{what} involves symbols outside the basis: {sorted(extra)}")
+    if any(e < 0 for m, _ in f.terms() for _, e in m.pairs):
+        raise ValueError("negative exponents have no expansion in this basis")
+    # The adjacent transpositions generate every permutation of the symbols.
+    if any(f.subs({s: variable(t), t: variable(s)}) != f for s, t in zip(symbols, symbols[1:])):
+        raise ValueError(f"{what} is not symmetric in {', '.join(symbols)}")
+
+
+def _elementary(f: Polynomial, symbols: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+    """Peel a symmetric f into sum c * e1^i_1 * ... * em^i_m over the m symbols.
+
+    The fundamental theorem of symmetric functions: the lex-leading term
+    c * s1^a_1 * ... * sm^a_m of a symmetric residual has a_1 >= ... >= a_m,
+    and c * e1^(a_1 - a_2) * ... * em^a_m has the same leading term.
+    """
+    e = [ONE]  # e0, e1, ...: taking in a symbol v turns e_j into e_j + v * e_(j-1)
+    for v in map(variable, symbols):
+        e = [a + v * b for a, b in zip(e + [ZERO], [ZERO] + e)]
+    out: dict[tuple[int, ...], int] = {}
+    residual = f
+    while not residual.is_zero:
+        lead, c = max(residual.terms(), key=lambda t: [t[0].exponent(s) for s in symbols])
+        a = [lead.exponent(s) for s in symbols] + [0]
+        index = tuple(a[j] - a[j + 1] for j in range(len(symbols)))
+        if any(i < 0 for i in index):
+            raise ArithmeticError("lex-leading exponents of a symmetric residual must be sorted")
+        residual = residual - c * prod(map(pow, e[1:], index), start=ONE)
+        out[index] = c
+    return out
+
+
 def gamma_expand(
     f: Polynomial, slice_symbol: str = "z", pair: tuple[str, str] = ("x", "y")
 ) -> dict[tuple[int, int], int]:
-    """Expand each slice_symbol^k slice in the basis (xy)^l * (x+y)^(d-2l).
+    """Expand each slice_symbol^k slice in the basis (xy)^l * (x+y)^(d-2l) = e2^l * e1^(d-2l).
 
     Every slice must be an ordinary polynomial in the pair symbols,
     homogeneous and symmetric under swapping them.  Returns the mapping
     (k, l) -> coefficient; coefficients may be negative for inputs outside
     the positivity results.
     """
-    x, y = pair
-    xv, yv = variable(x), variable(y)
-    swap = {x: yv, y: xv}
+    if slice_symbol in pair:
+        raise ValueError(f"slice symbol {slice_symbol!r} is also a basis symbol")
     out: dict[tuple[int, int], int] = {}
     for k, g in f.slices(slice_symbol).items():
         if k < 0:
             raise ValueError(f"negative power of {slice_symbol!r}")
-        extra = g.variables() - {x, y}
-        if extra:
-            raise ValueError(f"slice at {slice_symbol}^{k} involves {sorted(extra)}")
-        d = g.homogeneous_degree()
-        if d is None:
+        if g.homogeneous_degree() is None:
             raise ValueError(f"slice at {slice_symbol}^{k} is not homogeneous")
-        if g.subs(swap) != g:
-            raise ValueError(f"slice at {slice_symbol}^{k} is not symmetric in {x}, {y}")
-        if any(e < 0 for m, _ in g.terms() for _, e in m.pairs):
-            raise ValueError("negative exponents have no expansion in this basis")
-        residual = g
-        xy = xv * yv
-        x_plus_y = xv + yv
-        while not residual.is_zero:
-            l = min(m.exponent(x) for m, _ in residual.terms())
-            c = residual.coefficient({x: l, y: d - l})
-            residual = residual - c * (xy ** l) * (x_plus_y ** (d - 2 * l))
+        _check_symmetric(g, pair, f"slice at {slice_symbol}^{k}")
+        for (_, l), c in _elementary(g, pair).items():
             out[(k, l)] = c
     return out
 
 
 def e_expand(
-    f: Polynomial, symbols: tuple[str, str, str] = ("x", "y", "z")
-) -> dict[tuple[int, int, int], int]:
+    f: Polynomial, symbols: tuple[str, ...] = ("x", "y", "z")
+) -> dict[tuple[int, ...], int]:
     """Expand a fully symmetric polynomial in the elementary basis.
 
-    Returns (i, j, k) -> coefficient with f = sum c * e1^i * e2^j * e3^k,
-    where e1, e2, e3 are the elementary symmetric polynomials in the three
-    symbols.  Raises ValueError if f is not symmetric.
+    Returns (i_1, ..., i_m) -> coefficient with f = sum c * e1^i_1 * ... *
+    em^i_m, where e1, ..., em are the elementary symmetric polynomials in
+    the m distinct symbols.  Raises ValueError if f is not symmetric.
     """
-    x, y, z = symbols
-    xv, yv, zv = variable(x), variable(y), variable(z)
-    extra = f.variables() - set(symbols)
-    if extra:
-        raise ValueError(f"input involves symbols outside the basis: {sorted(extra)}")
-    if any(e < 0 for m, _ in f.terms() for _, e in m.pairs):
-        raise ValueError("negative exponents have no expansion in this basis")
-    if f.subs({x: yv, y: xv}) != f or f.subs({y: zv, z: yv}) != f:
-        raise ValueError(f"input is not symmetric in {x}, {y}, {z}")
-    e1 = xv + yv + zv
-    e2 = xv * yv + xv * zv + yv * zv
-    e3 = xv * yv * zv
-    out: dict[tuple[int, int, int], int] = {}
-    residual = f
-    while not residual.is_zero:
-        lead = max(
-            (m for m, _ in residual.terms()),
-            key=lambda m: (m.exponent(x), m.exponent(y), m.exponent(z)),
-        )
-        a, b, c = lead.exponent(x), lead.exponent(y), lead.exponent(z)
-        coeff = residual.coefficient(lead)
-        if not a >= b >= c:
-            raise ArithmeticError("lex-leading exponents of a symmetric residual must be sorted")
-        i, j, k = a - b, b - c, c
-        residual = residual - coeff * (e1 ** i) * (e2 ** j) * (e3 ** k)
-        out[(i, j, k)] = coeff
-    return out
+    _check_symmetric(f, symbols, "input")
+    return _elementary(f, symbols)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter
 
 from conftest import SMALL_PRESETS, random_polynomial
 from normord import (
@@ -28,6 +29,7 @@ from normord import (
     stat_polynomial,
     variable,
 )
+from normord.combinat import stat_keys
 
 x = variable("x")
 y = variable("y")
@@ -154,11 +156,9 @@ def test_cycle_statistic_expansion():
     for n in range(1, 9):
         op = normal_order_power(x, g, n).specialize(q)
         enum = Polynomial()
-        for rec in records("permutations", n):
-            s = rec.stats
-            enum = enum + mono(
-                1, x=n - s["exc"], y=s["exc"], p=s["cdes"], q=s["cyc"]
-            )
+        keys = stat_keys("permutations", n, ("exc", "cdes", "cyc"))
+        for (exc, cdes, cyc), c in Counter(keys).items():
+            enum = enum + mono(c, x=n - exc, y=exc, p=cdes, q=cyc)
         assert op == enum, n
 
 
@@ -278,10 +278,7 @@ def test_type_b_families():
         }, n
 
     for n in range(1, 8):
-        tally: dict[int, int] = {}
-        for rec in records("signed-permutations", n):
-            d = rec.stats["des_b"]
-            tally[d] = tally.get(d, 0) + 1
+        tally = Counter(d for (d,) in stat_keys("signed-permutations", n, ("des_b",)))
         eb = family_row("eulerianB", n)
         assert tally == {l: v for (l,), v in eb.items() if v}, n
 
@@ -293,10 +290,7 @@ def test_type_b_families():
 
     for n in range(1, 8):
         row = family_row("E", n + 1)
-        counts: dict[int, int] = {}
-        for rec in records("stirling-permutations", n):
-            a = rec.stats["ap"]
-            counts[a] = counts.get(a, 0) + 1
+        counts = Counter(a for (a,) in stat_keys("stirling-permutations", n, ("ap",)))
         assert {l: v for (k, l), v in row.items() if k == 1} == counts, n
 
     for n in range(1, 11):

@@ -168,6 +168,14 @@ class TestAccessors:
         with pytest.raises(PoleError):
             mono(3, x=-2).evaluate({"x": 0, "y": 1})
 
+    def test_evaluate_rejects_inexact_values(self):
+        for value in (0.1, 2.0, "3"):
+            with pytest.raises(TypeError, match="exact scalar"):
+                x.evaluate({"x": value})
+        with pytest.raises(TypeError):
+            (x * y).evaluate({"x": 1, "y": 0.5})
+        assert x.evaluate({"x": Fraction(6, 3)}) == 2
+
     def test_subs_simultaneous(self):
         # x and y swap in one step, not sequentially.
         assert (x ** 2 * y).subs({"x": y, "y": x}) == y ** 2 * x
@@ -358,6 +366,12 @@ class TestCanonicalForm:
             monomials = [m for m, _ in q.terms()]
             rng.shuffle(monomials)
             assert sorted(monomials, reverse=True) == [m for m, _ in q.sorted_terms()]
+
+    def test_monomial_order_against_a_non_monomial(self):
+        with pytest.raises(TypeError):
+            Monomial({"x": 1}) < 3
+        with pytest.raises(TypeError):
+            3 > Monomial({"x": 1})
 
     def test_public_constructors_reject_floats(self):
         with pytest.raises(TypeError):

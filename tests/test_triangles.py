@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -35,6 +36,10 @@ from normord.triangles import FAMILIES
 x = variable("x")
 y = variable("y")
 z = variable("z")
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()
 
 
 class TestFamilyRow:
@@ -471,6 +476,23 @@ class TestGammaExpand:
                 rebuilt = rebuilt + g * mono(1, z=k) * (x * y) ** l * (x + y) ** (d - 2 * l)
             assert rebuilt == f
 
+    def test_matches_recorded_digest(self):
+        # sha256 recorded from the expansion before it shared the elementary peel.
+        got = [(n, sorted(gamma_expand(assemble("a", n)).items())) for n in range(11)]
+        assert _digest(got) == "967419adb29606297dcefc7f48cf74063e38d0718c9e8482670fe261839979f9"
+
+    def test_rejects_repeated_pair_symbol(self):
+        with pytest.raises(ValueError, match="basis symbol 'x' is repeated"):
+            gamma_expand(x ** 2, pair=("x", "x"))
+
+    def test_rejects_slice_symbol_in_pair(self):
+        with pytest.raises(ValueError, match="slice symbol 'x' is also a basis symbol"):
+            gamma_expand(x * y, slice_symbol="x")
+
+    def test_rejects_other_symbols(self):
+        with pytest.raises(ValueError, match=r"slice at z\^1 involves symbols outside the basis"):
+            gamma_expand((x + y) * variable("w") * z)
+
 
 class TestEExpand:
     def test_product_basis_element(self):
@@ -498,3 +520,31 @@ class TestEExpand:
         for (i, j, k), c in got.items():
             rebuilt = rebuilt + c * e1 ** i * e2 ** j * e3 ** k
         assert rebuilt == f
+
+        for symbols, want in [
+            (("x", "y"), {(3, 1): 1, (0, 2): -2, (1, 0): 5}),
+            (("w", "x", "y", "z"), {(2, 0, 1, 0): 1, (0, 1, 0, 1): -3, (0, 0, 0, 2): 2}),
+        ]:
+            es = [sum((math.prod(map(variable, c)) for c in itertools.combinations(symbols, j)),
+                      Polynomial()) for j in range(1, len(symbols) + 1)]
+            f = sum((c * math.prod(e ** i for e, i in zip(es, p)) for p, c in want.items()),
+                    Polynomial())
+            assert e_expand(f, symbols) == want, symbols
+
+    def test_matches_recorded_digest(self):
+        # sha256 recorded from the expansion before it shared the peel with gamma_expand.
+        g = normord.Grammar.preset("full-ternary")
+        got = []
+        for n in range(1, 9):
+            nf = normord.normal_order_power(x * y * z, g, n)
+            for k in range(1, n + 1):
+                got.append(((n, k), sorted(e_expand(nf.coefficient(k)).items())))
+        assert _digest(got) == "562180c9d3d2e65db1ca75c4d41a34b113e0eef4319a5f98ed33fa2165766ab1"
+
+    def test_rejects_repeated_symbol(self):
+        with pytest.raises(ValueError, match="basis symbol 'x' is repeated"):
+            e_expand(x + y, ("x", "x", "y"))
+
+    def test_rejects_negative_exponents(self):
+        with pytest.raises(ValueError, match="negative exponents"):
+            e_expand(x ** -1 + y ** -1 + z ** -1)
