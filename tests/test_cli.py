@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import normord
 from normord import Polynomial
 from normord.cli import OBJECT_NAMES, main
-from normord.combinat import CAPS
+from normord.combinat import CAPS, SCANS
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -219,6 +219,9 @@ ENUMERATE_DIGESTS = {
     ("stirling-lists", "text", "plat,blocks"): "7c9a676c9251793465211b3ac3f160cfdd04af0d1e95e527e3dea5502dcfd9de",
 }
 
+# sha256 of test_invocations_match_recorded_digest's invocations and results.
+ENUMERATE_INVOCATIONS_DIGEST = "90153a8b5bff7f565fa804a63c804011b468c8470461aa77978f3d4f4dade3e4"
+
 
 class TestEnumerateDigests:
     def test_digests_cover_every_kind(self):
@@ -236,6 +239,26 @@ class TestEnumerateDigests:
                 assert code == 0
                 h.update(out.encode())
             assert h.hexdigest() == want, (objects, fmt, stats)
+
+    def test_invocations_match_recorded_digest(self):
+        # One sha256 over (argv, exit code, stdout, stderr) of every kind at
+        # n = 0..5, one past its cap and -1, in both formats, under each
+        # --stats variant: none, the first statistic, all of them reversed,
+        # an unknown one and an empty list; forest kinds also take "--stats x".
+        h = hashlib.sha256()
+        for objects in OBJECT_NAMES:
+            names = list(SCANS.get(objects, ()))
+            variants = [None, "x"] if not names else [
+                None, names[0], ",".join(reversed(names)), "nope", " , "]
+            for n in (*range(6), CAPS[objects] + 1, -1):
+                for fmt in ("json", "text"):
+                    for stats in variants:
+                        argv = ["enumerate", "--objects", objects, "--n", str(n),
+                                "--format", fmt]
+                        if stats is not None:
+                            argv += ["--stats", stats]
+                        h.update(json.dumps([argv, *run(*argv)]).encode() + b"\n")
+        assert h.hexdigest() == ENUMERATE_INVOCATIONS_DIGEST
 
 
 class TestVerify:
