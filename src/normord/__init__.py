@@ -19,16 +19,14 @@ from .checks import (
     run_check,
 )
 from .combinat import (
-    StatRecord,
     list_partitions,
     permutations,
-    records,
     signed_permutations,
     stat_polynomial,
     stirling_lists,
     stirling_permutations,
 )
-from .forests import Forest, grow_forests
+from .forests import grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import NormalForm, normal_order_power
 from .poly import (
@@ -60,7 +58,6 @@ __all__ = [
     "CheckResult",
     "CheckSpec",
     "FAMILY_NAMES",
-    "Forest",
     "Grammar",
     "Monomial",
     "NormalForm",
@@ -68,7 +65,6 @@ __all__ = [
     "ParseError",
     "PoleError",
     "Polynomial",
-    "StatRecord",
     "Triangle",
     "Witness",
     "assemble",
@@ -87,7 +83,6 @@ __all__ = [
     "normal_order_power",
     "parse",
     "permutations",
-    "records",
     "render_report",
     "results_to_json",
     "rising_factorial",

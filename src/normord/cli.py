@@ -28,7 +28,8 @@ import sys
 from typing import Iterable, List, Optional
 
 from .checks import check_ids, render_report, results_to_json, run_all, run_check
-from .combinat import CAPS, SCANS, records
+from .combinat import _ENUMERATORS, CAPS, SCANS
+from .forests import census, grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import normal_order_power
 from .poly import _SYMBOL, ParseError, Polynomial, parse, variable
@@ -104,6 +105,13 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
 OBJECT_NAMES = tuple(sorted(SCANS)) + tuple(sorted(set(CAPS) - set(SCANS)))
 
 
+def _object_id(obj: tuple) -> str:
+    """A word's letters joined by ``,``; a tuple of blocks, its words joined by ``|``."""
+    if obj and isinstance(obj[0], tuple):
+        return "|".join(map(_object_id, obj))
+    return ",".join(map(str, obj))
+
+
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
@@ -115,37 +123,33 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     if args.objects not in SCANS:
         if wanted is not None:
             raise UsageError("--stats applies to statistic-bearing objects, not forests")
-        for forest in records(args.objects, args.n):
+        for word in grow_forests(args.objects.removesuffix("-forests"), args.n):
+            lx, ly, lz, trees = census(word)
             if args.format == "json":
-                record = {
-                    "object": forest.encode(),
-                    "trees": forest.k,
-                    "leaves": dict(zip(("x", "y", "z"), forest.leaves)),
-                }
+                record = {"object": word, "trees": trees, "leaves": {"x": lx, "y": ly, "z": lz}}
                 print(json.dumps(record, sort_keys=True), file=out)
             else:
-                lx, ly, lz = forest.leaves
-                print(
-                    f"{forest.encode()} trees={forest.k} x={lx} y={ly} z={lz}",
-                    file=out,
-                )
+                print(f"{word} trees={trees} x={lx} y={ly} z={lz}", file=out)
         return 0
-    # Over its cap, records raises ValueError when called, before any output.
-    views = records(args.objects, args.n)
-    missing = [s for s in wanted or () if s not in SCANS[args.objects]]
+    # Over its cap, the enumerator raises ValueError when called, before any output.
+    walk = _ENUMERATORS[args.objects](args.n)
+    scans = SCANS[args.objects]
+    missing = [s for s in wanted or () if s not in scans]
     if missing:
-        known = ", ".join(sorted(SCANS[args.objects]))
+        known = ", ".join(sorted(scans))
         raise UsageError(f"unknown statistic(s) {', '.join(missing)}; known: {known}")
-    for record in views:
-        stats = record.stats if wanted is None else {s: record.stat(s) for s in wanted}
+    if wanted is not None:
+        scans = {s: scans[s] for s in wanted}
+    for obj in walk:
+        stats = {s: scan(obj) for s, scan in scans.items()}
         if args.format == "json":
             print(
-                json.dumps({"object": record.object_id, "stats": stats}, sort_keys=True),
+                json.dumps({"object": _object_id(obj), "stats": stats}, sort_keys=True),
                 file=out,
             )
         else:
             shown = " ".join(f"{s}={v}" for s, v in sorted(stats.items()))
-            print(f"{record.object_id} {shown}".rstrip(), file=out)
+            print(f"{_object_id(obj)} {shown}".rstrip(), file=out)
     return 0
 
 

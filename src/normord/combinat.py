@@ -16,9 +16,8 @@ object, and ``_ENUMERATORS`` its enumerator, both keyed like :data:`CAPS`.
 Every tally of objects into a polynomial goes through one accumulator,
 :func:`tally`, which counts exponent keys and builds one monomial per
 distinct key; :func:`stat_polynomial` feeds it the assigned statistics of
-a kind's objects, and only those, through :func:`stat_keys`.  The public
-views, a :class:`StatRecord` per object or a forest, are built by
-:func:`records` for callers that read ids, as ``normord enumerate`` does.
+a kind's objects, and only those, through :func:`stat_keys`.  ``normord
+enumerate`` applies the same scans to each raw object of the walk.
 
 Conventions that matter and are easy to get wrong:
 
@@ -45,17 +44,14 @@ caps keep full enumerations inside a test-friendly budget; pass a larger
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import chain
 from itertools import permutations as _one_line_words
 from itertools import product as _product
 from operator import eq, gt, lt, neg
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .poly import Monomial, Polynomial
-
-if TYPE_CHECKING:
-    from .forests import Forest
 
 T = TypeVar("T")
 
@@ -71,46 +67,6 @@ CAPS = {
     "ternary-forests": 7,
     "full-ternary-forests": 7,
 }
-
-
-Scans = Mapping[str, Callable[..., int]]
-
-
-class StatRecord:
-    """The public view of one raw object; its id and statistics are computed when read.
-
-    ``obj`` is the raw object: a one-line word, a signed word or a Stirling
-    word here, a tuple of blocks in :class:`_BlocksRecord`.  ``scans`` is
-    its kind's :data:`SCANS` entry.
-    """
-
-    __slots__ = ("obj", "scans")
-
-    def __init__(self, obj: tuple, scans: Scans):
-        self.obj = obj
-        self.scans = scans
-
-    @property
-    def object_id(self) -> str:
-        return ",".join(map(str, self.obj))
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return {name: scan(self.obj) for name, scan in self.scans.items()}
-
-    def stat(self, name: str) -> int:
-        """Run the scan named ``name``; ``KeyError`` if this kind has none."""
-        return self.scans[name](self.obj)
-
-
-class _BlocksRecord(StatRecord):
-    """A record whose object is a tuple of blocks, rendered joined by ``|``."""
-
-    __slots__ = ()
-
-    @property
-    def object_id(self) -> str:
-        return "|".join(",".join(map(str, block)) for block in self.obj)
 
 
 def check_cap(kind: str, n: int, cap: int | None) -> None:
@@ -325,7 +281,7 @@ def stirling_lists(n: int, *, cap: int | None = None) -> Iterator[tuple[tuple[in
     return chain.from_iterable(map(_stirling_fillings, grow((), n, _set_insertions)))
 
 
-# Keyed like CAPS; the one table through which tallies and records reach an enumerator.
+# Keyed like CAPS; the one table through which tallies and the CLI reach an enumerator.
 _ENUMERATORS = {
     "permutations": permutations,
     "signed-permutations": signed_permutations,
@@ -341,7 +297,7 @@ def _summed(scan: Callable[[tuple[int, ...]], int]) -> Callable[..., int]:
 
 
 # Each statistic-bearing kind's named scans of one raw object.
-SCANS: Mapping[str, Scans] = {
+SCANS: Mapping[str, Mapping[str, Callable[..., int]]] = {
     "permutations": {
         "des": descents,
         "exc": excedances,
@@ -371,24 +327,6 @@ SCANS: Mapping[str, Scans] = {
         "plat": _summed(plateaus),
     },
 }
-
-
-def records(kind: str, n: int) -> Iterator[StatRecord | Forest]:
-    """The public view of each object of ``kind`` on [n], in enumeration order.
-
-    ``kind`` is an ``enumerate --objects`` name.  A statistic-bearing kind
-    yields a :class:`StatRecord` per object, a forest kind a
-    :class:`normord.forests.Forest`.  The kind and its cap are checked when called.
-    """
-    if kind not in CAPS:
-        raise KeyError(f"unknown objects {kind!r}; known: {', '.join(CAPS)}")
-    if kind in SCANS:
-        view = _BlocksRecord if kind in ("list-partitions", "stirling-lists") else StatRecord
-        return map(view, _ENUMERATORS[kind](n), repeat(SCANS[kind]))
-    from .forests import Forest, grow_forests  # forests builds on this module
-
-    flavor = kind.removesuffix("-forests")
-    return map(partial(Forest, flavor), grow_forests(flavor, n))
 
 
 def tally(keys: Iterable[tuple[int, ...]], symbols: tuple[str, ...]) -> Polynomial:

@@ -21,19 +21,15 @@ This insertion procedure generates every forest exactly once, which the
 tests verify by checking encodings for duplicates against known counts.
 
 :func:`grow_forests` checks the flavor and the cap when called and returns
-the walk of encodings.  A tally reads each encoding with one
-:func:`census`; :class:`Forest` is the public view that
-``normord enumerate`` builds per encoding.
+the walk of encodings.  A tally, and each line of ``normord enumerate``,
+reads an encoding with one :func:`census`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .combinat import check_cap, grow
-
-Leaves = tuple[int, int, int]  # counts of x, y, z leaves
 
 # flavor -> (root slots, node slots), as the encoding writes them
 FLAVORS = {
@@ -47,28 +43,6 @@ FLAVORS = {
 def census(word: str) -> tuple[int, int, int, int]:
     """The x, y and z leaf counts of an encoding, then its tree count."""
     return word.count("x"), word.count("y"), word.count("z"), word.count("+") + (word != "")
-
-
-@dataclass(frozen=True)
-class Forest:
-    """A forest held as its encoding; ``k`` and the leaf counts are scans of it."""
-
-    flavor: str
-    encoding: str
-
-    @property
-    def k(self) -> int:
-        return census(self.encoding)[3]
-
-    @property
-    def leaves(self) -> Leaves:
-        return census(self.encoding)[:3]
-
-    def leaf_count(self, letter: str) -> int:
-        return self.leaves["xyz".index(letter)]
-
-    def encode(self) -> str:
-        return self.encoding
 
 
 def grow_forests(flavor: str, n: int, *, cap: int | None = None) -> Iterator[str]:

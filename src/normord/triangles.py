@@ -365,11 +365,16 @@ def rising_factorial(name: str, n: int) -> Polynomial:
 # -- symmetric-basis expansions -------------------------------------------
 
 
-def _check_symmetric(f: Polynomial, symbols: tuple[str, ...], what: str) -> None:
-    """Raise ValueError unless f is a polynomial in the distinct ``symbols``, symmetric in them."""
+def _check_distinct(symbols: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first basis symbol that repeats an earlier one."""
     for i, s in enumerate(symbols):
         if s in symbols[:i]:
             raise ValueError(f"basis symbol {s!r} is repeated")
+
+
+def _check_symmetric(f: Polynomial, symbols: tuple[str, ...], what: str) -> None:
+    """Raise ValueError unless f is a polynomial in the distinct ``symbols``, symmetric in them."""
+    _check_distinct(symbols)
     extra = f.variables() - set(symbols)
     if extra:
         raise ValueError(f"{what} involves symbols outside the basis: {sorted(extra)}")
@@ -415,6 +420,7 @@ def gamma_expand(
     """
     if slice_symbol in pair:
         raise ValueError(f"slice symbol {slice_symbol!r} is also a basis symbol")
+    _check_distinct(pair)  # before slicing, so a polynomial with no slices is checked too
     out: dict[tuple[int, int], int] = {}
     for k, g in f.slices(slice_symbol).items():
         if k < 0:

@@ -20,16 +20,18 @@ from normord import (
     e_expand,
     family_row,
     gamma_expand,
+    grow_forests,
+    list_partitions,
     mono,
     normal_order_power,
     parse,
-    records,
     rising_factorial,
     run_check,
     stat_polynomial,
     variable,
 )
-from normord.combinat import stat_keys
+from normord.combinat import SCANS, stat_keys
+from normord.forests import census
 
 x = variable("x")
 y = variable("y")
@@ -64,9 +66,9 @@ def row_to_coefficient(row: dict, k: int, term) -> Polynomial:
 
 def forest_tally(flavor: str, n: int) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
-    for f in records(f"{flavor}-forests", n):
-        key = (f.k, f.leaf_count("x"))
-        out[key] = out.get(key, 0) + 1
+    for word in grow_forests(flavor, n):
+        lx, _, _, k = census(word)
+        out[(k, lx)] = out.get((k, lx), 0) + 1
     return out
 
 
@@ -165,6 +167,7 @@ def test_cycle_statistic_expansion():
 @reported("criterion 4/8: full binary forests, block lists, and gamma basis agree")
 def test_full_binary_and_list_partition_tallies():
     g = Grammar.preset("eulerian-full")
+    scans = SCANS["list-partitions"]
     for n in range(1, 7):
         row = family_row("a", n)
         nf = normal_order_power(x * y, g, n)
@@ -173,8 +176,8 @@ def test_full_binary_and_list_partition_tallies():
             assert nf.coefficient(k) == want, (n, k)
         assert forest_tally("full-binary", n) == row, n
         lists: dict[tuple[int, int], int] = {}
-        for rec in records("list-partitions", n):
-            key = (rec.stats["blocks"], rec.stats["asc"])
+        for blocks in list_partitions(n):
+            key = (scans["blocks"](blocks), scans["asc"](blocks))
             lists[key] = lists.get(key, 0) + 1
         assert lists == row, n
 
@@ -190,10 +193,11 @@ def test_full_binary_and_list_partition_tallies():
         gamma = gamma_expand(assemble("a", n))
         assert all(v >= 0 for v in gamma.values()), n
         valleys: dict[tuple[int, int], int] = {}
-        for rec in records("list-partitions", n):
-            if rec.stats["dd"]:
+        for blocks in list_partitions(n):
+            if scans["dd"](blocks):
                 continue
-            key = (rec.stats["blocks"], rec.stats["blocks"] + rec.stats["val"])
+            k = scans["blocks"](blocks)
+            key = (k, k + scans["val"](blocks))
             valleys[key] = valleys.get(key, 0) + 1
         assert valleys == gamma, n
 
@@ -235,9 +239,10 @@ def test_ternary_families_and_series():
             "stirling-permutations", n, {"asc": "x", "des": "y", "plat": "z"}
         )
         trees = Polynomial()
-        for f in records("full-ternary-forests", n):
-            if f.k == 1:
-                trees = trees + mono(1, x=f.leaves[0], y=f.leaves[1], z=f.leaves[2])
+        for word in grow_forests("full-ternary", n):
+            lx, ly, lz, k = census(word)
+            if k == 1:
+                trees = trees + mono(1, x=lx, y=ly, z=lz)
         assert from_grammar == from_recurrence == from_words == trees, n
         for a_sym, b_sym in (("x", "y"), ("y", "z"), ("x", "z")):
             swapped = from_grammar.subs({a_sym: variable(b_sym), b_sym: variable(a_sym)})

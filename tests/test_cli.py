@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import normord
 from normord import Polynomial
-from normord.cli import OBJECT_NAMES, main
+from normord.cli import OBJECT_NAMES, _object_id, main
 from normord.combinat import CAPS, SCANS
 
 
@@ -180,6 +180,13 @@ class TestEnumerate:
             assert code == 2
             assert out == ""
             assert f"capped at n = {cap} (requested {cap + 1})" in err
+
+    def test_object_id_follows_the_object_shape(self):
+        # A word joins its letters by ","; a tuple of blocks joins its words by "|".
+        assert _object_id(()) == ""
+        assert _object_id((2, -1, 3)) == "2,-1,3"
+        assert _object_id(((1, 1),)) == "1,1"
+        assert _object_id(((1, 3), (2,))) == "1,3|2"
 
     def test_object_names_match_caps(self):
         # A kind listed on one side only would fail at its first enumerate.
@@ -385,3 +392,32 @@ class TestHarness:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "PASS catalan-egf (n=0..4)\n1/1 checks passed\n"
+
+    def test_benchmark_tracer_sees_enumerate_walks(self):
+        # The tracer rebinds the enumerators by identity, wherever a module or
+        # a module-level dict holds them; enumerate must walk through those.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(normord.__file__)))
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+        child = (
+            "import sys\n"
+            f"sys.path.insert(0, {perfbench!r})\n"
+            "import tracer\n"
+            "from normord import cli\n"
+            "t = tracer.Tracer('contract')\n"
+            "tracer.install(t)\n"
+            "t.begin()\n"
+            "for kind in ('permutations', 'list-partitions', 'binary-forests'):\n"
+            "    assert cli.main(['enumerate', '--objects', kind, '--n', '3']) == 0\n"
+            "t.end()\n"
+            "for name in ('combinat.permutations', 'combinat.list_partitions',"
+            " 'forests.binary'):\n"
+            "    assert name in t.totals, (name, sorted(t.totals))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=package_root),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 6 + 13 + 6

@@ -15,7 +15,6 @@ from normord import (
     mono,
     parse,
     permutations,
-    records,
     signed_permutations,
     stat_polynomial,
     stirling_lists,
@@ -23,6 +22,7 @@ from normord import (
     variable,
 )
 from normord import combinat
+from normord.cli import _object_id
 from normord.combinat import (
     CAPS,
     SCANS,
@@ -35,7 +35,7 @@ from normord.combinat import (
     updown_runs,
 )
 
-# Each statistic-bearing kind with a size small enough for record-by-record tests.
+# Each statistic-bearing kind with a size small enough for object-by-object tests.
 KINDS = (
     ("permutations", 5),
     ("signed-permutations", 4),
@@ -43,6 +43,16 @@ KINDS = (
     ("list-partitions", 4),
     ("stirling-lists", 3),
 )
+
+
+def objects(kind: str, n: int) -> list[tuple]:
+    """The raw objects of ``kind`` on [n], in enumeration order."""
+    return list(combinat._ENUMERATORS[kind](n))
+
+
+def stats(kind: str, obj: tuple) -> dict[str, int]:
+    """Every statistic of one raw object, read through its kind's scans."""
+    return {name: scan(obj) for name, scan in SCANS[kind].items()}
 
 
 def double_factorial_odd(n: int) -> int:
@@ -76,12 +86,12 @@ class TestCounts:
 
     def test_object_ids_unique(self):
         for kind, n in KINDS:
-            ids = [r.object_id for r in records(kind, n)]
+            ids = [_object_id(obj) for obj in objects(kind, n)]
             assert len(ids) == len(set(ids))
 
 
-# sha256 over one "object_id<TAB>name=value ..." line per record (stats sorted
-# by name) for n = 0..n_max: pins the enumeration order and every record.
+# sha256 over one "object id<TAB>name=value ..." line per object (stats sorted
+# by name) for n = 0..n_max: pins the enumeration order and every statistic.
 ENUMERATION_DIGESTS = [
     ("permutations", 7, "96f2d772cde292979b73692944c65f1c5970bae0de22661a18e1a1aea99c5286"),
     ("signed_permutations", 5, "63513ae5dff20b0944bc75a983da1865b0bc174902870130cc871db5ea0c0d51"),
@@ -95,9 +105,10 @@ ENUMERATION_DIGESTS = [
 def test_enumeration_digest(name, n_max, want):
     h = hashlib.sha256()
     for n in range(n_max + 1):
-        for rec in records(name.replace("_", "-"), n):
-            stats = " ".join(f"{k}={v}" for k, v in sorted(rec.stats.items()))
-            h.update(f"{rec.object_id}\t{stats}\n".encode())
+        kind = name.replace("_", "-")
+        for obj in objects(kind, n):
+            shown = " ".join(f"{k}={v}" for k, v in sorted(stats(kind, obj).items()))
+            h.update(f"{_object_id(obj)}\t{shown}\n".encode())
     assert h.hexdigest() == want
 
 
@@ -143,23 +154,25 @@ class TestCaps:
 
 class TestSmallRecords:
     def test_single_permutation(self):
-        (rec,) = records("permutations", 1)
-        assert rec.stats == {"des": 0, "exc": 0, "cyc": 1, "cdes": 0, "udrun": 1}
+        (word,) = objects("permutations", 1)
+        assert stats("permutations", word) == {"des": 0, "exc": 0, "cyc": 1, "cdes": 0, "udrun": 1}
 
     def test_empty_permutation(self):
-        (rec,) = records("permutations", 0)
-        assert rec.stats["udrun"] == 0
+        (word,) = objects("permutations", 0)
+        assert stats("permutations", word)["udrun"] == 0
 
     def test_single_stirling_permutation(self):
-        (rec,) = records("stirling-permutations", 1)
-        assert rec.object_id == "1,1"
-        assert rec.stats == {"asc": 1, "des": 1, "plat": 1, "ap": 0, "fap": 1}
+        (word,) = objects("stirling-permutations", 1)
+        assert word == (1, 1)
+        assert stats("stirling-permutations", word) == {
+            "asc": 1, "des": 1, "plat": 1, "ap": 0, "fap": 1}
 
     def test_single_list(self):
-        (rec,) = records("list-partitions", 1)
-        assert rec.stats["blocks"] == 1
-        assert rec.stats["asc"] == 1
-        assert rec.stats["des"] == 1
+        (blocks,) = objects("list-partitions", 1)
+        s = stats("list-partitions", blocks)
+        assert s["blocks"] == 1
+        assert s["asc"] == 1
+        assert s["des"] == 1
 
     def test_list_ascents_and_descents_are_padded(self):
         # Each block is read as 0, block..., 0; an ascent or descent is an
@@ -171,45 +184,36 @@ class TestSmallRecords:
                 count += sum(1 for a, b in zip(seq, seq[1:]) if (a < b if rises else a > b))
             return count
 
+        scans = SCANS["list-partitions"]
         for n in range(6):
-            for rec in records("list-partitions", n):
-                assert rec.stat("asc") == padded(rec.obj, True), rec.object_id
-                assert rec.stat("des") == padded(rec.obj, False), rec.object_id
+            for blocks in objects("list-partitions", n):
+                assert scans["asc"](blocks) == padded(blocks, True), blocks
+                assert scans["des"](blocks) == padded(blocks, False), blocks
 
     def test_stirling_permutations_of_order_two(self):
-        ids = {r.object_id for r in records("stirling-permutations", 2)}
-        assert ids == {"1,1,2,2", "1,2,2,1", "2,2,1,1"}
+        words = set(objects("stirling-permutations", 2))
+        assert words == {(1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1)}
 
     def test_stirling_lists_of_order_two(self):
-        ids = {r.object_id for r in records("stirling-lists", 2)}
-        assert ids == {"1,1,2,2", "1,2,2,1", "2,2,1,1", "1,1|2,2"}
-        blocks = {r.object_id: r.stats["blocks"] for r in records("stirling-lists", 2)}
-        assert blocks["1,1|2,2"] == 2
+        blocks = SCANS["stirling-lists"]["blocks"]
+        assert {obj: blocks(obj) for obj in objects("stirling-lists", 2)} == {
+            ((1, 1, 2, 2),): 1, ((1, 2, 2, 1),): 1, ((2, 2, 1, 1),): 1, ((1, 1), (2, 2)): 2}
 
     def test_signed_order_one(self):
-        stats = {r.object_id: r.stats["des_b"] for r in records("signed-permutations", 1)}
-        assert stats == {"1": 0, "-1": 1}
+        des_b = SCANS["signed-permutations"]["des_b"]
+        assert {word: des_b(word) for word in objects("signed-permutations", 1)} == {
+            (1,): 0, (-1,): 1}
 
     def test_signed_order_two_sequence(self):
-        ids = [r.object_id for r in records("signed-permutations", 2)]
-        assert ids == ["1,2", "1,-2", "-1,2", "-1,-2", "2,1", "2,-1", "-2,1", "-2,-1"]
+        assert objects("signed-permutations", 2) == [
+            (1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1), (2, -1), (-2, 1), (-2, -1)]
 
 
 class TestLazyRecords:
-    def test_stat_matches_stats(self):
-        for kind, n in KINDS:
-            for rec in records(kind, n):
-                assert rec.stats == {name: rec.stat(name) for name in rec.scans}
-
-    def test_unknown_stat_raises(self):
-        (rec,) = records("permutations", 1)
-        with pytest.raises(KeyError):
-            rec.stat("nope")
-
     def test_stats_build_cycle_form_once_per_word(self):
         combinat._word_cycles.cache_clear()
-        for rec in records("permutations", 4):
-            rec.stats
+        for word in permutations(4):
+            stats("permutations", word)
         info = combinat._word_cycles.cache_info()
         assert (info.misses, info.hits) == (24, 24)
 
@@ -257,8 +261,8 @@ class TestStatisticValues:
 
     def test_permutation_invariant(self):
         for n in range(7):
-            for rec in records("permutations", n):
-                s = rec.stats
+            for word in permutations(n):
+                s = stats("permutations", word)
                 assert s["exc"] + s["cdes"] + s["cyc"] == n
 
 
@@ -277,8 +281,9 @@ class TestDistributions:
         # The displayed recurrence output times q equals the enumeration.
         for n in range(1, 8):
             got = Polynomial()
-            for rec in records("permutations", n):
-                got = got + mono(1, x=rec.stats["exc"], q=rec.stats["cyc"])
+            for word in permutations(n):
+                s = stats("permutations", word)
+                got = got + mono(1, x=s["exc"], q=s["cyc"])
             assert got == assemble("eulerian-xq", n) * variable("q")
 
     def test_type_b_descent_polynomial(self):
@@ -312,18 +317,20 @@ class TestDistributions:
     def test_list_partition_joint_distribution(self):
         for n in range(1, 6):
             tally: dict[tuple[int, int], int] = {}
-            for rec in records("list-partitions", n):
-                key = (rec.stats["blocks"], rec.stats["asc"])
+            for blocks in list_partitions(n):
+                s = stats("list-partitions", blocks)
+                key = (s["blocks"], s["asc"])
                 tally[key] = tally.get(key, 0) + 1
             assert tally == family_row("a", n)
 
     def test_valley_statistics_match_gamma(self):
         for n in range(1, 6):
             tally: dict[tuple[int, int], int] = {}
-            for rec in records("list-partitions", n):
-                if rec.stats["dd"]:
+            for blocks in list_partitions(n):
+                s = stats("list-partitions", blocks)
+                if s["dd"]:
                     continue
-                key = (rec.stats["blocks"], rec.stats["blocks"] + rec.stats["val"])
+                key = (s["blocks"], s["blocks"] + s["val"])
                 tally[key] = tally.get(key, 0) + 1
             assert tally == family_row("gamma", n)
 
@@ -356,12 +363,13 @@ class TestStatPolynomial:
 
 
 def record_tally(kind: str, n: int, assignment: dict[str, str]) -> Polynomial:
-    """The tally of ``assignment`` built record by record from the public views."""
+    """The tally of ``assignment`` built object by object from the raw walk."""
+    scans = SCANS[kind]
     got = Polynomial()
-    for rec in records(kind, n):
+    for obj in objects(kind, n):
         exponents: dict[str, int] = {}
         for name, symbol in assignment.items():
-            exponents[symbol] = exponents.get(symbol, 0) + rec.stat(name)
+            exponents[symbol] = exponents.get(symbol, 0) + scans[name](obj)
         got = got + mono(1, **exponents)
     return got
 
@@ -383,13 +391,8 @@ class TestTallyPath:
     def test_stat_keys_follow_the_record_order(self):
         for kind, n in KINDS:
             names = tuple(SCANS[kind])
-            want = [tuple(rec.stat(name) for name in names) for rec in records(kind, n)]
+            want = [tuple(stats(kind, obj).values()) for obj in objects(kind, n)]
             assert list(stat_keys(kind, n, names)) == want, kind
-
-    def test_raw_objects_are_the_record_objects(self):
-        for kind, n in KINDS:
-            raw = list(combinat._ENUMERATORS[kind](n))
-            assert raw == [rec.obj for rec in records(kind, n)], kind
 
     @pytest.mark.parametrize("kind", sorted(SCANS))
     def test_over_cap_raises_when_called(self, kind):
@@ -397,7 +400,7 @@ class TestTallyPath:
         for call in (
             lambda: stat_polynomial(kind, over, {next(iter(SCANS[kind])): "x"}),
             lambda: stat_keys(kind, over, ()),
-            lambda: records(kind, over),
+            lambda: combinat._ENUMERATORS[kind](over),
         ):
             with pytest.raises(ValueError, match=f"{kind} enumeration capped at n = {CAPS[kind]}"):
                 call()
@@ -405,9 +408,7 @@ class TestTallyPath:
     def test_unknown_kind_is_named(self):
         with pytest.raises(KeyError, match="'necklaces'"):
             stat_polynomial("necklaces", 3, {"des": "x"})
-        with pytest.raises(KeyError, match="'necklaces'"):
-            records("necklaces", 3)
-        # Forests have records but no statistic scans.
+        # Forests have no statistic scans.
         with pytest.raises(KeyError, match="'binary-forests'"):
             stat_keys("binary-forests", 3, ("des",))
 

@@ -13,32 +13,33 @@ from normord import (
     grow_forests,
     mono,
     normal_order_power,
-    records,
     variable,
 )
 from normord.checks import _forest_poly
 from normord.forests import census
 
 
-def views(flavor: str, n: int):
-    """The Forest view of each forest of the flavor on [n], as ``normord enumerate`` reads them."""
-    return records(f"{flavor}-forests", n)
+def forest_rows(flavor: str, n: int):
+    """(encoding, tree count, x/y/z leaf counts) of each forest of the flavor on [n].
+
+    This is what ``normord enumerate`` prints of a forest, read by one census.
+    """
+    for word in grow_forests(flavor, n):
+        x, y, z, k = census(word)
+        yield word, k, (x, y, z)
 
 
 def tally_by_slot_and_x(flavor: str, n: int) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
-    for f in views(flavor, n):
-        key = (f.k, f.leaf_count("x"))
+    for _, k, leaves in forest_rows(flavor, n):
+        key = (k, leaves[0])
         out[key] = out.get(key, 0) + 1
     return out
 
 
 class TestBasics:
     def test_empty_input(self):
-        (f,) = views("binary", 0)
-        assert f.k == 0
-        assert f.leaves == (0, 0, 0)
-        assert f.encode() == ""
+        assert list(forest_rows("binary", 0)) == [("", 0, (0, 0, 0))]
 
     @pytest.mark.parametrize(
         "flavor,encoded,leaves",
@@ -50,27 +51,11 @@ class TestBasics:
         ],
     )
     def test_single_vertex(self, flavor, encoded, leaves):
-        (f,) = views(flavor, 1)
-        assert f.encode() == encoded
-        assert f.leaves == leaves
-        assert f.k == 1
+        assert list(forest_rows(flavor, 1)) == [(encoded, 1, leaves)]
 
     def test_component_count_matches_encoding(self):
-        for f in views("binary", 4):
-            assert f.encode().count(" + ") + 1 == f.k
-
-    def test_leaf_count_accessor(self):
-        for f in views("full-ternary", 3):
-            assert (
-                f.leaf_count("x"),
-                f.leaf_count("y"),
-                f.leaf_count("z"),
-            ) == f.leaves
-
-    def test_leaf_count_rejects_other_letters(self):
-        (f,) = views("full-ternary", 1)
-        with pytest.raises(ValueError):
-            f.leaf_count("w")
+        for word, k, _ in forest_rows("binary", 4):
+            assert word.count(" + ") + 1 == k
 
     def test_encodings_unique(self):
         for flavor, n in [
@@ -79,7 +64,7 @@ class TestBasics:
             ("ternary", 5),
             ("full-ternary", 4),
         ]:
-            seen = [f.encode() for f in views(flavor, n)]
+            seen = list(grow_forests(flavor, n))
             assert len(seen) == len(set(seen))
 
     def test_unknown_flavor(self):
@@ -88,7 +73,6 @@ class TestBasics:
 
     def test_raw_walk_yields_encodings(self):
         assert list(grow_forests("binary", 2)) == ["1(2(x,y))", "1(x) + 2(x)"]
-        assert [f.encode() for f in views("binary", 2)] == list(grow_forests("binary", 2))
 
     def test_census_counts_leaves_then_trees(self):
         assert census("") == (0, 0, 0, 0)
@@ -100,8 +84,6 @@ class TestBasics:
             grow_forests("septenary", 2)
         with pytest.raises(ValueError, match="binary-forests"):
             grow_forests("binary", 10)
-        with pytest.raises(KeyError, match="septenary-forests"):
-            records("septenary-forests", 2)
 
     def test_caps(self):
         with pytest.raises(ValueError):
@@ -112,7 +94,7 @@ class TestBasics:
             next(grow_forests("binary", 5, cap=4))
 
 
-# sha256 over one "encode()<TAB>k<TAB>x,y,z" line per forest for n = 0..n_max:
+# sha256 over one "encoding<TAB>k<TAB>x,y,z" line per forest for n = 0..n_max:
 # pins the growth order and every record past the n <= 5 of the CLI digests.
 GROWTH_DIGESTS = [
     ("binary", 7, "c7a7a65e5fa9d08186d684bc09830fbe9d4c3562c0e763b1a07fddf3f50c3a11"),
@@ -126,8 +108,8 @@ GROWTH_DIGESTS = [
 def test_growth_order_digest(flavor, n_max, want):
     h = hashlib.sha256()
     for n in range(n_max + 1):
-        for f in views(flavor, n):
-            h.update(f"{f.encode()}\t{f.k}\t{','.join(map(str, f.leaves))}\n".encode())
+        for word, k, leaves in forest_rows(flavor, n):
+            h.update(f"{word}\t{k}\t{','.join(map(str, leaves))}\n".encode())
     assert h.hexdigest() == want
 
 
@@ -148,14 +130,14 @@ class TestTriangleTallies:
         # Total slot weight per flavor: n for binary, n+k for full binary,
         # 2n-k for ternary, 2n+k for full ternary.
         for n in range(1, 5):
-            for f in views("binary", n):
-                assert sum(f.leaves) == n
-            for f in views("full-binary", n):
-                assert sum(f.leaves) == n + f.k
-            for f in views("ternary", n):
-                assert sum(f.leaves) == 2 * n - f.k
-            for f in views("full-ternary", n):
-                assert sum(f.leaves) == 2 * n + f.k
+            for _, k, leaves in forest_rows("binary", n):
+                assert sum(leaves) == n
+            for _, k, leaves in forest_rows("full-binary", n):
+                assert sum(leaves) == n + k
+            for _, k, leaves in forest_rows("ternary", n):
+                assert sum(leaves) == 2 * n - k
+            for _, k, leaves in forest_rows("full-ternary", n):
+                assert sum(leaves) == 2 * n + k
 
 
 class TestOperatorTallies:
@@ -177,9 +159,8 @@ class TestOperatorTallies:
         g = Grammar.preset(preset)
         for n in range(1, n_max + 1):
             sums: dict[int, Polynomial] = {}
-            for f in views(flavor, n):
-                term = mono(1, x=f.leaves[0], y=f.leaves[1], z=f.leaves[2])
-                sums[f.k] = sums.get(f.k, Polynomial()) + term
+            for _, k, (lx, ly, lz) in forest_rows(flavor, n):
+                sums[k] = sums.get(k, Polynomial()) + mono(1, x=lx, y=ly, z=lz)
             nf = normal_order_power(w, g, n)
             for k in range(1, n + 1):
                 assert sums.get(k, Polynomial()) == nf.coefficient(k)
@@ -188,9 +169,9 @@ class TestOperatorTallies:
 class TestTallyPath:
     @pytest.mark.parametrize("flavor", ["binary", "full-binary", "ternary", "full-ternary"])
     def test_census_tally_matches_views(self, flavor):
-        # The checks tally one census per raw encoding; the views read k and leaves.
+        # The checks tally census keys; here each forest adds its own monomial.
         for n in range(6):
             want = Polynomial()
-            for f in views(flavor, n):
-                want = want + mono(1, x=f.leaves[0], y=f.leaves[1], z=f.leaves[2], q=f.k)
+            for _, k, (lx, ly, lz) in forest_rows(flavor, n):
+                want = want + mono(1, x=lx, y=ly, z=lz, q=k)
             assert _forest_poly(flavor, n, ("x", "y", "z", "q")) == want, n

@@ -485,6 +485,14 @@ class TestGammaExpand:
         with pytest.raises(ValueError, match="basis symbol 'x' is repeated"):
             gamma_expand(x ** 2, pair=("x", "x"))
 
+    def test_checks_the_basis_of_a_polynomial_without_slices(self):
+        # The zero polynomial has no slices; its basis is checked as e_expand checks it.
+        with pytest.raises(ValueError, match="basis symbol 'x' is repeated"):
+            gamma_expand(Polynomial(), pair=("x", "x"))
+        with pytest.raises(ValueError, match="basis symbol 'x' is repeated"):
+            e_expand(Polynomial(), ("x", "x", "y"))
+        assert gamma_expand(Polynomial()) == {}
+
     def test_rejects_slice_symbol_in_pair(self):
         with pytest.raises(ValueError, match="slice symbol 'x' is also a basis symbol"):
             gamma_expand(x * y, slice_symbol="x")
