@@ -198,7 +198,7 @@ class Monomial:
 class Polynomial:
     """Immutable sparse polynomial: map canonical pairs -> nonzero exact scalar."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -210,6 +210,7 @@ class Polynomial:
             if c:
                 acc[m.pairs] = acc.get(m.pairs, 0) + c
         self._terms = {m: _norm_scalar(c) for m, c in acc.items() if c}
+        self._hash = None
 
     @classmethod
     def _collect(cls, acc: dict[Pairs, Scalar]) -> "Polynomial":
@@ -220,6 +221,7 @@ class Polynomial:
         """
         p = object.__new__(cls)
         p._terms = {m: c if type(c) is int else _norm_scalar(c) for m, c in acc.items() if c}
+        p._hash = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -438,10 +440,13 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # A constant equals its scalar (see __eq__), so it hashes like it.
-        if self._terms.keys() <= {()}:
-            return hash(self.constant_term())
-        return hash(frozenset(self._terms.items()))
+        if self._hash is None:
+            # A constant equals its scalar (see __eq__), so it hashes like it.
+            if self._terms.keys() <= {()}:
+                self._hash = hash(self.constant_term())
+            else:
+                self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     def _sorted_keys(self) -> list[Pairs]:
         """Term keys in canonical (descending graded-lex) order."""
