@@ -13,8 +13,6 @@ enumerate
     (or a compact text form).
 verify
     Run one named check or the whole registry; exit 0 only if all pass.
-series
-    Compare a series identity through a truncation order.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  All
 diagnostics go to stderr; identical invocations print identical bytes.
@@ -38,10 +36,6 @@ from .triangles import FAMILY_NAMES, family_row, family_spec
 __all__ = ["main", "build_parser"]
 
 
-class UsageError(Exception):
-    """Invalid arguments beyond what argparse can see."""
-
-
 def _parse_grammar(text: str) -> Grammar:
     if "->" in text:
         return Grammar.from_text(text)
@@ -59,9 +53,9 @@ def _entry_json(value):
 
 def _cmd_expand(args: argparse.Namespace, out) -> int:
     if args.n < 0:
-        raise UsageError("--n must be nonnegative")
+        raise ValueError("--n must be nonnegative")
     if args.at_d is not None and not _SYMBOL.fullmatch(args.at_d):
-        raise UsageError(f"--at-d must be a symbol name, got {args.at_d!r}")
+        raise ValueError(f"--at-d must be a symbol name, got {args.at_d!r}")
     grammar = _parse_grammar(args.grammar)
     w = parse(args.w)
     nf = normal_order_power(w, grammar, args.n)
@@ -79,7 +73,7 @@ def _cmd_expand(args: argparse.Namespace, out) -> int:
 def _cmd_triangle(args: argparse.Namespace, out) -> int:
     spec = family_spec(args.family)
     if args.n < spec.start:
-        raise UsageError(f"family {args.family!r} starts at n = {spec.start}")
+        raise ValueError(f"family {args.family!r} starts at n = {spec.start}")
     if args.format == "csv":
         print("family,n,k,l,j,entry", file=out)
     for n in range(spec.start, args.n + 1):
@@ -114,15 +108,15 @@ def _object_id(obj: tuple) -> str:
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     if args.n < 0:
-        raise UsageError("--n must be nonnegative")
+        raise ValueError("--n must be nonnegative")
     wanted: Optional[List[str]] = None
     if args.stats is not None:
         wanted = [s.strip() for s in args.stats.split(",") if s.strip()]
         if not wanted:
-            raise UsageError("--stats must name at least one statistic")
+            raise ValueError("--stats must name at least one statistic")
     if args.objects not in SCANS:
         if wanted is not None:
-            raise UsageError("--stats applies to statistic-bearing objects, not forests")
+            raise ValueError("--stats applies to statistic-bearing objects, not forests")
         for word in grow_forests(args.objects.removesuffix("-forests"), args.n):
             lx, ly, lz, trees = census(word)
             if args.format == "json":
@@ -137,7 +131,7 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     missing = [s for s in wanted or () if s not in scans]
     if missing:
         known = ", ".join(sorted(scans))
-        raise UsageError(f"unknown statistic(s) {', '.join(missing)}; known: {known}")
+        raise ValueError(f"unknown statistic(s) {', '.join(missing)}; known: {known}")
     if wanted is not None:
         scans = {s: scans[s] for s in wanted}
     for obj in walk:
@@ -160,7 +154,7 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     if args.check is not None:
         results = [run_check(args.check, args.n_max)]
     elif args.n_max is not None:
-        raise UsageError("--n-max applies to a single --check run")
+        raise ValueError("--n-max applies to a single --check run")
     else:
         results = run_all(args.profile)
     if args.format == "json":
@@ -168,32 +162,6 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     else:
         print(render_report(results), file=out)
     return 0 if all(r.passed for r in results) else 1
-
-
-# -- series ----------------------------------------------------------------
-
-
-def _cmd_series(args: argparse.Namespace, out) -> int:
-    if args.order < 0:
-        raise UsageError("--order must be nonnegative")
-    witness = run_check(args.identity, args.order).witness
-    if args.format == "json":
-        payload = {
-            "identity": args.identity,
-            "order": args.order,
-            "matched": witness is None,
-            "first_mismatch": None if witness is None else witness.n,
-        }
-        if witness is not None:
-            payload["lhs"] = witness.left
-            payload["rhs"] = witness.right
-        print(json.dumps(payload, sort_keys=True), file=out)
-    elif witness is None:
-        print(f"{args.identity}: match through order {args.order}", file=out)
-    else:
-        print(f"{args.identity}: MISMATCH at order {witness.n}\n"
-              f"  lhs: {witness.left}\n  rhs: {witness.right}", file=out)
-    return 0 if witness is None else 1
 
 
 # -- parser ----------------------------------------------------------------
@@ -243,12 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("series", help="compare a series identity through an order")
-    p.add_argument("--identity", choices=("catalan-egf",), default="catalan-egf")
-    p.add_argument("--order", type=int, default=10)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(handler=_cmd_series)
-
     return parser
 
 
@@ -260,9 +222,6 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args, sys.stdout)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ParseError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

@@ -70,8 +70,10 @@ CAPS = {
 
 
 def check_cap(kind: str, n: int, cap: int | None) -> None:
-    """Reject a negative size, or one past ``cap`` (default: the kind's ``CAPS`` entry)."""
+    """Reject a non-int or negative size, or one past ``cap`` (default: the kind's ``CAPS`` entry)."""
     limit = CAPS[kind] if cap is None else cap
+    if not isinstance(n, int):
+        raise TypeError(f"size must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n > limit:
@@ -87,6 +89,8 @@ def grow(start: T, steps: int, children: Callable[[T, int], Iterable[T]]) -> Ite
     The walk keeps one child iterator per insertion made so far on a stack
     and yields the last insertion's objects straight from its iterator.
     """
+    if not isinstance(steps, int):
+        raise TypeError(f"steps must be an int, got {type(steps).__name__}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if steps == 0:

@@ -165,6 +165,8 @@ def normal_order_power(
     w: Polynomial | Scalar, grammar: Grammar, n: int
 ) -> NormalForm:
     """Expand (w * D_grammar)^n into normal form (``n >= 0``)."""
+    if not isinstance(n, int):
+        raise TypeError(f"operator power must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError("operator power must be nonnegative")
     wp = Polynomial._coerce(w)

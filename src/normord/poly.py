@@ -150,7 +150,11 @@ class Monomial:
         else:
             items = exponents.items() if isinstance(exponents, Mapping) else exponents
             merged: dict[str, int] = {}
-            for name, exp in items:
+            # A string would unpack letter by letter, as if it held pairs.
+            for item in (items,) if isinstance(items, str) else items:
+                if isinstance(item, str):
+                    raise TypeError(f"(symbol, exponent) pairs required, got string {item!r}")
+                name, exp = item
                 if not _SYMBOL.fullmatch(name):
                     raise ValueError(f"bad symbol name {name!r}")
                 if not isinstance(exp, int):

@@ -1,9 +1,11 @@
 """Coefficient triangles built from their recurrences, plus assembled polynomials.
 
 Each family of normal-order coefficients (or classical companion numbers)
-is generated bottom-up from its defining recurrence, never from closed
-forms, so the triangles serve as an independent computation path against
-operator expansions and brute-force enumeration.  Each stepped family keeps
+is generated bottom-up from its defining recurrence, so the triangles serve
+as an independent computation path against operator expansions and
+brute-force enumeration.  Bessel is the one exception: its rows are the
+closed form (n+j)!/(2^j (n-j)! j!), the side that the ``bessel-closed-form``
+check holds against the diagonal recurrence.  Each stepped family keeps
 only the last row its latest walk reached: a request above that row steps
 up from it, one below it steps up from the base row, both without
 recursion, and each row is dropped once the next one is stepped from it.

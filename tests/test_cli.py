@@ -53,7 +53,11 @@ class TestExpand:
             )
             assert code == 2
             assert out == ""
-            assert "error:" in err
+            assert err == f"error: --at-d must be a symbol name, got {at_d!r}\n"
+
+    def test_negative_power_rejected(self):
+        code, out, err = run("expand", "--w", "x", "--grammar", "second-order", "--n", "-1")
+        assert (code, out, err) == (2, "", "error: --n must be nonnegative\n")
 
     def test_json_round_trips(self):
         code, out, _ = run(
@@ -121,6 +125,10 @@ class TestTriangle:
             "error: unknown family 'nope'; known families: A, Ap, a, gamma, C, beta, B, E, W,"
             " S2, S1, eulerian, eulerian2, eulerianB, lah, bessel, catalan\n"
         )
+
+    def test_level_below_start(self):
+        code, out, err = run("triangle", "--family", "A", "--n", "0")
+        assert (code, out, err) == (2, "", "error: family 'A' starts at n = 1\n")
 
 
 class TestEnumerate:
@@ -296,28 +304,30 @@ class TestVerify:
     def test_depth_without_check_rejected(self):
         code, _, err = run("verify", "--n-max", "4")
         assert code == 2
-        assert "error:" in err
+        assert err == "error: --n-max applies to a single --check run\n"
 
-
-class TestSeries:
-    def test_match(self):
-        code, out, _ = run("series", "--identity", "catalan-egf", "--order", "6")
+    def test_catalan_egf_match(self):
+        code, out, _ = run("verify", "--check", "catalan-egf", "--n-max", "6")
         assert code == 0
-        assert out == "catalan-egf: match through order 6\n"
+        assert out == "PASS catalan-egf (n=0..6)\n1/1 checks passed\n"
 
-    def test_json_match_carries_no_mismatch_payload(self):
-        code, out, _ = run("series", "--order", "5", "--format", "json")
+    def test_catalan_egf_json_match_carries_no_witness(self):
+        code, out, _ = run(
+            "verify", "--check", "catalan-egf", "--n-max", "5", "--format", "json"
+        )
         assert code == 0
-        assert json.loads(out) == {
-            "identity": "catalan-egf", "order": 5, "matched": True, "first_mismatch": None
-        }
+        assert out == json.dumps(
+            [{"check_id": "catalan-egf", "n_range": [0, 5], "status": "pass", "witness": None}],
+            indent=2,
+        ) + "\n"
 
-    def test_order_out_of_range(self):
-        code, _, err = run("series", "--order", "13")
-        assert code == 2
-        assert "error:" in err
+    def test_catalan_egf_order_out_of_range(self):
+        for n_max, text in (("11", "error: catalan-egf is capped at n=10, requested 11\n"),
+                            ("-1", "error: catalan-egf starts at n=0, requested -1\n")):
+            code, out, err = run("verify", "--check", "catalan-egf", "--n-max", n_max)
+            assert (code, out, err) == (2, "", text)
 
-    def test_mismatch(self, monkeypatch):
+    def test_catalan_egf_mismatch(self, monkeypatch):
         import normord.series
 
         ctilde_xx = normord.series.ctilde_xx
@@ -325,13 +335,20 @@ class TestSeries:
                             lambda n: ctilde_xx(n) + 1 if n == 3 else ctilde_xx(n))
         lhs = "3*x^5*z + 3*x^4*z^2 + x^3*z^3 + 1"
         rhs = "3*x^5*z + 3*x^4*z^2 + x^3*z^3"
-        code, out, _ = run("series", "--order", "5")
+        code, out, _ = run("verify", "--check", "catalan-egf", "--n-max", "5")
         assert code == 1
-        assert out == f"catalan-egf: MISMATCH at order 3\n  lhs: {lhs}\n  rhs: {rhs}\n"
-        code, out, _ = run("series", "--order", "5", "--format", "json")
+        assert out == (
+            "FAIL catalan-egf (n=0..5): n=3 [recurrence-built series vs exponential"
+            f" closed form] left: {lhs} | right: {rhs}\n0/1 checks passed\n"
+        )
+        code, out, _ = run(
+            "verify", "--check", "catalan-egf", "--n-max", "5", "--format", "json"
+        )
         assert code == 1
-        data = json.loads(out)
-        assert (data["first_mismatch"], data["lhs"], data["rhs"]) == (3, lhs, rhs)
+        assert json.loads(out)[0]["witness"] == {
+            "left": lhs, "n": 3, "note": "recurrence-built series vs exponential closed form",
+            "right": rhs,
+        }
 
 
 class TestHarness:
@@ -342,6 +359,13 @@ class TestHarness:
     def test_unknown_subcommand(self):
         code, _, _ = run("transmogrify")
         assert code == 2
+
+    def test_series_is_not_a_subcommand(self):
+        # catalan-egf reports through verify --check, like every other check.
+        code, out, err = run("series", "--order", "5")
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'series'" in err
+        assert "{expand,triangle,enumerate,verify}" in run("--help")[1]
 
     def test_help_exits_zero(self):
         code, out, _ = run("--help")

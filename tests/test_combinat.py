@@ -127,6 +127,17 @@ class TestGrow:
         with pytest.raises(ValueError):
             list(grow(0, -1, lambda obj, i: (obj + 1,)))
 
+    def test_non_int_steps_raise(self):
+        # A walk that missed its last insertion would step past it; stop it there.
+        def children(obj, i):
+            if i > 3:
+                raise RuntimeError("walked past the last insertion")
+            return (obj + 1,)
+
+        for steps in (1.5, 2.0):
+            with pytest.raises(TypeError, match="steps must be an int, got float"):
+                list(grow(0, steps, children))
+
     def test_deep_walk_needs_no_recursion(self):
         assert list(grow(0, 5000, lambda obj, i: (obj + 1,))) == [5000]
 
@@ -145,6 +156,13 @@ class TestCaps:
     def test_default_caps(self, gen, over):
         with pytest.raises(ValueError):
             next(gen(over))
+
+    @pytest.mark.parametrize("kind", sorted(SCANS))
+    def test_non_int_size_raises_when_called(self, kind):
+        # Called only, never iterated: a walk to a size of 1.5 would not end.
+        for n in (1.5, 2.0):
+            with pytest.raises(TypeError, match="size must be an int, got float"):
+                combinat._ENUMERATORS[kind](n)
 
     def test_explicit_cap_override(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             next(grow_forests("binary", 5, cap=4))
 
+    def test_non_int_size_raises_when_called(self):
+        # Called only, never iterated: a walk to a size of 2.5 would not end.
+        for flavor in ("binary", "full-binary", "ternary", "full-ternary"):
+            with pytest.raises(TypeError, match="size must be an int, got float"):
+                grow_forests(flavor, 2.5)
+
 
 # sha256 over one "encoding<TAB>k<TAB>x,y,z" line per forest for n = 0..n_max:
 # pins the growth order and every record past the n <= 5 of the CLI digests.

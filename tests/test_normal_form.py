@@ -7,6 +7,8 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import SMALL_PRESETS, random_polynomial
 from normord import (
     PRESETS,
@@ -235,6 +237,11 @@ class TestPackedEdges:
                 nf = normal_order_power(0, g, n)
                 assert nf.coeffs == (Polynomial.zero(),) * (n + 1)
                 assert nf.render() == "0"
+
+    def test_non_int_power_raises(self):
+        for n in (2.0, 1.5, "2"):
+            with pytest.raises(TypeError, match="operator power must be an int"):
+                normal_order_power(x, Grammar.preset("second-order"), n)
 
 
 class TestSpecialize:

@@ -54,6 +54,15 @@ class TestConstruction:
         p = mono(3, _a=1, B2=-2) + variable("x_1")
         assert parse(p.render()) == p
 
+    def test_string_exponents_rejected(self):
+        # A string would otherwise unpack letter by letter into (symbol, exponent).
+        for build, shown in ((lambda: Monomial("x"), "'x'"),
+                             (lambda: Monomial("xy"), "'xy'"),
+                             (lambda: Monomial(["xy"]), "'xy'"),
+                             (lambda: Polynomial({"x": 1}), "'x'")):
+            with pytest.raises(TypeError, match=f"pairs required, got string {shown}"):
+                build()
+
 
 class TestRender:
     def test_difference_of_squares(self):

@@ -59,11 +59,11 @@ class TestGeneratingFunctionIdentity:
         assert rights == ["1", "x*z", "x^3*z + x^2*z^2"]
 
     def test_rejects_uncomputed_orders(self):
-        # The series command stops at the catalan-egf check's cap of 10.
+        # verify --check catalan-egf stops at the check's cap of 10.
         for order, code, text in (
-                (10, 0, "catalan-egf: match through order 10\n"),
+                (10, 0, "PASS catalan-egf (n=0..10)\n1/1 checks passed\n"),
                 (11, 2, "error: catalan-egf is capped at n=10, requested 11\n")):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
-                assert main(["series", "--order", str(order)]) == code
+                assert main(["verify", "--check", "catalan-egf", "--n-max", str(order)]) == code
             assert (out.getvalue() if code == 0 else err.getvalue()) == text
