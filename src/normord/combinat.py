@@ -35,10 +35,9 @@ Conventions that matter and are easy to get wrong:
   0 in front never makes a descent, so list ascents and descents are the
   Stirling-permutation scans summed over blocks.
 
-One table, :data:`CAPS`, holds the default size cap of every enumerator,
-forests included, and one function, :func:`check_cap`, enforces it.  The
-caps keep full enumerations inside a test-friendly budget; pass a larger
-``cap`` explicitly to go beyond.
+One table, :data:`CAPS`, holds the size cap of every enumerator, forests
+included, and :func:`check_cap` reads it each time an enumerator is called.
+The caps keep full enumerations test-sized; to go beyond, raise the entry.
 """
 
 from __future__ import annotations
@@ -69,15 +68,14 @@ CAPS = {
 }
 
 
-def check_cap(kind: str, n: int, cap: int | None) -> None:
-    """Reject a non-int or negative size, or one past ``cap`` (default: the kind's ``CAPS`` entry)."""
-    limit = CAPS[kind] if cap is None else cap
+def check_cap(kind: str, n: int) -> None:
+    """Reject a non-int or negative size, or one past the kind's ``CAPS`` entry, read at each call."""
     if not isinstance(n, int):
         raise TypeError(f"size must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError("size must be nonnegative")
-    if n > limit:
-        raise ValueError(f"{kind} enumeration capped at n = {limit} (requested {n})")
+    if n > CAPS[kind]:
+        raise ValueError(f"{kind} enumeration capped at n = {CAPS[kind]} (requested {n})")
 
 
 def grow(start: T, steps: int, children: Callable[[T, int], Iterable[T]]) -> Iterator[T]:
@@ -214,9 +212,9 @@ def list_double_descents(block: tuple[int, ...]) -> int:
 # -- enumerators -----------------------------------------------------------
 
 
-def permutations(n: int, *, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+def permutations(n: int) -> Iterator[tuple[int, ...]]:
     """All permutations of [n] as one-line words, in lexicographic order."""
-    check_cap("permutations", n, cap)
+    check_cap("permutations", n)
     return _one_line_words(range(1, n + 1))
 
 
@@ -225,9 +223,9 @@ def _signings(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return _product(*zip(word, map(neg, word)))
 
 
-def signed_permutations(n: int, *, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+def signed_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """All signed permutations of [n]: each one-line word under every sign choice."""
-    check_cap("signed-permutations", n, cap)
+    check_cap("signed-permutations", n)
     return chain.from_iterable(map(_signings, _one_line_words(range(1, n + 1))))
 
 
@@ -242,9 +240,9 @@ def _stirling_words(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return grow((), len(values), children)
 
 
-def stirling_permutations(n: int, *, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+def stirling_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """All Stirling permutations of {1^2, ..., n^2} as words."""
-    check_cap("stirling-permutations", n, cap)
+    check_cap("stirling-permutations", n)
     return _stirling_words(tuple(range(1, n + 1)))
 
 
@@ -257,9 +255,9 @@ def _list_insertions(blocks: tuple[tuple[int, ...], ...], m: int):
     yield blocks + ((v,),)
 
 
-def list_partitions(n: int, *, cap: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
+def list_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Partitions of [n] into ordered lists, as tuples of blocks sorted by their minima."""
-    check_cap("list-partitions", n, cap)
+    check_cap("list-partitions", n)
     return grow((), n, _list_insertions)
 
 
@@ -275,13 +273,13 @@ def _stirling_fillings(blocks: tuple[tuple[int, ...], ...]) -> Iterator[tuple]:
     return _product(*map(_stirling_words, blocks))
 
 
-def stirling_lists(n: int, *, cap: int | None = None) -> Iterator[tuple[tuple[int, ...], ...]]:
+def stirling_lists(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Partitions of {1^2, ..., n^2} into blocks of Stirling permutations.
 
     Each set partition of [n] (blocks sorted by their minima) is filled with
     every choice of one Stirling permutation per block.
     """
-    check_cap("stirling-lists", n, cap)
+    check_cap("stirling-lists", n)
     return chain.from_iterable(map(_stirling_fillings, grow((), n, _set_insertions)))
 
 

@@ -45,12 +45,12 @@ def census(word: str) -> tuple[int, int, int, int]:
     return word.count("x"), word.count("y"), word.count("z"), word.count("+") + (word != "")
 
 
-def grow_forests(flavor: str, n: int, *, cap: int | None = None) -> Iterator[str]:
+def grow_forests(flavor: str, n: int) -> Iterator[str]:
     """The encodings of all forests of the flavor on [n], one at a time."""
     if flavor not in FLAVORS:
         known = ", ".join(FLAVORS)
         raise KeyError(f"unknown forest flavor {flavor!r}; known: {known}")
-    check_cap(f"{flavor}-forests", n, cap)
+    check_cap(f"{flavor}-forests", n)
     root_slots, node_slots = FLAVORS[flavor]
 
     def children(word: str, m: int) -> Iterator[str]:

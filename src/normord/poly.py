@@ -240,7 +240,8 @@ class Polynomial:
 
     @staticmethod
     def constant(c: Scalar) -> "Polynomial":
-        return Polynomial({Monomial(): c})
+        # 0 + c stores a bool as its int, so constant(True) renders "1".
+        return Polynomial._collect({(): 0 + _norm_scalar(c)})
 
     # -- inspection --------------------------------------------------------
 

@@ -11,9 +11,10 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import normord
-from normord import Polynomial
+from normord import Polynomial, combinat
 from normord.cli import OBJECT_NAMES, _object_id, main
 from normord.combinat import CAPS, SCANS
+from normord.forests import FLAVORS
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -189,6 +190,13 @@ class TestEnumerate:
             assert out == ""
             assert f"capped at n = {cap} (requested {cap + 1})" in err
 
+    def test_lowered_cap_entry(self, monkeypatch):
+        # enumerate reads the same CAPS entry as the library, when it runs.
+        monkeypatch.setitem(CAPS, "permutations", 2)
+        code, out, err = run("enumerate", "--objects", "permutations", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: permutations enumeration capped at n = 2 (requested 3)\n"
+
     def test_object_id_follows_the_object_shape(self):
         # A word joins its letters by ","; a tuple of blocks joins its words by "|".
         assert _object_id(()) == ""
@@ -199,6 +207,11 @@ class TestEnumerate:
     def test_object_names_match_caps(self):
         # A kind listed on one side only would fail at its first enumerate.
         assert sorted(OBJECT_NAMES) == sorted(CAPS)
+
+    def test_kind_tables_agree(self):
+        # A kind added to one table only would have no cap, scans or walk.
+        assert set(SCANS) == set(combinat._ENUMERATORS)
+        assert set(CAPS) == set(combinat._ENUMERATORS) | {f"{f}-forests" for f in FLAVORS}
 
 
 # sha256 of the concatenated ``enumerate`` output for n = 0..5 (n = 0..4 for

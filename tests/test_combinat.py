@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ from normord import (
     Polynomial,
     assemble,
     family_row,
+    grow_forests,
     list_partitions,
     mono,
     parse,
@@ -164,10 +166,24 @@ class TestCaps:
             with pytest.raises(TypeError, match="size must be an int, got float"):
                 combinat._ENUMERATORS[kind](n)
 
-    def test_explicit_cap_override(self):
-        with pytest.raises(ValueError):
-            next(permutations(3, cap=2))
-        assert sum(1 for _ in permutations(3, cap=3)) == 6
+    @pytest.mark.parametrize("kind", sorted(CAPS))
+    def test_lowered_entry_is_the_cap(self, kind, monkeypatch):
+        # CAPS is the only cap, read when each enumerator is called.
+        if kind in SCANS:
+            walk = combinat._ENUMERATORS[kind]
+        else:
+            walk = partial(grow_forests, kind.removesuffix("-forests"))
+        default = list(walk(2))
+        monkeypatch.setitem(CAPS, kind, 2)
+        with pytest.raises(ValueError, match=rf"^{kind} enumeration capped at n = 2 \(requested 3\)$"):
+            walk(3)
+        assert list(walk(2)) == default
+
+    def test_tallies_read_a_lowered_entry(self, monkeypatch):
+        monkeypatch.setitem(CAPS, "permutations", 2)
+        with pytest.raises(ValueError, match=r"capped at n = 2 \(requested 3\)"):
+            stat_polynomial("permutations", 3, {"des": "x"})
+        assert stat_polynomial("permutations", 2, {"des": "x"}) == 1 + variable("x")
 
 
 class TestSmallRecords:

@@ -90,8 +90,6 @@ class TestBasics:
             next(grow_forests("binary", 10))
         with pytest.raises(ValueError):
             next(grow_forests("ternary", 8))
-        with pytest.raises(ValueError):
-            next(grow_forests("binary", 5, cap=4))
 
     def test_non_int_size_raises_when_called(self):
         # Called only, never iterated: a walk to a size of 2.5 would not end.

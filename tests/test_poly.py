@@ -94,6 +94,8 @@ class TestRender:
 
     def test_constant_polynomial(self):
         assert Polynomial.constant(-7).render() == "-7"
+        # A bool is stored as its int, never rendered as "True".
+        assert Polynomial.constant(True).render() == "1"
 
 
 class TestParse:
