@@ -21,7 +21,7 @@ interactive time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -49,7 +49,6 @@ __all__ = [
     "REGISTRY",
     "check",
     "check_ids",
-    "register",
     "run_check",
     "run_all",
     "render_report",
@@ -71,9 +70,6 @@ class Witness:
 
     def render(self) -> str:
         return f"n={self.n} [{self.note}] left: {self.left} | right: {self.right}"
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "note": self.note, "left": self.left, "right": self.right}
 
 
 @dataclass(frozen=True)
@@ -98,14 +94,6 @@ class CheckResult:
         if self.witness is None:
             return head
         return f"{head}: {self.witness.render()}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "n_range": list(self.n_range),
-            "status": self.status,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-        }
 
 
 Runner = Callable[[int, int], Optional[Witness]]
@@ -154,19 +142,17 @@ def _level_runner(sides: Sides) -> Runner:
 REGISTRY: Dict[str, CheckSpec] = {}
 
 
-def register(spec: CheckSpec) -> CheckSpec:
-    """Add a spec to the registry; an id that is already taken raises ValueError."""
-    if spec.check_id in REGISTRY:
-        raise ValueError(f"duplicate check id {spec.check_id!r}")
-    REGISTRY[spec.check_id] = spec
-    return spec
-
-
 def check(check_id: str, summary: str, n_min: int, full_cap: int, quick_cap: int):
-    """Register the decorated ``sides(n)`` generator as a level-by-level check."""
+    """Register the decorated ``sides(n)`` generator as a level-by-level check.
+
+    An id that is already taken raises ValueError and leaves the registry as it was.
+    """
 
     def decorate(sides: Sides) -> Sides:
-        register(CheckSpec(check_id, summary, n_min, full_cap, quick_cap, _level_runner(sides)))
+        if check_id in REGISTRY:
+            raise ValueError(f"duplicate check id {check_id!r}")
+        REGISTRY[check_id] = CheckSpec(check_id, summary, n_min, full_cap, quick_cap,
+                                       _level_runner(sides))
         return sides
 
     return decorate
@@ -575,4 +561,5 @@ def render_report(results: List[CheckResult]) -> str:
 
 
 def results_to_json(results: List[CheckResult]) -> List[dict]:
-    return [result.to_json_dict() for result in results]
+    """Each result's fields, with its witness as a dict (or None), n_range as a list, and status."""
+    return [{**asdict(r), "n_range": list(r.n_range), "status": r.status} for r in results]

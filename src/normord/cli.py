@@ -30,7 +30,7 @@ from .combinat import _ENUMERATORS, CAPS, SCANS
 from .forests import census, grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import normal_order_power
-from .poly import _SYMBOL, ParseError, Polynomial, parse, variable
+from .poly import _SYMBOL, Polynomial, parse, variable
 from .triangles import FAMILY_NAMES, family_row, family_spec
 
 __all__ = ["main", "build_parser"]
@@ -222,7 +222,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args, sys.stdout)
-    except (ParseError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -53,10 +53,7 @@ class Grammar:
                 raise TypeError(f"rule key {name!r} is not a symbol name")
             if not _SYMBOL.fullmatch(name):
                 raise ValueError(f"bad rule symbol {name!r}")
-            p = Polynomial._coerce(rhs)
-            if p is None:
-                raise TypeError(f"rule for {name!r} is not a polynomial")
-            clean[name] = p
+            clean[name] = Polynomial._coerce(rhs, f"rule for {name!r} is not a polynomial")
         object.__setattr__(self, "rules", clean)
         # derive's rule table, built once: for each symbol s, the terms of
         # rule(s)/s as (pairs, coeff).  Not a field, so ==, hash and repr
@@ -108,9 +105,7 @@ class Grammar:
 
     def derive(self, f: Polynomial | Scalar) -> Polynomial:
         """Apply the induced derivation once."""
-        p = Polynomial._coerce(f)
-        if p is None:
-            raise TypeError("derive expects a polynomial or exact scalar")
+        p = Polynomial._coerce(f, "derive expects a polynomial or exact scalar")
         # e * m/s * rule(s) for each symbol s of each term m, with m/s * rule(s)
         # read as m * (rule(s)/s) off the table.
         table: dict[str, tuple[tuple[Pairs, Scalar], ...]] = self._table
@@ -131,9 +126,7 @@ class Grammar:
         """Apply the derivation ``n`` times (``n >= 0``)."""
         if n < 0:
             raise ValueError("repeat count must be nonnegative")
-        p = Polynomial._coerce(f)
-        if p is None:
-            raise TypeError("derive_power expects a polynomial or exact scalar")
+        p = Polynomial._coerce(f, "derive_power expects a polynomial or exact scalar")
         for _ in range(n):
             p = self.derive(p)
         return p

@@ -100,16 +100,12 @@ class NormalForm:
 
     def specialize(self, value: Polynomial | Scalar) -> Polynomial:
         """Replace D^k by value^k (exact)."""
-        v = Polynomial._coerce(value)
-        if v is None:
-            raise TypeError("specialize expects a polynomial or exact scalar")
+        v = Polynomial._coerce(value, "specialize expects a polynomial or exact scalar")
         return self._sum(ONE, lambda p: p * v)
 
     def apply_to(self, target: Polynomial | Scalar) -> Polynomial:
         """Apply the operator to a polynomial: sum_k coeffs[k] * D^k(target)."""
-        p = Polynomial._coerce(target)
-        if p is None:
-            raise TypeError("apply_to expects a polynomial or exact scalar")
+        p = Polynomial._coerce(target, "apply_to expects a polynomial or exact scalar")
         return self._sum(p, self.grammar.derive)
 
     def xi_coefficients(self) -> "list[Polynomial] | None":
@@ -169,9 +165,7 @@ def normal_order_power(
         raise TypeError(f"operator power must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError("operator power must be nonnegative")
-    wp = Polynomial._coerce(w)
-    if wp is None:
-        raise TypeError("multiplier must be a polynomial or exact scalar")
+    wp = Polynomial._coerce(w, "multiplier must be a polynomial or exact scalar")
     rules = {s: Polynomial._collect(dict(t)) for s, t in grammar._table.items()}
     # One step multiplies each monomial by a term of w and at most one term
     # of some rule(s)/s, so after n steps no exponent exceeds n times the

@@ -292,11 +292,15 @@ class Polynomial:
     # -- ring operations ---------------------------------------------------
 
     @staticmethod
-    def _coerce(value: "Polynomial | Scalar") -> "Polynomial | None":
+    def _coerce(value: "Polynomial | Scalar", message: str | None = None) -> "Polynomial | None":
+        """``value`` as a polynomial; None if it is neither one nor an exact scalar,
+        or TypeError(message) if a message is given."""
         if isinstance(value, Polynomial):
             return value
         if isinstance(value, (int, Fraction)):
             return Polynomial.constant(value)
+        if message is not None:
+            raise TypeError(message)
         return None
 
     def __add__(self, other: "Polynomial | Scalar") -> "Polynomial":
@@ -397,10 +401,8 @@ class Polynomial:
             return self
         bound = {}
         for name, v in bindings.items():
-            p = self._coerce(v)
-            if p is None:
-                raise TypeError(f"binding for {name!r} is not a polynomial or exact scalar")
-            bound[name] = p
+            bound[name] = self._coerce(
+                v, f"binding for {name!r} is not a polynomial or exact scalar")
         # One accumulator for every term keeps this linear in the terms produced.
         acc: dict[Pairs, Scalar] = {}
         get = acc.get

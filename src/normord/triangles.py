@@ -29,9 +29,11 @@ family): nine read a family row under one exponent map.  Five, and
 ``ctilde_xx``, state only the coefficients (a, b, c) of a first-order
 derivative recurrence, f -> (a + i*b)*f + c*df/ds at step i from f = 1,
 which one stepper iterates; ``second-order-xyz`` takes three partials from
-xyz in its own loop.  ``e_expand`` and, slice by slice, ``gamma_expand``
-peel a symmetric polynomial into elementary symmetric powers; the gamma
-basis (xy)^l * (x+y)^(d-2l) is e2^l * e1^(d-2l) in two symbols.
+xyz in its own loop.  ``e_expand`` peels a polynomial symmetric in x, y, z
+into powers of e1, e2, e3, and ``gamma_expand`` peels each z^k slice of a
+polynomial in the same way in x and y: the gamma basis (xy)^l * (x+y)^(d-2l)
+is e2^l * e1^(d-2l) there.  The peel is also the symmetry test, so an
+asymmetric input raises ValueError from the peel itself.
 """
 
 from __future__ import annotations
@@ -366,34 +368,28 @@ def rising_factorial(name: str, n: int) -> Polynomial:
 
 # -- symmetric-basis expansions -------------------------------------------
 
-
-def _check_distinct(symbols: tuple[str, ...]) -> None:
-    """Raise ValueError naming the first basis symbol that repeats an earlier one."""
-    for i, s in enumerate(symbols):
-        if s in symbols[:i]:
-            raise ValueError(f"basis symbol {s!r} is repeated")
+# e_expand's basis, and gamma_expand's pair with the symbol that slices it.
+_E_BASIS = ("x", "y", "z")
+_PAIR, _SLICE = ("x", "y"), "z"
 
 
-def _check_symmetric(f: Polynomial, symbols: tuple[str, ...], what: str) -> None:
-    """Raise ValueError unless f is a polynomial in the distinct ``symbols``, symmetric in them."""
-    _check_distinct(symbols)
+def _elementary(f: Polynomial, symbols: tuple[str, ...], what: str) -> dict[tuple[int, ...], int]:
+    """Peel f into sum c * e1^i_1 * ... * em^i_m over the m distinct symbols.
+
+    The fundamental theorem of symmetric functions: the lex-leading term
+    c * s1^a_1 * ... * sm^a_m of a symmetric residual has a_1 >= ... >= a_m,
+    and c * e1^(a_1 - a_2) * ... * em^a_m has the same leading term.  Each
+    step lowers the leading term among finitely many monomials; a peel that
+    ends at zero writes f in e1, ..., em, so f is symmetric.  An unsorted
+    leading exponent is therefore the one symmetry test: it raises
+    ValueError naming ``what``.  Symbols outside the basis and negative
+    exponents are rejected first, since either would break that walk.
+    """
     extra = f.variables() - set(symbols)
     if extra:
         raise ValueError(f"{what} involves symbols outside the basis: {sorted(extra)}")
     if any(e < 0 for m, _ in f.terms() for _, e in m.pairs):
         raise ValueError("negative exponents have no expansion in this basis")
-    # The adjacent transpositions generate every permutation of the symbols.
-    if any(f.subs({s: variable(t), t: variable(s)}) != f for s, t in zip(symbols, symbols[1:])):
-        raise ValueError(f"{what} is not symmetric in {', '.join(symbols)}")
-
-
-def _elementary(f: Polynomial, symbols: tuple[str, ...]) -> dict[tuple[int, ...], int]:
-    """Peel a symmetric f into sum c * e1^i_1 * ... * em^i_m over the m symbols.
-
-    The fundamental theorem of symmetric functions: the lex-leading term
-    c * s1^a_1 * ... * sm^a_m of a symmetric residual has a_1 >= ... >= a_m,
-    and c * e1^(a_1 - a_2) * ... * em^a_m has the same leading term.
-    """
     e = [ONE]  # e0, e1, ...: taking in a symbol v turns e_j into e_j + v * e_(j-1)
     for v in map(variable, symbols):
         e = [a + v * b for a, b in zip(e + [ZERO], [ZERO] + e)]
@@ -404,45 +400,36 @@ def _elementary(f: Polynomial, symbols: tuple[str, ...]) -> dict[tuple[int, ...]
         a = [lead.exponent(s) for s in symbols] + [0]
         index = tuple(a[j] - a[j + 1] for j in range(len(symbols)))
         if any(i < 0 for i in index):
-            raise ArithmeticError("lex-leading exponents of a symmetric residual must be sorted")
+            raise ValueError(f"{what} is not symmetric in {', '.join(symbols)}")
         residual = residual - c * prod(map(pow, e[1:], index), start=ONE)
         out[index] = c
     return out
 
 
-def gamma_expand(
-    f: Polynomial, slice_symbol: str = "z", pair: tuple[str, str] = ("x", "y")
-) -> dict[tuple[int, int], int]:
-    """Expand each slice_symbol^k slice in the basis (xy)^l * (x+y)^(d-2l) = e2^l * e1^(d-2l).
+def gamma_expand(f: Polynomial) -> dict[tuple[int, int], int]:
+    """Expand each z^k slice in the basis (xy)^l * (x+y)^(d-2l) = e2^l * e1^(d-2l).
 
-    Every slice must be an ordinary polynomial in the pair symbols,
-    homogeneous and symmetric under swapping them.  Returns the mapping
-    (k, l) -> coefficient; coefficients may be negative for inputs outside
-    the positivity results.
+    Every slice must be an ordinary polynomial in x and y, homogeneous and
+    symmetric under swapping them.  Returns the mapping (k, l) ->
+    coefficient; coefficients may be negative for inputs outside the
+    positivity results.
     """
-    if slice_symbol in pair:
-        raise ValueError(f"slice symbol {slice_symbol!r} is also a basis symbol")
-    _check_distinct(pair)  # before slicing, so a polynomial with no slices is checked too
     out: dict[tuple[int, int], int] = {}
-    for k, g in f.slices(slice_symbol).items():
+    for k, g in f.slices(_SLICE).items():
         if k < 0:
-            raise ValueError(f"negative power of {slice_symbol!r}")
+            raise ValueError(f"negative power of {_SLICE!r}")
         if g.homogeneous_degree() is None:
-            raise ValueError(f"slice at {slice_symbol}^{k} is not homogeneous")
-        _check_symmetric(g, pair, f"slice at {slice_symbol}^{k}")
-        for (_, l), c in _elementary(g, pair).items():
+            raise ValueError(f"slice at {_SLICE}^{k} is not homogeneous")
+        for (_, l), c in _elementary(g, _PAIR, f"slice at {_SLICE}^{k}").items():
             out[(k, l)] = c
     return out
 
 
-def e_expand(
-    f: Polynomial, symbols: tuple[str, ...] = ("x", "y", "z")
-) -> dict[tuple[int, ...], int]:
-    """Expand a fully symmetric polynomial in the elementary basis.
+def e_expand(f: Polynomial) -> dict[tuple[int, int, int], int]:
+    """Expand a polynomial symmetric in x, y, z in the elementary basis.
 
-    Returns (i_1, ..., i_m) -> coefficient with f = sum c * e1^i_1 * ... *
-    em^i_m, where e1, ..., em are the elementary symmetric polynomials in
-    the m distinct symbols.  Raises ValueError if f is not symmetric.
+    Returns (i, j, k) -> coefficient with f = sum c * e1^i * e2^j * e3^k,
+    where e1, e2, e3 are the elementary symmetric polynomials in x, y, z.
+    Raises ValueError if f is not symmetric.
     """
-    _check_symmetric(f, symbols, "input")
-    return _elementary(f, symbols)
+    return _elementary(f, _E_BASIS, "input")

@@ -15,7 +15,7 @@ from normord import (
     run_all,
     run_check,
 )
-from normord.checks import REGISTRY, register
+from normord.checks import REGISTRY, check
 
 # Frozen manifest: adding or removing a check must be a deliberate edit here.
 EXPECTED_CHECK_IDS = (
@@ -63,10 +63,10 @@ class TestManifest:
         assert len(EXPECTED_CHECK_IDS) >= 25
 
     def test_duplicate_id_is_rejected(self):
-        spec = REGISTRY["lah-closed-form"]
-        with pytest.raises(ValueError, match="duplicate check id"):
-            register(spec)
-        assert REGISTRY["lah-closed-form"] is spec
+        before = dict(REGISTRY)
+        with pytest.raises(ValueError, match="duplicate check id 'lah-closed-form'"):
+            check("lah-closed-form", "a second lah check", 1, 4, 2)(lambda n: iter(()))
+        assert REGISTRY == before
         assert tuple(check_ids()) == EXPECTED_CHECK_IDS
 
     def test_specs_are_well_formed(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 
 import normord
@@ -19,3 +20,12 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_every_export_exists():
+    # A name left in __all__ after its definition is gone breaks ``import *``.
+    modules = [importlib.import_module(f"normord.{path.stem}".removesuffix(".__init__"))
+               for path in SOURCES]
+    missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ())
+               if not hasattr(m, name)]
+    assert len(modules) == len(SOURCES) and not missing, missing

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -446,6 +447,24 @@ class TestDiagonalSums:
             assert ctilde_xx(n) == want
 
 
+def _asymmetric(f: Polynomial, symbols: str) -> bool:
+    """Reference symmetry test: some adjacent transposition of the symbols changes f."""
+    # The adjacent transpositions generate every permutation of the symbols.
+    return any(f.subs({s: variable(t), t: variable(s)}) != f for s, t in zip(symbols, symbols[1:]))
+
+
+def _symmetrised(f: Polynomial, symbols: str) -> Polynomial:
+    """The sum of f over every permutation of the symbols."""
+    perms = itertools.permutations(symbols)
+    return sum((f.subs(dict(zip(symbols, map(variable, p)))) for p in perms), Polynomial())
+
+
+def _random_terms(rng: random.Random, degrees) -> Polynomial:
+    """One to four terms with coefficients in -3..3, each monomial drawn by ``degrees()``."""
+    return sum((rng.randint(-3, 3) * mono(1, **degrees()) for _ in range(rng.randint(1, 4))),
+               Polynomial())
+
+
 class TestGammaExpand:
     def test_single_slice(self):
         f = x * y ** 3 + 4 * x ** 2 * y ** 2 + x ** 3 * y
@@ -481,25 +500,40 @@ class TestGammaExpand:
         got = [(n, sorted(gamma_expand(assemble("a", n)).items())) for n in range(11)]
         assert _digest(got) == "967419adb29606297dcefc7f48cf74063e38d0718c9e8482670fe261839979f9"
 
-    def test_rejects_repeated_pair_symbol(self):
-        with pytest.raises(ValueError, match="basis symbol 'x' is repeated"):
-            gamma_expand(x ** 2, pair=("x", "x"))
-
     def test_checks_the_basis_of_a_polynomial_without_slices(self):
-        # The zero polynomial has no slices; its basis is checked as e_expand checks it.
-        with pytest.raises(ValueError, match="basis symbol 'x' is repeated"):
-            gamma_expand(Polynomial(), pair=("x", "x"))
-        with pytest.raises(ValueError, match="basis symbol 'x' is repeated"):
-            e_expand(Polynomial(), ("x", "x", "y"))
+        # The zero polynomial has no slices, so it expands to nothing.
         assert gamma_expand(Polynomial()) == {}
-
-    def test_rejects_slice_symbol_in_pair(self):
-        with pytest.raises(ValueError, match="slice symbol 'x' is also a basis symbol"):
-            gamma_expand(x * y, slice_symbol="x")
 
     def test_rejects_other_symbols(self):
         with pytest.raises(ValueError, match=r"slice at z\^1 involves symbols outside the basis"):
             gamma_expand((x + y) * variable("w") * z)
+
+    def test_peel_decides_symmetry(self):
+        # Random z-slices, each homogeneous in x and y, half of them symmetrised:
+        # gamma_expand raises for the first slice a swap of x and y changes,
+        # and otherwise its expansion rebuilds f.
+        rng = random.Random(21)
+        outcomes = set()
+        for i in range(300):
+            f = Polynomial()
+            for k in rng.sample(range(4), rng.randint(1, 3)):
+                d = rng.randint(0, 4)
+                g = _random_terms(rng, lambda: {"x": (a := rng.randint(0, d)), "y": d - a})
+                f = f + (_symmetrised(g, "xy") if i % 2 else g) * z ** k
+            slices = f.slices("z")
+            bad = [k for k, g in slices.items() if _asymmetric(g, "xy")]
+            outcomes.add(bool(bad))
+            if bad:
+                with pytest.raises(ValueError) as err:
+                    gamma_expand(f)
+                assert str(err.value) == f"slice at z^{bad[0]} is not symmetric in x, y", f
+                continue
+            rebuilt = Polynomial()
+            for (k, l), c in gamma_expand(f).items():
+                d = slices[k].homogeneous_degree()
+                rebuilt = rebuilt + c * z ** k * (x * y) ** l * (x + y) ** (d - 2 * l)
+            assert rebuilt == f
+        assert outcomes == {False, True}
 
 
 class TestEExpand:
@@ -529,16 +563,6 @@ class TestEExpand:
             rebuilt = rebuilt + c * e1 ** i * e2 ** j * e3 ** k
         assert rebuilt == f
 
-        for symbols, want in [
-            (("x", "y"), {(3, 1): 1, (0, 2): -2, (1, 0): 5}),
-            (("w", "x", "y", "z"), {(2, 0, 1, 0): 1, (0, 1, 0, 1): -3, (0, 0, 0, 2): 2}),
-        ]:
-            es = [sum((math.prod(map(variable, c)) for c in itertools.combinations(symbols, j)),
-                      Polynomial()) for j in range(1, len(symbols) + 1)]
-            f = sum((c * math.prod(e ** i for e, i in zip(es, p)) for p, c in want.items()),
-                    Polynomial())
-            assert e_expand(f, symbols) == want, symbols
-
     def test_matches_recorded_digest(self):
         # sha256 recorded from the expansion before it shared the peel with gamma_expand.
         g = normord.Grammar.preset("full-ternary")
@@ -549,10 +573,30 @@ class TestEExpand:
                 got.append(((n, k), sorted(e_expand(nf.coefficient(k)).items())))
         assert _digest(got) == "562180c9d3d2e65db1ca75c4d41a34b113e0eef4319a5f98ed33fa2165766ab1"
 
-    def test_rejects_repeated_symbol(self):
-        with pytest.raises(ValueError, match="basis symbol 'x' is repeated"):
-            e_expand(x + y, ("x", "x", "y"))
-
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError, match="negative exponents"):
             e_expand(x ** -1 + y ** -1 + z ** -1)
+
+    def test_peel_decides_symmetry(self):
+        # Random polynomials in x, y, z, half of them symmetrised: e_expand
+        # raises exactly when a transposition changes f, and otherwise its
+        # expansion rebuilds f.
+        rng = random.Random(21)
+        e1, e2, e3 = x + y + z, x * y + x * z + y * z, x * y * z
+        outcomes = set()
+        for i in range(300):
+            f = _random_terms(rng, lambda: {s: rng.randint(0, 3) for s in "xyz"})
+            if i % 2:
+                f = _symmetrised(f, "xyz")
+            asymmetric = _asymmetric(f, "xyz")
+            outcomes.add(asymmetric)
+            if asymmetric:
+                with pytest.raises(ValueError) as err:
+                    e_expand(f)
+                assert str(err.value) == "input is not symmetric in x, y, z", f
+                continue
+            rebuilt = Polynomial()
+            for (i1, i2, i3), c in e_expand(f).items():
+                rebuilt = rebuilt + c * e1 ** i1 * e2 ** i2 * e3 ** i3
+            assert rebuilt == f
+        assert outcomes == {False, True}
