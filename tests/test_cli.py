@@ -11,7 +11,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import normord
-from normord import Polynomial, combinat
+from normord import FAMILY_NAMES, Polynomial, combinat
 from normord.cli import OBJECT_NAMES, _object_id, main
 from normord.combinat import CAPS, SCANS
 from normord.forests import FLAVORS
@@ -287,6 +287,78 @@ class TestEnumerateDigests:
                             argv += ["--stats", stats]
                         h.update(json.dumps([argv, *run(*argv)]).encode() + b"\n")
         assert h.hexdigest() == ENUMERATE_INVOCATIONS_DIGEST
+
+
+# sha256 of ``triangle --family F --n 12 --format FMT`` (levels start..12),
+# keyed by family and format, recorded before the per-row writes replaced
+# one print per entry.
+TRIANGLE_DIGEST_TOP = 12
+TRIANGLE_DIGESTS = {
+    ("A", "text"): "d5e575899ad6a4726937df93660961512faa286a6e080f02db7e83adad8601b6",
+    ("A", "csv"): "cd5a769d3c74de949cd5d59d7d35e8372f7641cba0c5b6ab213d51570353ac42",
+    ("A", "json"): "56c8bf6fded2fbe4880932eb383dd7ba93249dfaa67cfc310ae539e7dc1f45c3",
+    ("Ap", "text"): "0a43f2b397a02908baf38f8598034b0eb8866f7937aa12ad0c7811630ca1e93e",
+    ("Ap", "csv"): "d51725edb73ef3f680aa1345c59e3e36f8b44ae34b86fcfbef52ce52f128078f",
+    ("Ap", "json"): "e91e006921ae1ca564b446290fc573f7f8b53e468a6a7175a211fcb3b0151507",
+    ("a", "text"): "47ff9d6549c4a88d85fef631d00a90f56573d9b118c91e0471d84a7b0fa71a83",
+    ("a", "csv"): "082ea318f2707ab6ee2270fd4992b2c60b392402ff449f03674c41372a55261c",
+    ("a", "json"): "584533f005c6c568605d75a28006c6c5d6492e8d1bb46e138d64a8d8738d424e",
+    ("gamma", "text"): "20d365980c29a658db8c851533da1fe0632b3a6218686e2ab51977dd74dc9cee",
+    ("gamma", "csv"): "d0c91f12017e90caee3e0045b516cd02c28868d6c55c879effff90bd851216dd",
+    ("gamma", "json"): "8c129f9e019036f5648147abc31c1d1e5628e2aa2408285b26287431d29b1c48",
+    ("C", "text"): "e2824592028200c777bf72584d693f7aab50d2cef8df3e6b8843e3e5510bbc0c",
+    ("C", "csv"): "e63d4af8915d919ba97288b7dc257d3c3762ecd6ca262d09bc190411e70ca1c6",
+    ("C", "json"): "480a30c4f6b4e808a053051fe9b6b43d74a2b74be3591e4e092cb595ea4c8382",
+    ("beta", "text"): "168de48b2c0955cb6389d52944b00a3f3ad559cda494221c5781541572ba4d01",
+    ("beta", "csv"): "8cd95589374c07e24dbfb07ea015a58e02c9b62f4a5f586cfc63e79d82d6db4b",
+    ("beta", "json"): "52252e9713a1bafac5ca4c3926738d992e4fd0af51b90c01f97aba3683d76af8",
+    ("B", "text"): "7dccf9f64e0ab019f29ad0c35f1de10eef98b228e6ac4b5473678d4b0b143c7d",
+    ("B", "csv"): "66f0e9283ef42b60958ca0d1f8502f030b0a8614af341d4021d7d1807bbddf0b",
+    ("B", "json"): "bfe3387c67b71b4e4082bdc700f3858c4a42daa9b752f007bbb98351c99850e4",
+    ("E", "text"): "283686a70972754fbc550154d7cdd42c1e63edc199558f6fa9e790dd64ae5ac3",
+    ("E", "csv"): "26fef4fcb80ecd75a3e00b73edaa84536c74dd2d9ee46e65805539727877ccc6",
+    ("E", "json"): "3e0a90d21c747d9033feb9e39ae4da1074ecc7d179b75da5b539272e8bcfcf06",
+    ("W", "text"): "e02ff3165a92f81eb76cbe0606ec9fa087ee26a49940a517fd73f952491279d8",
+    ("W", "csv"): "456d0611388dd5f3baa4b0d2e05c3944686748e4ef410c1c91763cfbd1702af1",
+    ("W", "json"): "3e0be2e4336e82baa22337293cb5a87fe0c1b70cd94197575d2a15ebf2fa906e",
+    ("S2", "text"): "c036c064fe4514ecf0fb636f8911a84b3f32c3f42b29be7b05f76545aa57058f",
+    ("S2", "csv"): "d0018bd1aac7b42dde60cc189a0a77cdabc6f6c8d25006a296d51da80dfe5976",
+    ("S2", "json"): "82b5a3785dac80fa3bf3ec906e6aa41b4dbbca6cefb44f7e14f9a396bb2beb76",
+    ("S1", "text"): "6b2bc89a7aba2081e903ac8e26d1417d2e7b7ad5b0fb07f3f95848bdca9f73f7",
+    ("S1", "csv"): "680729f694bd8e9e53f5f579e29bdaaf2a1f71a652522d0afd85d01de4c87af6",
+    ("S1", "json"): "1c524986cfb900dd47f87ceeffbaab93888a9dcf42d390fa622bcdddd57bce9e",
+    ("eulerian", "text"): "f2cc90c531c955f7afd476d62a5454c3b442a80b999d2f42fa22555f69977bc6",
+    ("eulerian", "csv"): "9e80cbe27fac7aa0b55f09ed19c19009f4738656ec8ba60261e890d2cbf611e6",
+    ("eulerian", "json"): "ec8fd4b6300d011e16a501adbf9e57c868e0e7715e51b75d188ec809ce635c4c",
+    ("eulerian2", "text"): "62263a9caeed066c7259f48d8b0528fe108c42fd96e60c759edde644a8aae442",
+    ("eulerian2", "csv"): "f06e6bd64169e068c6f05590a65d392b20695af4ba7d37f375a0d91f4d0d9c77",
+    ("eulerian2", "json"): "d34bdbecc8b3fdfb66afab249fb5b721bb149bcc3bd613ba322e1c7757833cd9",
+    ("eulerianB", "text"): "7851a35235517fe32d74de43149bdeee9ef7ffd85187b55b57b18083ded051a4",
+    ("eulerianB", "csv"): "3e7a6a86759ef99cc7588f713730746413461ccd0978b5af1a20734a50ba128b",
+    ("eulerianB", "json"): "333a20e6a7e25a026ac0a9ad13860b585985f7a6babb16ee745b69a2e7c6f30e",
+    ("lah", "text"): "8a867e8603da9717465b59078084e8e165079294b10dbe352dc23ef750f8b86d",
+    ("lah", "csv"): "e4f637a6b207ba3a6f9a3ee3dfd3ebd2a2475ce20c6c9000de4b31480892e4e3",
+    ("lah", "json"): "50f2fe2011496bb056f1d1e534bf87cd91a9732c957c0888483ff06a0373ed8b",
+    ("bessel", "text"): "f469fb5846cf2df25da0535354c372091e07a479bfaa53db7bbda6a416f31f1e",
+    ("bessel", "csv"): "a1f23efb5b47308f7095df5683b2a70b65c48d1c6b4c184457ce7e10d3192f7b",
+    ("bessel", "json"): "de74d1dcb2764dab521fde4fa99b3b74ecc1a28fb47d2074f0563f2c3706bee8",
+    ("catalan", "text"): "58a234317e12d45cdb1424b064acd341cb142b8883564c15ffe9e0138ac2a757",
+    ("catalan", "csv"): "f3a109e693293a3ec427b4760c18932d35adc5871046be6db6c745b5f66d1690",
+    ("catalan", "json"): "ca4f846a5a27bff73e14186ab703f2f93c4781523ec0c579762b211da530c662",
+}
+
+
+class TestTriangleDigests:
+    def test_digests_cover_every_family_and_format(self):
+        assert set(TRIANGLE_DIGESTS) == {
+            (family, fmt) for family in FAMILY_NAMES for fmt in ("text", "csv", "json")}
+
+    def test_output_matches_digest(self):
+        for (family, fmt), want in TRIANGLE_DIGESTS.items():
+            code, out, err = run("triangle", "--family", family,
+                                 "--n", str(TRIANGLE_DIGEST_TOP), "--format", fmt)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == want, (family, fmt)
 
 
 class TestVerify:

@@ -106,6 +106,17 @@ class TestFamilyRow:
                 for value in family_row(family, n).values():
                     assert value >= 0
 
+    def test_stepped_rows_hold_no_zero_and_one_entry_type(self):
+        # A step skips zero contributions and stores a key's first one as it
+        # is: no entry is 0, Ap's entries are polynomials and all others ints.
+        for family, spec in FAMILIES.items():
+            if spec.step is None:
+                continue
+            kind = Polynomial if family == "Ap" else int
+            for n in range(spec.start, 16):
+                for idx, v in family_row(family, n).items():
+                    assert v and type(v) is kind, (family, n, idx, v)
+
     def test_weighted_family_stores_polynomials(self):
         row = family_row("Ap", 4)
         assert row[(1, 3)] == mono(1, p=2)
