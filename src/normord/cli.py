@@ -42,6 +42,9 @@ def _parse_grammar(text: str) -> Grammar:
     return Grammar.preset(text)
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _entry_json(value):
     if isinstance(value, Polynomial):
         return value.render()
@@ -61,7 +64,7 @@ def _cmd_expand(args: argparse.Namespace, out) -> int:
     nf = normal_order_power(w, grammar, args.n)
     result = nf if args.at_d is None else nf.specialize(variable(args.at_d))
     if args.format == "json":
-        print(json.dumps(result.to_json_dict(), sort_keys=True), file=out)
+        print(_encode(result.to_json_dict()), file=out)
     else:
         print(result.render(), file=out)
     return 0
@@ -71,26 +74,30 @@ def _cmd_expand(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_triangle(args: argparse.Namespace, out) -> int:
-    spec = family_spec(args.family)
+    family, spec = args.family, family_spec(args.family)
     if args.n < spec.start:
-        raise ValueError(f"family {args.family!r} starts at n = {spec.start}")
+        raise ValueError(f"family {family!r} starts at n = {spec.start}")
+    # Text and csv fill one template per entry: {0} is n, {1}.. the index, then
+    # the entry.  A text row is one line; csv and json write a line per entry.
+    names = spec.indices
+    slots = [f"{{{i}}}" for i in range(1, len(names) + 1)]
+    entry = f"{{{len(names) + 1}}}"
+    if args.format == "text":
+        cell, sep, end = f"({','.join(['{0}', *slots])})={entry}", ",", "\n"
+    else:
+        columns = ",".join(slots[names.index(c)] if c in names else "" for c in "klj")
+        cell, sep, end = f"{family},{{0}},{columns},{entry}\n", "", ""
     if args.format == "csv":
-        print("family,n,k,l,j,entry", file=out)
+        out.write("family,n,k,l,j,entry\n")
     for n in range(spec.start, args.n + 1):
-        row = family_row(args.family, n)
-        if args.format == "text":
-            print(",".join(f"({','.join(map(str, (n, *idx)))})={_entry_json(row[idx])}"
-                           for idx in sorted(row)), file=out)
-            continue
-        for idx in sorted(row):
-            index = dict(zip(spec.indices, idx))
-            if args.format == "json":
-                record = {"family": args.family, "n": n, "index": index,
-                          "entry": _entry_json(row[idx])}
-                print(json.dumps(record, sort_keys=True), file=out)
-            else:
-                print(f"{args.family},{n},{index.get('k', '')},{index.get('l', '')},"
-                      f"{index.get('j', '')},{_entry_json(row[idx])}", file=out)
+        row = family_row(family, n)
+        if args.format == "json":
+            out.write("".join([_encode({"family": family, "n": n, "index": dict(zip(names, idx)),
+                                        "entry": _entry_json(row[idx])}) + "\n"
+                               for idx in sorted(row)]))
+        else:
+            out.write(sep.join([cell.format(n, *idx, row[idx]) for idx in sorted(row)]))
+            out.write(end)
     return 0
 
 
@@ -121,7 +128,7 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
             lx, ly, lz, trees = census(word)
             if args.format == "json":
                 record = {"object": word, "trees": trees, "leaves": {"x": lx, "y": ly, "z": lz}}
-                print(json.dumps(record, sort_keys=True), file=out)
+                out.write(_encode(record) + "\n")
             else:
                 print(f"{word} trees={trees} x={lx} y={ly} z={lz}", file=out)
         return 0
@@ -137,10 +144,7 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     for obj in walk:
         stats = {s: scan(obj) for s, scan in scans.items()}
         if args.format == "json":
-            print(
-                json.dumps({"object": _object_id(obj), "stats": stats}, sort_keys=True),
-                file=out,
-            )
+            out.write(_encode({"object": _object_id(obj), "stats": stats}) + "\n")
         else:
             shown = " ".join(f"{s}={v}" for s, v in sorted(stats.items()))
             print(f"{_object_id(obj)} {shown}".rstrip(), file=out)

@@ -52,17 +52,13 @@ _X2 = _X * _X
 _XYZ = _X * variable("y") * _Z
 
 
-def _bump(row: dict, key: tuple, value: Entry) -> None:
-    if not value:
-        return
-    prev = row.get(key)
-    row[key] = value if prev is None else prev + value
-
-
 # Each step maps the row at level n to the row at level n+1 by pushing the
 # contributions of an entry to its children.  Fourteen families build their
 # step from one of three shapes, _climb, _split or _single, passing only
 # their weights; beta, with four moves over three indices, keeps its own.
+# Each move adds in place: a zero contribution is skipped and a key's first
+# contribution is stored as it is (Ap's never becomes 0 + p).  The move by
+# weight 1 carries v, never zero as no row holds a zero, and has no test.
 Step = Callable[[Row, int], dict]
 
 
@@ -71,10 +67,13 @@ def _climb(mid: Callable[[int, int, int], Entry]) -> Step:
 
     def step(prev: Row, n: int) -> dict:
         nxt: dict = {}
+        get = nxt.get
         for (k, l), v in prev.items():
-            _bump(nxt, (k, l), l * v)
-            _bump(nxt, (k, l + 1), mid(n, k, l) * v)
-            _bump(nxt, (k + 1, l + 1), v)
+            if w := l * v:
+                nxt[key] = w if (old := get(key := (k, l))) is None else old + w
+            if w := mid(n, k, l) * v:
+                nxt[key] = w if (old := get(key := (k, l + 1))) is None else old + w
+            nxt[key] = v if (old := get(key := (k + 1, l + 1))) is None else old + v
         return nxt
 
     return step
@@ -85,10 +84,13 @@ def _split(mid: Callable[[int, int, int], Entry]) -> Step:
 
     def step(prev: Row, n: int) -> dict:
         nxt: dict = {}
+        get = nxt.get
         for (k, l), v in prev.items():
-            _bump(nxt, (k, l), (k + 2 * l) * v)
-            _bump(nxt, (k, l + 1), mid(n, k, l) * v)
-            _bump(nxt, (k + 1, l), v)
+            if w := (k + 2 * l) * v:
+                nxt[key] = w if (old := get(key := (k, l))) is None else old + w
+            if w := mid(n, k, l) * v:
+                nxt[key] = w if (old := get(key := (k, l + 1))) is None else old + w
+            nxt[key] = v if (old := get(key := (k + 1, l))) is None else old + v
         return nxt
 
     return step
@@ -99,9 +101,12 @@ def _single(stay: Callable[[int, int], int], up: Callable[[int, int], int]) -> S
 
     def step(prev: Row, n: int) -> dict:
         nxt: dict = {}
+        get = nxt.get
         for (k,), v in prev.items():
-            _bump(nxt, (k,), stay(n, k) * v)
-            _bump(nxt, (k + 1,), up(n, k) * v)
+            if w := stay(n, k) * v:
+                nxt[key] = w if (old := get(key := (k,))) is None else old + w
+            if w := up(n, k) * v:
+                nxt[key] = w if (old := get(key := (k + 1,))) is None else old + w
         return nxt
 
     return step
@@ -109,12 +114,15 @@ def _single(stay: Callable[[int, int], int], up: Callable[[int, int], int]) -> S
 
 def _step_beta(prev: Row, n: int) -> dict:
     nxt: dict = {}
+    get = nxt.get
     for (k, j, l), v in prev.items():
-        _bump(nxt, (k, j + 1, l), (l + k) * v)
-        if j:
-            _bump(nxt, (k, j - 1, l + 1), 2 * j * v)
-        _bump(nxt, (k, j, l + 1), 3 * (2 * n - 2 * k - 2 * j - 3 * l) * v)
-        _bump(nxt, (k + 1, j, l), v)
+        if w := (l + k) * v:
+            nxt[key] = w if (old := get(key := (k, j + 1, l))) is None else old + w
+        if w := 2 * j * v:
+            nxt[key] = w if (old := get(key := (k, j - 1, l + 1))) is None else old + w
+        if w := 3 * (2 * n - 2 * k - 2 * j - 3 * l) * v:
+            nxt[key] = w if (old := get(key := (k, j, l + 1))) is None else old + w
+        nxt[key] = v if (old := get(key := (k + 1, j, l))) is None else old + v
     return nxt
 
 
