@@ -92,12 +92,14 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
     for n in range(spec.start, args.n + 1):
         row = family_row(family, n)
         if args.format == "json":
-            out.write("".join([_encode({"family": family, "n": n, "index": dict(zip(names, idx)),
-                                        "entry": _entry_json(row[idx])}) + "\n"
-                               for idx in sorted(row)]))
+            text = "".join([_encode({"family": family, "n": n, "index": dict(zip(names, idx)),
+                                     "entry": _entry_json(row[idx])}) + "\n" for idx in sorted(row)])
         else:
-            out.write(sep.join([cell.format(n, *idx, row[idx]) for idx in sorted(row)]))
-            out.write(end)
+            text = sep.join([cell.format(n, *idx, row[idx]) for idx in sorted(row)]) + end
+        # Drop the row first: the write holds the text and its encoded bytes at
+        # once, which is the peak of a deep row.
+        del row
+        out.write(text)
     return 0
 
 
