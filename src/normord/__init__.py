@@ -41,7 +41,6 @@ from .poly import (
 from .series import bessel_polynomial, catalan_number
 from .triangles import (
     FAMILY_NAMES,
-    Triangle,
     assemble,
     build_triangle,
     ctilde_xx,
@@ -65,7 +64,6 @@ __all__ = [
     "ParseError",
     "PoleError",
     "Polynomial",
-    "Triangle",
     "Witness",
     "assemble",
     "bessel_polynomial",

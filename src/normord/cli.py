@@ -78,7 +78,8 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
     if args.n < spec.start:
         raise ValueError(f"family {family!r} starts at n = {spec.start}")
     # Text and csv fill one template per entry: {0} is n, {1}.. the index, then
-    # the entry.  A text row is one line; csv and json write a line per entry.
+    # the entry.  A text row is one line, csv and json a line per entry; a row
+    # is written 512 entries at a time, so no deep row is held as one text.
     names = spec.indices
     slots = [f"{{{i}}}" for i in range(1, len(names) + 1)]
     entry = f"{{{len(names) + 1}}}"
@@ -91,15 +92,15 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
         out.write("family,n,k,l,j,entry\n")
     for n in range(spec.start, args.n + 1):
         row = family_row(family, n)
-        if args.format == "json":
-            text = "".join([_encode({"family": family, "n": n, "index": dict(zip(names, idx)),
-                                     "entry": _entry_json(row[idx])}) + "\n" for idx in sorted(row)])
-        else:
-            text = sep.join([cell.format(n, *idx, row[idx]) for idx in sorted(row)]) + end
-        # Drop the row first: the write holds the text and its encoded bytes at
-        # once, which is the peak of a deep row.
-        del row
-        out.write(text)
+        keys = sorted(row)
+        for i in range(0, len(keys), 512):
+            part = keys[i:i + 512]
+            if args.format == "json":
+                text = "".join([_encode({"family": family, "n": n, "index": dict(zip(names, idx)),
+                                         "entry": _entry_json(row[idx])}) + "\n" for idx in part])
+            else:
+                text = sep.join([cell.format(n, *idx, row[idx]) for idx in part])
+            out.write(text + (sep if i + len(part) < len(keys) else end))
     return 0
 
 

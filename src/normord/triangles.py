@@ -9,7 +9,7 @@ check holds against the diagonal recurrence.  Each stepped family keeps
 only the last row its latest walk reached: a request above that row steps
 up from it, one below it steps up from the base row, both without
 recursion, and each row is dropped once the next one is stepped from it.
-Keys are plain index tuples.
+``family_row`` hands out the kept row read-only.  Keys are plain index tuples.
 
 Families, their step and their row keys.  Fourteen families share one of
 three step shapes and state only their own weights; beta keeps its own step:
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Union
 
 from .poly import ONE, ZERO, Monomial, Polynomial, variable
@@ -198,9 +199,9 @@ FAMILIES: dict[str, FamilySpec] = {
 
 FAMILY_NAMES: tuple[str, ...] = tuple(FAMILIES)
 
-# Per stepped family, the last row its latest walk reached, as (level, row);
-# rows are shared, never mutated.  Every reader walks its levels upward, so
-# one row per family serves each read with at most one step.  Bessel rows
+# Per stepped family, the last row its latest walk reached, as (level, row),
+# shared read-only through family_row.  Every reader walks its levels upward,
+# so one row per family serves each read with at most one step.  Bessel rows
 # are computed on every request, catalan rows read _CATALAN.
 _ROWS: dict[str, tuple[int, Row]] = {}
 
@@ -221,9 +222,7 @@ def _row(family: str, n: int) -> Row:
     if spec.row_fn is not None:
         return spec.row_fn(n)
     level, row = _ROWS.get(family, (spec.start - 1, None))
-    if level == n:
-        return row
-    # Step up from the kept row if n lies above it, else from the base row.
+    # Step up from the kept row if n is not below it, else from the base row.
     if level > n:
         level = spec.start - 1
     for m in range(level + 1, n + 1):
@@ -232,33 +231,15 @@ def _row(family: str, n: int) -> Row:
     return row
 
 
-def family_row(family: str, n: int) -> dict[tuple, Entry]:
-    """One row of a family as a fresh dict keyed by the index tuple."""
-    return dict(_row(family, n))
+def family_row(family: str, n: int) -> Row:
+    """One row of a family, keyed by the index tuple: the kept row, read-only."""
+    return MappingProxyType(_row(family, n))
 
 
-@dataclass(frozen=True)
-class Triangle:
-    """Materialised rows of one family, keyed (n, *indices)."""
-
-    family: str
-    max_n: int
-    entries: Mapping[tuple, Entry]
-
-    def entry(self, n: int, *indices: int) -> Entry:
-        return self.entries.get((n, *indices), 0)
-
-    def row(self, n: int) -> dict[tuple, Entry]:
-        return {key[1:]: v for key, v in self.entries.items() if key[0] == n}
-
-
-def build_triangle(family: str, max_n: int) -> Triangle:
-    spec = family_spec(family)
-    entries: dict[tuple, Entry] = {}
-    for n in range(spec.start, max_n + 1):
-        for idx, v in _row(family, n).items():
-            entries[(n, *idx)] = v
-    return Triangle(family=family, max_n=max_n, entries=entries)
+def build_triangle(family: str, max_n: int) -> dict[tuple, Entry]:
+    """Rows start..max_n of a family in one dict keyed (n, *index)."""
+    return {(n, *idx): v for n in range(family_spec(family).start, max_n + 1)
+            for idx, v in family_row(family, n).items()}
 
 
 # -- assembled polynomials -------------------------------------------------
@@ -291,7 +272,7 @@ def indexed_polynomial(entries: Mapping[tuple, Entry], n: int, exps: ExponentMap
 
 def row_polynomial(family: str, n: int, exps: ExponentMap) -> Polynomial:
     """Row n of a family as a polynomial, each index mapped by ``exps(n, *index)``."""
-    return indexed_polynomial(_row(family, n), n, exps)
+    return indexed_polynomial(family_row(family, n), n, exps)
 
 
 def _from_row(family: str, exps: ExponentMap) -> Callable[[int], Polynomial]:

@@ -360,6 +360,19 @@ class TestTriangleDigests:
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == want, (family, fmt)
 
+    def test_rows_written_in_parts_match_digest(self):
+        # Rows 32 to 50 of A hold over 512 entries each, so each row is
+        # written in two or three parts that must join into the same bytes.
+        digests = {
+            "text": "04b4d9fde70125e97e4a2bb4f84f7eb8aec1a9bc2a5694db6dd91cb57ba1dcb2",
+            "csv": "b7a7550049ac81c5fda28dab1754698bd79e550b7fee847b077b4087513339b8",
+            "json": "428b4a3383a4764ddb5803b487f9b25b392f4ee297b1e53b5a6c6a79b7a21756",
+        }
+        for fmt, want in digests.items():
+            code, out, err = run("triangle", "--family", "A", "--n", "50", "--format", fmt)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
 
 class TestVerify:
     def test_single_check(self):
@@ -530,3 +543,31 @@ class TestHarness:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.splitlines()) == 6 + 13 + 6
+
+    def test_benchmark_tracer_sees_row_work(self):
+        # Every row read, from row_polynomial and assemble too, goes through
+        # family_row, the name the tracer wraps.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(normord.__file__)))
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+        child = (
+            "import sys\n"
+            f"sys.path.insert(0, {perfbench!r})\n"
+            "import tracer\n"
+            "from normord import cli\n"
+            "t = tracer.Tracer('contract')\n"
+            "tracer.install(t)\n"
+            "t.begin()\n"
+            "code = cli.main(['verify', '--check', 'ascent-plateau-rows', '--n-max', '3'])\n"
+            "t.end()\n"
+            "calls = t.totals.get('triangles.family_row', [0])[0]\n"
+            "assert calls >= 1, (calls, sorted(t.totals))\n"
+            "raise SystemExit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=package_root),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "PASS ascent-plateau-rows (n=0..3)\n1/1 checks passed\n"

@@ -163,15 +163,27 @@ class TestRowWindow:
         family_row("A", 11)
         assert len(steps) == 1
 
-    def test_family_row_returns_a_fresh_dict(self, monkeypatch):
-        want5, want6 = family_row("A", 5), family_row("A", 6)
+    def test_family_row_is_read_only(self, monkeypatch):
         monkeypatch.setattr(triangles, "_ROWS", {})
         row = family_row("A", 5)
-        row[(1, 1)] = -1
-        row[(9, 9)] = 9
-        # Level 5 is the kept row, so level 6 is stepped from it.
-        assert family_row("A", 6) == want6
-        assert family_row("A", 5) == want5
+        want = dict(row)
+        with pytest.raises(TypeError):
+            row[(1, 1)] = -1
+        with pytest.raises(TypeError):
+            row[(9, 9)] = 9
+        assert triangles._ROWS["A"] == (5, want)
+
+    @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.step])
+    def test_held_row_outlives_restepping(self, family, monkeypatch):
+        # A row handed out is the kept row itself, so stepping on from it, or
+        # restarting from the base row, must leave it as it was.
+        monkeypatch.setattr(triangles, "_ROWS", {})
+        n = FAMILIES[family].start + 2
+        held = family_row(family, n)
+        snapshot = dict(held)
+        family_row(family, n + 5)
+        family_row(family, n)
+        assert held == snapshot
 
     def test_catalan_walk_builds_each_number_once(self, monkeypatch):
         built = []
@@ -275,21 +287,21 @@ def test_assemblies_match_recorded_digest(name):
 
 
 class TestTriangleObject:
-    def test_fields(self):
-        t = build_triangle("A", 5)
-        assert t.family == "A"
-        assert t.max_n == 5
-        assert t.entries[(4, 2, 2)] == 7
+    def test_entry_keyed_by_level_and_index(self):
+        assert build_triangle("A", 5)[(4, 2, 2)] == 7
 
     def test_rows_match_family_row(self):
         t = build_triangle("beta", 5)
         for n in range(1, 6):
-            row = {key: v for key, v in t.entries.items() if key[0] == n}
+            row = {key: v for key, v in t.items() if key[0] == n}
             assert row == {(n, *k): v for k, v in family_row("beta", n).items()}
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):
             build_triangle("no-such-family", 3)
+
+    def test_below_start_is_empty(self):
+        assert build_triangle("A", 0) == {}
 
 
 class TestFirstColumnLinks:
