@@ -31,6 +31,7 @@ from .forests import census, grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import normal_order_power
 from .poly import _SYMBOL, Polynomial, parse, variable
+from . import triangles
 from .triangles import FAMILY_NAMES, family_row, family_spec
 
 __all__ = ["main", "build_parser"]
@@ -40,15 +41,6 @@ def _parse_grammar(text: str) -> Grammar:
     if "->" in text:
         return Grammar.from_text(text)
     return Grammar.preset(text)
-
-
-_encode = json.JSONEncoder(sort_keys=True).encode
-
-
-def _entry_json(value):
-    if isinstance(value, Polynomial):
-        return value.render()
-    return value
 
 
 # -- expand ----------------------------------------------------------------
@@ -64,7 +56,7 @@ def _cmd_expand(args: argparse.Namespace, out) -> int:
     nf = normal_order_power(w, grammar, args.n)
     result = nf if args.at_d is None else nf.specialize(variable(args.at_d))
     if args.format == "json":
-        print(_encode(result.to_json_dict()), file=out)
+        print(json.dumps(result.to_json_dict(), sort_keys=True), file=out)
     else:
         print(result.render(), file=out)
     return 0
@@ -77,30 +69,31 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
     family, spec = args.family, family_spec(args.family)
     if args.n < spec.start:
         raise ValueError(f"family {family!r} starts at n = {spec.start}")
-    # Text and csv fill one template per entry: {0} is n, {1}.. the index, then
+    # Each format fills one template per entry: {0} is n, {1}.. the index, then
     # the entry.  A text row is one line, csv and json a line per entry; a row
     # is written 512 entries at a time, so no deep row is held as one text.
     names = spec.indices
-    slots = [f"{{{i}}}" for i in range(1, len(names) + 1)]
-    entry = f"{{{len(names) + 1}}}"
+    slots = {c: f"{{{i}}}" for i, c in enumerate(names, 1)}
+    entry, sep, end = f"{{{len(names) + 1}}}", "", ""
     if args.format == "text":
-        cell, sep, end = f"({','.join(['{0}', *slots])})={entry}", ",", "\n"
-    else:
-        columns = ",".join(slots[names.index(c)] if c in names else "" for c in "klj")
-        cell, sep, end = f"{family},{{0}},{columns},{entry}\n", "", ""
-    if args.format == "csv":
+        cell, sep, end = f"({','.join(['{0}', *slots.values()])})={entry}", ",", "\n"
+    elif args.format == "csv":
         out.write("family,n,k,l,j,entry\n")
+        cell = f"{family},{{0}},{','.join(slots.get(c, '') for c in 'klj')},{entry}\n"
+    else:
+        index = ", ".join(f'"{c}": {slots[c]}' for c in sorted(names))
+        cell = '{{"entry": %s, "family": "%s", "index": {{%s}}, "n": {0}}}\n' % (entry, family, index)
     for n in range(spec.start, args.n + 1):
         row = family_row(family, n)
         keys = sorted(row)
+        if args.format == "json" and isinstance(row[keys[0]], Polynomial):
+            row = {idx: json.dumps(row[idx].render()) for idx in keys}
         for i in range(0, len(keys), 512):
             part = keys[i:i + 512]
-            if args.format == "json":
-                text = "".join([_encode({"family": family, "n": n, "index": dict(zip(names, idx)),
-                                         "entry": _entry_json(row[idx])}) + "\n" for idx in part])
-            else:
-                text = sep.join([cell.format(n, *idx, row[idx]) for idx in part])
+            text = sep.join([cell.format(n, *idx, row[idx]) for idx in part])
             out.write(text + (sep if i + len(part) < len(keys) else end))
+    # Nothing reads the family again, so its kept row goes with the command.
+    triangles._ROWS.pop(family, None)
     return 0
 
 
@@ -124,16 +117,16 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
         wanted = [s.strip() for s in args.stats.split(",") if s.strip()]
         if not wanted:
             raise ValueError("--stats must name at least one statistic")
+    # Each record fills one template built here: object ids, forest encodings
+    # and statistic names are plain ASCII with nothing to escape in json.
     if args.objects not in SCANS:
         if wanted is not None:
             raise ValueError("--stats applies to statistic-bearing objects, not forests")
+        # {0}..{2} are the x, y and z leaf counts, {3} the trees, {4} the encoding.
+        line = ('{{"leaves": {{"x": {0}, "y": {1}, "z": {2}}}, "object": "{4}", "trees": {3}}}\n'
+                if args.format == "json" else "{4} trees={3} x={0} y={1} z={2}\n")
         for word in grow_forests(args.objects.removesuffix("-forests"), args.n):
-            lx, ly, lz, trees = census(word)
-            if args.format == "json":
-                record = {"object": word, "trees": trees, "leaves": {"x": lx, "y": ly, "z": lz}}
-                out.write(_encode(record) + "\n")
-            else:
-                print(f"{word} trees={trees} x={lx} y={ly} z={lz}", file=out)
+            out.write(line.format(*census(word), word))
         return 0
     # Over its cap, the enumerator raises ValueError when called, before any output.
     walk = _ENUMERATORS[args.objects](args.n)
@@ -142,15 +135,14 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
     if missing:
         known = ", ".join(sorted(scans))
         raise ValueError(f"unknown statistic(s) {', '.join(missing)}; known: {known}")
-    if wanted is not None:
-        scans = {s: scans[s] for s in wanted}
+    names = sorted(scans if wanted is None else set(wanted))
+    named = [scans[s] for s in names]
+    if args.format == "json":
+        line = '{"object": "%%s", "stats": {%s}}\n' % ", ".join(f'"{s}": %d' for s in names)
+    else:
+        line = " ".join(["%s", *(f"{s}=%d" for s in names)]) + "\n"
     for obj in walk:
-        stats = {s: scan(obj) for s, scan in scans.items()}
-        if args.format == "json":
-            out.write(_encode({"object": _object_id(obj), "stats": stats}) + "\n")
-        else:
-            shown = " ".join(f"{s}={v}" for s, v in sorted(stats.items()))
-            print(f"{_object_id(obj)} {shown}".rstrip(), file=out)
+        out.write(line % (_object_id(obj), *[scan(obj) for scan in named]))
     return 0
 
 

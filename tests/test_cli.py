@@ -10,11 +10,14 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 import normord
-from normord import FAMILY_NAMES, Polynomial, combinat
+from normord import FAMILY_NAMES, Polynomial, combinat, family_row, triangles
 from normord.cli import OBJECT_NAMES, _object_id, main
 from normord.combinat import CAPS, SCANS
-from normord.forests import FLAVORS
+from normord.forests import FLAVORS, census, grow_forests
+from normord.triangles import FAMILIES
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -131,6 +134,19 @@ class TestTriangle:
         code, out, err = run("triangle", "--family", "A", "--n", "0")
         assert (code, out, err) == (2, "", "error: family 'A' starts at n = 1\n")
 
+    @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.step])
+    def test_command_drops_the_kept_row(self, family, monkeypatch):
+        # Nothing reads a family after its command, so its last row is not
+        # kept; a later read walks again from the base row.
+        monkeypatch.setattr(triangles, "_ROWS", {})
+        start = FAMILIES[family].start
+        fresh = {n: dict(family_row(family, n)) for n in range(start, start + 4)}
+        triangles._ROWS.clear()
+        assert run("triangle", "--family", family, "--n", str(start + 5))[0] == 0
+        assert family not in triangles._ROWS
+        for n, want in fresh.items():
+            assert dict(family_row(family, n)) == want, n
+
 
 class TestEnumerate:
     def test_json_records(self):
@@ -212,6 +228,51 @@ class TestEnumerate:
         # A kind added to one table only would have no cap, scans or walk.
         assert set(SCANS) == set(combinat._ENUMERATORS)
         assert set(CAPS) == set(combinat._ENUMERATORS) | {f"{f}-forests" for f in FLAVORS}
+
+
+def assert_lines_are_records(out: str, records: list[dict]) -> None:
+    """Each json line loads to its record, and json.dumps of the record gives the line."""
+    lines = out.splitlines()
+    assert [json.loads(line) for line in lines] == records
+    assert lines == [json.dumps(record, sort_keys=True) for record in records]
+
+
+class TestRecordRoundTrip:
+    # enumerate and triangle fill json templates; the records built here
+    # from the raw walk or the row pin them to what a json encoder writes.
+
+    @pytest.mark.parametrize("objects", OBJECT_NAMES)
+    def test_enumerate_json(self, objects):
+        names = sorted(SCANS.get(objects, ()))
+        variants = [None] if not names else [
+            None, names[0], ",".join(reversed(names)), f"{names[-1]},{names[-1]}"]
+        for n in range(6):
+            for stats in variants:
+                argv = ["enumerate", "--objects", objects, "--n", str(n), "--format", "json"]
+                code, out, err = run(*argv, *(() if stats is None else ("--stats", stats)))
+                assert (code, err) == (0, "")
+                if objects in SCANS:
+                    scans = SCANS[objects]
+                    chosen = scans if stats is None else stats.split(",")
+                    records = [{"object": _object_id(obj), "stats": {s: scans[s](obj) for s in chosen}}
+                               for obj in combinat._ENUMERATORS[objects](n)]
+                else:
+                    records = []
+                    for word in grow_forests(objects.removesuffix("-forests"), n):
+                        lx, ly, lz, trees = census(word)
+                        records.append({"object": word, "trees": trees,
+                                        "leaves": {"x": lx, "y": ly, "z": lz}})
+                assert_lines_are_records(out, records)
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_triangle_json(self, family):
+        code, out, err = run("triangle", "--family", family, "--n", "6", "--format", "json")
+        assert (code, err) == (0, "")
+        spec = FAMILIES[family]
+        assert_lines_are_records(out, [
+            {"family": family, "n": n, "index": dict(zip(spec.indices, idx)),
+             "entry": v.render() if isinstance(v, Polynomial) else v}
+            for n in range(spec.start, 7) for idx, v in sorted(family_row(family, n).items())])
 
 
 # sha256 of the concatenated ``enumerate`` output for n = 0..5 (n = 0..4 for

@@ -300,6 +300,16 @@ class TestStatisticValues:
                 assert s["exc"] + s["cdes"] + s["cyc"] == n
 
 
+    @pytest.mark.parametrize("kind", sorted(SCANS))
+    def test_scans_return_plain_ints(self, kind):
+        # normord enumerate writes each statistic through a %d slot, where a
+        # bool would print 1 for json's true.
+        for n in range(min(5, CAPS[kind]) + 1):
+            for obj in objects(kind, n):
+                for name, scan in SCANS[kind].items():
+                    assert type(scan(obj)) is int, (kind, obj, name)
+
+
 class TestDistributions:
     def test_descents_and_excedances_agree(self):
         for n in range(1, 8):
