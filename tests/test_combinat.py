@@ -299,7 +299,6 @@ class TestStatisticValues:
                 s = stats("permutations", word)
                 assert s["exc"] + s["cdes"] + s["cyc"] == n
 
-
     @pytest.mark.parametrize("kind", sorted(SCANS))
     def test_scans_return_plain_ints(self, kind):
         # normord enumerate writes each statistic through a %d slot, where a
