@@ -29,7 +29,7 @@ from .combinat import stat_keys, stat_polynomial, tally
 from .forests import census, grow_forests
 from .grammar import Grammar
 from .normal_form import normal_order_power
-from .poly import Monomial, Polynomial, mono, variable
+from .poly import ONE, ZERO, Monomial, Polynomial, mono, variable
 from .series import bessel_polynomial, verify_catalan_egf
 from .triangles import (
     assemble,
@@ -55,7 +55,6 @@ __all__ = [
     "results_to_json",
 ]
 
-ONE = Polynomial.one()
 A, B, Q, U, W, X, Y, Z = (variable(s) for s in "abquwxyz")
 
 
@@ -402,7 +401,7 @@ def _stirling_list_distribution(n: int):
            stat_polynomial("stirling-lists", n,
                            {"asc": "x", "plat": "y", "des": "z", "blocks": "q"}))
     yield ("single-block slice vs ascent-descent-plateau polynomial",
-           op.slices("q").get(1, Polynomial()),
+           op.slices("q").get(1, ZERO),
            stat_polynomial("stirling-permutations", n, {"asc": "x", "plat": "y", "des": "z"}))
 
 

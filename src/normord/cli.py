@@ -31,8 +31,7 @@ from .forests import census, grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import normal_order_power
 from .poly import _SYMBOL, Polynomial, parse, variable
-from . import triangles
-from .triangles import FAMILY_NAMES, family_row, family_spec
+from .triangles import FAMILY_NAMES, _walk, family_spec
 
 __all__ = ["main", "build_parser"]
 
@@ -83,8 +82,8 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
     else:
         index = ", ".join(f'"{c}": {slots[c]}' for c in sorted(names))
         cell = '{{"entry": %s, "family": "%s", "index": {{%s}}, "n": {0}}}\n' % (entry, family, index)
-    for n in range(spec.start, args.n + 1):
-        row = family_row(family, n)
+    # The levels come first in zip, so the walk steps no row past --n.
+    for n, row in zip(range(spec.start, args.n + 1), _walk(spec)):
         keys = sorted(row)
         if args.format == "json" and isinstance(row[keys[0]], Polynomial):
             row = {idx: json.dumps(row[idx].render()) for idx in keys}
@@ -92,8 +91,6 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
             part = keys[i:i + 512]
             text = sep.join([cell.format(n, *idx, row[idx]) for idx in part])
             out.write(text + (sep if i + len(part) < len(keys) else end))
-    # Nothing reads the family again, so its kept row goes with the command.
-    triangles._ROWS.pop(family, None)
     return 0
 
 

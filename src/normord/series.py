@@ -13,8 +13,8 @@ import math
 from fractions import Fraction
 from typing import Tuple
 
-from .poly import Polynomial, variable
-from .triangles import ctilde_xx, family_row, row_polynomial
+from .poly import ONE, ZERO, Polynomial, variable
+from .triangles import build_triangle, ctilde_xx, row_polynomial
 
 __all__ = [
     "catalan_series",
@@ -40,7 +40,7 @@ def catalan_series(order: int) -> Tuple[int, ...]:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = tuple(family_row("catalan", m)[()] for m in range(order + 1))
+    coeffs = tuple(build_triangle("catalan", order).values())
     for m, c in enumerate(coeffs):
         if c != catalan_number(m):
             raise ArithmeticError(f"Catalan recurrence disagrees with the closed form at m = {m}")
@@ -69,12 +69,12 @@ def verify_catalan_egf(n: int):
     """
     x, z = variable("x"), variable("z")
     half_x2 = x * x * Fraction(1, 2)
-    arg = [Polynomial()] + [
+    arg = [ZERO] + [
         x * z * half_x2 ** (m - 1) * (math.factorial(m) * c)
         for m, c in enumerate(catalan_series(n)[:n], 1)
     ]
-    exp = [Polynomial.one()]
+    exp = [ONE]
     for m in range(n):
         exp.append(sum((arg[i + 1] * exp[m - i] * math.comb(m, i) for i in range(m + 1)),
-                       Polynomial()))
+                       ZERO))
     yield "recurrence-built series vs exponential closed form", ctilde_xx(n), exp[n]

@@ -5,11 +5,14 @@ is generated bottom-up from its defining recurrence, so the triangles serve
 as an independent computation path against operator expansions and
 brute-force enumeration.  Bessel is the one exception: its rows are the
 closed form (n+j)!/(2^j (n-j)! j!), the side that the ``bessel-closed-form``
-check holds against the diagonal recurrence.  Each stepped family keeps
-only the last row its latest walk reached: a request above that row steps
-up from it, one below it steps up from the base row, both without
-recursion, and each row is dropped once the next one is stepped from it.
-``family_row`` hands out the kept row read-only.  Keys are plain index tuples.
+check holds against the diagonal recurrence.  One walk, ``_walk``, yields
+a family's rows from its start level upward and holds only the row it last
+yielded: a stepped family steps each row from the one before, starting from
+a copy of its base row, bessel maps its closed form over the levels, and
+catalan convolves the numbers its own walk has built.  ``family_row`` takes
+row n of a new walk, so each call returns a new dict that no other caller
+shares; ``build_triangle`` and ``normord triangle`` read one walk for all
+their levels.  Keys are plain index tuples.
 
 Families, their step and their row keys.  Fourteen families share one of
 three step shapes and state only their own weights; beta keeps its own step:
@@ -18,8 +21,8 @@ three step shapes and state only their own weights; beta keeps its own step:
     split     B, E, W                 (k, l)
     single    S2, S1, eulerian, eulerian2, eulerianB, lah    (k,)
     own step  beta                    (k, j, l)
-    row       bessel                  (j,)       closed form (n+j)!/(2^j (n-j)! j!)
-    row       catalan                 ()         one number per row
+    rows      bessel                  (j,)       closed form (n+j)!/(2^j (n-j)! j!)
+    rows      catalan                 ()         one number per row
 
 ``row_polynomial(family, n, exps)`` turns a row into a polynomial through an
 exponent map ``exps(n, *index) -> {symbol: exponent}``.  ``assemble`` names
@@ -39,9 +42,9 @@ asymmetric input raises ValueError from the peel itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 from math import factorial, prod
-from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .poly import ONE, ZERO, Monomial, Polynomial, variable
 
@@ -139,17 +142,13 @@ def _row_bessel(n: int) -> dict:
     return row
 
 
-# The Catalan numbers computed so far, one int per level; each new one is
-# the convolution of all before it, so they are kept rather than re-walked.
-_CATALAN: list[int] = [1]
-
-
-def _row_catalan(n: int) -> dict:
-    c = _CATALAN
-    while len(c) <= n:
+def _rows_catalan() -> Iterator[dict]:
+    # Each Catalan number is the convolution of all before it.
+    c = [1]
+    while True:
+        yield {(): c[-1]}
         m = len(c)
         c.append(sum(c[i] * c[m - 1 - i] for i in range(m)))
-    return {(): c[n]}
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class FamilySpec:
     start: int
     base: Mapping[tuple, Entry]
     step: Step | None = None
-    row_fn: Callable[[int], dict] | None = None
+    rows: Callable[[], Iterator[dict]] | None = None
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -193,17 +192,11 @@ FAMILIES: dict[str, FamilySpec] = {
         lambda n, k: 1 + 2 * k, lambda n, k: 2 * n - 2 * k + 1)),
     "lah": FamilySpec(("k",), 1, {(1,): 1}, _single(
         lambda n, k: n + k, lambda n, k: 1)),
-    "bessel": FamilySpec(("j",), 0, {(0,): 1}, row_fn=_row_bessel),
-    "catalan": FamilySpec((), 0, {(): 1}, row_fn=_row_catalan),
+    "bessel": FamilySpec(("j",), 0, {(0,): 1}, rows=lambda: map(_row_bessel, count())),
+    "catalan": FamilySpec((), 0, {(): 1}, rows=_rows_catalan),
 }
 
 FAMILY_NAMES: tuple[str, ...] = tuple(FAMILIES)
-
-# Per stepped family, the last row its latest walk reached, as (level, row),
-# shared read-only through family_row.  Every reader walks its levels upward,
-# so one row per family serves each read with at most one step.  Bessel rows
-# are computed on every request, catalan rows read _CATALAN.
-_ROWS: dict[str, tuple[int, Row]] = {}
 
 
 def family_spec(family: str) -> FamilySpec:
@@ -215,31 +208,31 @@ def family_spec(family: str) -> FamilySpec:
     return spec
 
 
-def _row(family: str, n: int) -> Row:
+def _walk(spec: FamilySpec) -> Iterator[dict]:
+    """Rows spec.start, spec.start + 1, ... of a family, each a new dict."""
+    if spec.rows is not None:
+        yield from spec.rows()
+        return
+    row, n = dict(spec.base), spec.start
+    while True:
+        yield row
+        row = spec.step(row, n)
+        n += 1
+
+
+def family_row(family: str, n: int) -> dict[tuple, Entry]:
+    """Row n of a family as a new dict keyed by the index tuple, read from a walk of its own."""
     spec = family_spec(family)
     if n < spec.start:
         raise ValueError(f"family {family!r} starts at n = {spec.start}")
-    if spec.row_fn is not None:
-        return spec.row_fn(n)
-    level, row = _ROWS.get(family, (spec.start - 1, None))
-    # Step up from the kept row if n is not below it, else from the base row.
-    if level > n:
-        level = spec.start - 1
-    for m in range(level + 1, n + 1):
-        row = dict(spec.base) if m == spec.start else spec.step(row, m - 1)
-        _ROWS[family] = (m, row)
-    return row
-
-
-def family_row(family: str, n: int) -> Row:
-    """One row of a family, keyed by the index tuple: the kept row, read-only."""
-    return MappingProxyType(_row(family, n))
+    return next(islice(_walk(spec), n - spec.start, None))
 
 
 def build_triangle(family: str, max_n: int) -> dict[tuple, Entry]:
     """Rows start..max_n of a family in one dict keyed (n, *index)."""
-    return {(n, *idx): v for n in range(family_spec(family).start, max_n + 1)
-            for idx, v in family_row(family, n).items()}
+    spec = family_spec(family)
+    return {(n, *idx): v for n, row in zip(range(spec.start, max_n + 1), _walk(spec))
+            for idx, v in row.items()}
 
 
 # -- assembled polynomials -------------------------------------------------

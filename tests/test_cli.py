@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 import normord
-from normord import FAMILY_NAMES, Polynomial, combinat, family_row, triangles
+from normord import FAMILY_NAMES, Polynomial, combinat, family_row
 from normord.cli import OBJECT_NAMES, _object_id, main
 from normord.combinat import CAPS, SCANS
 from normord.forests import FLAVORS, census, grow_forests
@@ -136,16 +138,25 @@ class TestTriangle:
 
     @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.step])
     def test_command_drops_the_kept_row(self, family, monkeypatch):
-        # Nothing reads a family after its command, so its last row is not
-        # kept; a later read walks again from the base row.
-        monkeypatch.setattr(triangles, "_ROWS", {})
-        start = FAMILIES[family].start
-        fresh = {n: dict(family_row(family, n)) for n in range(start, start + 4)}
-        triangles._ROWS.clear()
-        assert run("triangle", "--family", family, "--n", str(start + 5))[0] == 0
-        assert family not in triangles._ROWS
-        for n, want in fresh.items():
-            assert dict(family_row(family, n)) == want, n
+        # The command steps each level below --n once, none past it, and holds
+        # no row of its walk once it returns.
+        spec = FAMILIES[family]
+        argv = ("triangle", "--family", family, "--n", str(spec.start + 5))
+        want = run(*argv)
+        stepped = []
+
+        class Row(dict):
+            pass
+
+        def step(prev, n):
+            row = Row(spec.step(prev, n))
+            stepped.append((n, weakref.ref(row)))
+            return row
+
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec, step=step))
+        assert run(*argv) == want
+        assert [n for n, _ in stepped] == list(range(spec.start, spec.start + 5))
+        assert all(ref() is None for _, ref in stepped)
 
 
 class TestEnumerate:
@@ -604,6 +615,40 @@ class TestHarness:
         )
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.splitlines()) == 6 + 13 + 6
+
+    def test_benchmark_tracer_keeps_triangle_bytes(self):
+        # The benchmark's traced stream runs these commands; under the tracer
+        # they must print the same bytes as untraced.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(normord.__file__)))
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+        child = (
+            "import hashlib, io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            f"sys.path.insert(0, {perfbench!r})\n"
+            "import tracer\n"
+            "from normord import cli\n"
+            "t = tracer.Tracer('contract')\n"
+            "tracer.install(t)\n"
+            "t.begin()\n"
+            "for fmt in ('text', 'csv', 'json'):\n"
+            "    out = io.StringIO()\n"
+            "    with redirect_stdout(out):\n"
+            f"        code = cli.main(['triangle', '--family', 'A', '--n', '{TRIANGLE_DIGEST_TOP}',"
+            " '--format', fmt])\n"
+            "    assert code == 0, code\n"
+            "    print(fmt, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+            "t.end()\n"
+            "assert t.totals['cli'][0] == 3, sorted(t.totals)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=package_root),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "".join(
+            f"{fmt} {TRIANGLE_DIGESTS['A', fmt]}\n" for fmt in ("text", "csv", "json"))
 
     def test_benchmark_tracer_sees_row_work(self):
         # Every row read, from row_polynomial and assemble too, goes through

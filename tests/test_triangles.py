@@ -71,9 +71,8 @@ class TestFamilyRow:
         with pytest.raises(KeyError):
             family_row("no-such-family", 3)
 
-    def test_deep_rows_from_a_cold_cache(self):
-        # A fresh interpreter starts with no cached rows, so each deep level
-        # is stepped up from the base row.
+    def test_deep_rows_from_the_base_row(self):
+        # Each deep level is stepped up from the base row in a fresh interpreter.
         codes = [
             "from math import comb\n"
             "from normord import catalan_number, family_row\n"
@@ -83,7 +82,7 @@ class TestFamilyRow:
         ]
         if sys.platform.startswith("linux"):
             # Keeping every row of the walk peaks near 148 MiB here; the
-            # cache keeps the last one.  The child reads its own high-water
+            # walk holds one row at a time.  The child reads its own high-water
             # mark, VmHWM in KiB: its ru_maxrss would also count this test
             # process's memory, which Linux carries across fork and exec.
             codes.append(
@@ -132,52 +131,34 @@ class TestFamilyRow:
                 assert a_row.get((k, k), 0) == s2.get((k,), 0)
 
 
+def _counting_steps(monkeypatch, family: str) -> list:
+    """Patch ``family``'s step to record each level it steps from."""
+    spec = FAMILIES[family]
+    calls = []
+
+    def counting(prev, n):
+        calls.append(n)
+        return spec.step(prev, n)
+
+    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec, step=counting))
+    return calls
+
+
 class TestRowWindow:
-    @pytest.fixture
-    def steps(self, monkeypatch):
-        """Count the step calls of family A, starting from an empty cache."""
-        spec = FAMILIES["A"]
-        calls = []
+    """A walk holds one row at a time; each read of a family starts its own walk."""
 
-        def counting(prev, n):
-            calls.append(n)
-            return spec.step(prev, n)
-
-        monkeypatch.setitem(FAMILIES, "A", dataclasses.replace(spec, step=counting))
-        monkeypatch.setattr(triangles, "_ROWS", {})
-        return calls
-
-    def test_restepping_stays_linear(self, steps):
+    def test_restepping_stays_linear(self, monkeypatch):
+        steps = _counting_steps(monkeypatch, "A")
         family_row("A", 60)
         assert len(steps) == 59
-        for n in range(61, 71):
-            steps.clear()
-            family_row("A", n)
-            assert len(steps) == 1, n
-        steps.clear()
-        family_row("A", 70)
-        assert steps == []
         family_row("A", 10)
-        assert len(steps) == 9
-        steps.clear()
-        family_row("A", 11)
-        assert len(steps) == 1
-
-    def test_family_row_is_read_only(self, monkeypatch):
-        monkeypatch.setattr(triangles, "_ROWS", {})
-        row = family_row("A", 5)
-        want = dict(row)
-        with pytest.raises(TypeError):
-            row[(1, 1)] = -1
-        with pytest.raises(TypeError):
-            row[(9, 9)] = 9
-        assert triangles._ROWS["A"] == (5, want)
+        assert len(steps) == 59 + 9
+        family_row("A", 1)
+        assert len(steps) == 59 + 9
 
     @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.step])
-    def test_held_row_outlives_restepping(self, family, monkeypatch):
-        # A row handed out is the kept row itself, so stepping on from it, or
-        # restarting from the base row, must leave it as it was.
-        monkeypatch.setattr(triangles, "_ROWS", {})
+    def test_held_row_outlives_restepping(self, family):
+        # Later reads, from above and from below, leave a held row as it was.
         n = FAMILIES[family].start + 2
         held = family_row(family, n)
         snapshot = dict(held)
@@ -185,20 +166,37 @@ class TestRowWindow:
         family_row(family, n)
         assert held == snapshot
 
-    def test_catalan_walk_builds_each_number_once(self, monkeypatch):
-        built = []
 
-        class Counting(list):
-            def append(self, c):
-                built.append(c)
-                super().append(c)
+class TestPureRows:
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_rows_agree_in_any_call_order(self, family):
+        n = FAMILIES[family].start + 3
+        reads = [(m, family_row(family, m)) for m in (n + 5, n, n + 5)]
+        triangle = build_triangle(family, n + 5)
+        for m, row in reads:
+            assert {(m, *idx): v for idx, v in row.items()} == {
+                key: v for key, v in triangle.items() if key[0] == m}, m
 
-        monkeypatch.setattr(triangles, "_CATALAN", Counting([1]))
-        for n in range(41):
-            assert family_row("catalan", n) == {(): catalan_number(n)}
-        assert len(built) == 40
-        family_row("catalan", 20)
-        assert len(built) == 40
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_changed_row_changes_no_later_read(self, family):
+        start = FAMILIES[family].start
+        want = {n: dict(family_row(family, n)) for n in (start, start + 3)}
+        for n in want:
+            row = family_row(family, n)
+            for idx in list(row):
+                row[idx] = -1
+            row[("extra",)] = 5
+        assert family_row(family, start) == want[start]
+        assert family_row(family, start + 3) == want[start + 3]
+        assert FAMILIES[family].base == want[start]
+
+    @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.step])
+    def test_triangle_steps_each_level_once(self, family, monkeypatch):
+        # build_triangle reads one walk and steps no row past its top level.
+        steps = _counting_steps(monkeypatch, family)
+        start = FAMILIES[family].start
+        build_triangle(family, start + 7)
+        assert steps == list(range(start, start + 7))
 
 
 # sha256 over the lines "n<TAB>index<TAB>entry" of every row from the
