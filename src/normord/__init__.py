@@ -46,6 +46,7 @@ from .triangles import (
     ctilde_xx,
     e_expand,
     family_row,
+    family_rows,
     family_spec,
     gamma_expand,
     rising_factorial,
@@ -73,6 +74,7 @@ __all__ = [
     "ctilde_xx",
     "e_expand",
     "family_row",
+    "family_rows",
     "family_spec",
     "gamma_expand",
     "grow_forests",

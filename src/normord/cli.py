@@ -31,7 +31,7 @@ from .forests import census, grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import normal_order_power
 from .poly import _SYMBOL, Polynomial, parse, variable
-from .triangles import FAMILY_NAMES, _walk, family_spec
+from .triangles import FAMILY_NAMES, family_rows, family_spec
 
 __all__ = ["main", "build_parser"]
 
@@ -65,13 +65,12 @@ def _cmd_expand(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_triangle(args: argparse.Namespace, out) -> int:
-    family, spec = args.family, family_spec(args.family)
-    if args.n < spec.start:
-        raise ValueError(f"family {family!r} starts at n = {spec.start}")
+    # family_rows checks the family and --n at the call, before any output.
+    family, rows = args.family, family_rows(args.family, args.n)
+    names = family_spec(family).indices
     # Each format fills one template per entry: {0} is n, {1}.. the index, then
     # the entry.  A text row is one line, csv and json a line per entry; a row
     # is written 512 entries at a time, so no deep row is held as one text.
-    names = spec.indices
     slots = {c: f"{{{i}}}" for i, c in enumerate(names, 1)}
     entry, sep, end = f"{{{len(names) + 1}}}", "", ""
     if args.format == "text":
@@ -82,8 +81,7 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
     else:
         index = ", ".join(f'"{c}": {slots[c]}' for c in sorted(names))
         cell = '{{"entry": %s, "family": "%s", "index": {{%s}}, "n": {0}}}\n' % (entry, family, index)
-    # The levels come first in zip, so the walk steps no row past --n.
-    for n, row in zip(range(spec.start, args.n + 1), _walk(spec)):
+    for n, row in rows:
         keys = sorted(row)
         if args.format == "json" and isinstance(row[keys[0]], Polynomial):
             row = {idx: json.dumps(row[idx].render()) for idx in keys}
@@ -148,11 +146,13 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     if args.check is not None:
+        if args.profile is not None:
+            raise ValueError("--profile applies to a whole-registry run")
         results = [run_check(args.check, args.n_max)]
     elif args.n_max is not None:
         raise ValueError("--n-max applies to a single --check run")
     else:
-        results = run_all(args.profile)
+        results = run_all(args.profile or "full")
     if args.format == "json":
         print(json.dumps(results_to_json(results), indent=2, sort_keys=True), file=out)
     else:
@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity check registry")
     p.add_argument("--check", help=f"run one check id; known: {', '.join(check_ids())}")
     p.add_argument("--n-max", type=int, help="largest level for a single --check run")
-    p.add_argument("--profile", choices=("quick", "full"), default="full")
+    p.add_argument("--profile", choices=("quick", "full"),
+                   help="depths for a whole-registry run (default: full)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify)
 

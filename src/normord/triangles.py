@@ -5,14 +5,15 @@ is generated bottom-up from its defining recurrence, so the triangles serve
 as an independent computation path against operator expansions and
 brute-force enumeration.  Bessel is the one exception: its rows are the
 closed form (n+j)!/(2^j (n-j)! j!), the side that the ``bessel-closed-form``
-check holds against the diagonal recurrence.  One walk, ``_walk``, yields
-a family's rows from its start level upward and holds only the row it last
-yielded: a stepped family steps each row from the one before, starting from
-a copy of its base row, bessel maps its closed form over the levels, and
-catalan convolves the numbers its own walk has built.  ``family_row`` takes
-row n of a new walk, so each call returns a new dict that no other caller
-shares; ``build_triangle`` and ``normord triangle`` read one walk for all
-their levels.  Keys are plain index tuples.
+check holds against the diagonal recurrence.  One walk,
+``family_rows(family, max_n)``, checks the family and its start level and
+pairs each level start..max_n with its row, holding only the row it last
+yielded: a stepped family folds its step over the levels from a copy of its
+base row, bessel maps its closed form over them, and catalan convolves the
+numbers its own walk has built.  ``family_row`` keeps the last row of a new
+walk, so each call returns a new dict that no other caller shares;
+``build_triangle`` and ``normord triangle`` read one walk for all their
+levels.  Keys are plain index tuples.
 
 Families, their step and their row keys.  Fourteen families share one of
 three step shapes and state only their own weights; beta keeps its own step:
@@ -41,8 +42,9 @@ asymmetric input raises ValueError from the peel itself.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import accumulate, count
 from math import factorial, prod
 from typing import Callable, Iterator, Mapping, Optional, Union
 
@@ -208,31 +210,29 @@ def family_spec(family: str) -> FamilySpec:
     return spec
 
 
-def _walk(spec: FamilySpec) -> Iterator[dict]:
-    """Rows spec.start, spec.start + 1, ... of a family, each a new dict."""
-    if spec.rows is not None:
-        yield from spec.rows()
-        return
-    row, n = dict(spec.base), spec.start
-    while True:
-        yield row
-        row = spec.step(row, n)
-        n += 1
+def family_rows(family: str, max_n: int) -> Iterator[tuple[int, dict[tuple, Entry]]]:
+    """(n, row n) for n = start..max_n of a family, each row a new dict.
+
+    The family and its start level are checked at the call, before any row.
+    """
+    spec = family_spec(family)
+    if max_n < spec.start:
+        raise ValueError(f"family {family!r} starts at n = {spec.start}")
+    levels = range(spec.start, max_n + 1)
+    rows = (spec.rows() if spec.step is None
+            else accumulate(levels, spec.step, initial=dict(spec.base)))
+    # The levels come first in zip, so no row past max_n is stepped.
+    return zip(levels, rows)
 
 
 def family_row(family: str, n: int) -> dict[tuple, Entry]:
     """Row n of a family as a new dict keyed by the index tuple, read from a walk of its own."""
-    spec = family_spec(family)
-    if n < spec.start:
-        raise ValueError(f"family {family!r} starts at n = {spec.start}")
-    return next(islice(_walk(spec), n - spec.start, None))
+    return deque(family_rows(family, n), maxlen=1)[0][1]
 
 
 def build_triangle(family: str, max_n: int) -> dict[tuple, Entry]:
     """Rows start..max_n of a family in one dict keyed (n, *index)."""
-    spec = family_spec(family)
-    return {(n, *idx): v for n, row in zip(range(spec.start, max_n + 1), _walk(spec))
-            for idx, v in row.items()}
+    return {(n, *idx): v for n, row in family_rows(family, max_n) for idx, v in row.items()}
 
 
 # -- assembled polynomials -------------------------------------------------
@@ -339,13 +339,7 @@ def ctilde_xx(n: int) -> Polynomial:
 
 def rising_factorial(name: str, n: int) -> Polynomial:
     """The product v(v+1)...(v+n-1) in the symbol ``name``."""
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    v = variable(name)
-    out = ONE
-    for i in range(n):
-        out = out * (v + i)
-    return out
+    return _linear(variable(name), ONE, ZERO, name)(n)
 
 
 # -- symmetric-basis expansions -------------------------------------------

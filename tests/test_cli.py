@@ -476,6 +476,20 @@ class TestVerify:
         assert code == 2
         assert err == "error: --n-max applies to a single --check run\n"
 
+    def test_profile_with_check_rejected(self):
+        code, out, err = run("verify", "--check", "lah-closed-form", "--profile", "quick")
+        assert (code, out, err) == (2, "", "error: --profile applies to a whole-registry run\n")
+
+    @pytest.mark.parametrize("argv, profile", [((), "full"), (("--profile", "quick"), "quick"),
+                                               (("--profile", "full"), "full")])
+    def test_whole_registry_profile(self, argv, profile, monkeypatch):
+        import normord.cli
+
+        profiles = []
+        monkeypatch.setattr(normord.cli, "run_all", lambda p: profiles.append(p) or [])
+        assert run("verify", *argv) == (0, "0/0 checks passed\n", "")
+        assert profiles == [profile]
+
     def test_catalan_egf_match(self):
         code, out, _ = run("verify", "--check", "catalan-egf", "--n-max", "6")
         assert code == 0

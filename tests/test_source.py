@@ -29,3 +29,16 @@ def test_every_export_exists():
     missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ())
                if not hasattr(m, name)]
     assert len(modules) == len(SOURCES) and not missing, missing
+
+
+def test_private_triangle_names_stay_in_triangles():
+    # Other modules read rows through family_rows, never the walk's internals.
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in SOURCES if path.name != "triangles.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("triangles", 1), ("normord.triangles", 0))
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not found, found

@@ -25,6 +25,7 @@ from normord import (
     ctilde_xx,
     e_expand,
     family_row,
+    family_rows,
     gamma_expand,
     mono,
     parse,
@@ -32,6 +33,7 @@ from normord import (
     variable,
 )
 from normord import triangles
+from normord.cli import main
 from normord.triangles import FAMILIES
 
 x = variable("x")
@@ -167,6 +169,37 @@ class TestRowWindow:
         assert held == snapshot
 
 
+class TestFamilyRows:
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_levels_in_order_each_row_new(self, family):
+        start = FAMILIES[family].start
+        pairs = list(family_rows(family, start + 4))
+        assert [n for n, _ in pairs] == list(range(start, start + 5))
+        assert [row for _, row in pairs] == [family_row(family, n) for n, _ in pairs]
+        rows = [row for _, row in pairs] + [FAMILIES[family].base]
+        assert len({id(row) for row in rows}) == len(rows)
+
+    @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.step])
+    def test_steps_max_n_minus_start(self, family, monkeypatch):
+        steps = _counting_steps(monkeypatch, family)
+        start = FAMILIES[family].start
+        for top in (start, start + 1, start + 9):
+            steps.clear()
+            assert sum(1 for _ in family_rows(family, top)) == top - start + 1
+            assert steps == list(range(start, top))
+
+    @pytest.mark.parametrize("family", ["A", "S2", "bessel", "catalan"])
+    def test_one_below_start_message(self, family, capsys):
+        start = FAMILIES[family].start
+        want = f"family {family!r} starts at n = {start}"
+        for read in (family_rows, family_row, build_triangle):
+            with pytest.raises(ValueError) as info:
+                read(family, start - 1)
+            assert str(info.value) == want, read
+        assert main(["triangle", "--family", family, "--n", str(start - 1)]) == 2
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+
+
 class TestPureRows:
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_rows_agree_in_any_call_order(self, family):
@@ -298,8 +331,9 @@ class TestTriangleObject:
         with pytest.raises(KeyError):
             build_triangle("no-such-family", 3)
 
-    def test_below_start_is_empty(self):
-        assert build_triangle("A", 0) == {}
+    def test_below_start_raises(self):
+        with pytest.raises(ValueError, match="family 'A' starts at n = 1"):
+            build_triangle("A", 0)
 
 
 class TestFirstColumnLinks:
