@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice, tee
+from operator import itemgetter
 from typing import Iterable, List, Optional
 
 from .checks import check_ids, render_report, results_to_json, run_all, run_check
@@ -68,26 +70,39 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
     # family_rows checks the family and --n at the call, before any output.
     family, rows = args.family, family_rows(args.family, args.n)
     names = family_spec(family).indices
-    # Each format fills one template per entry: {0} is n, {1}.. the index, then
-    # the entry.  A text row is one line, csv and json a line per entry; a row
-    # is written 512 entries at a time, so no deep row is held as one text.
-    slots = {c: f"{{{i}}}" for i, c in enumerate(names, 1)}
-    entry, sep, end = f"{{{len(names) + 1}}}", "", ""
+    # Each format fills one %-template per entry: n's slot is %d, filled once
+    # per row, and the index and entry slots are %%s.  `columns` names the
+    # index in the template's order; csv's k, l and j columns and json's
+    # sorted keys differ from the index order for beta only.
+    sep = end = ""
     if args.format == "text":
-        cell, sep, end = f"({','.join(['{0}', *slots.values()])})={entry}", ",", "\n"
+        columns, sep, end = names, ",", "\n"
+        cell = f"({','.join(['%d', *['%%s'] * len(names)])})=%%s"
     elif args.format == "csv":
         out.write("family,n,k,l,j,entry\n")
-        cell = f"{family},{{0}},{','.join(slots.get(c, '') for c in 'klj')},{entry}\n"
+        columns = [c for c in "klj" if c in names]
+        cell = f"{family},%d,{','.join('%%s' if c in names else '' for c in 'klj')},%%s\n"
     else:
-        index = ", ".join(f'"{c}": {slots[c]}' for c in sorted(names))
-        cell = '{{"entry": %s, "family": "%s", "index": {{%s}}, "n": {0}}}\n' % (entry, family, index)
+        columns = sorted(names)
+        index = ", ".join(f'"{c}": %%s' for c in columns)
+        cell = f'{{"entry": %%s, "family": "{family}", "index": {{{index}}}, "n": %d}}\n'
+    order = [names.index(c) for c in columns]
+    reorder = itemgetter(*order) if order != sorted(order) else None
+    entry_first = args.format == "json"
+    # A text row is one line, csv and json a line per entry; a row is written
+    # 512 entries at a time, so no deep row is held as one text.
     for n, row in rows:
+        fill = (cell % n).__mod__
         keys = sorted(row)
-        if args.format == "json" and isinstance(row[keys[0]], Polynomial):
-            row = {idx: json.dumps(row[idx].render()) for idx in keys}
+        quote = entry_first and isinstance(row[keys[0]], Polynomial)
         for i in range(0, len(keys), 512):
             part = keys[i:i + 512]
-            text = sep.join([cell.format(n, *idx, row[idx]) for idx in part])
+            idx = part if reorder is None else map(reorder, part)
+            vals = map(row.__getitem__, part)
+            if quote:
+                vals = map(json.dumps, map(Polynomial.render, vals))
+            pairs = (zip(vals), idx) if entry_first else (idx, zip(vals))
+            text = sep.join(map(fill, map(tuple.__add__, *pairs)))
             out.write(text + (sep if i + len(part) < len(keys) else end))
     return 0
 
@@ -112,16 +127,22 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
         wanted = [s.strip() for s in args.stats.split(",") if s.strip()]
         if not wanted:
             raise ValueError("--stats must name at least one statistic")
-    # Each record fills one template built here: object ids, forest encodings
-    # and statistic names are plain ASCII with nothing to escape in json.
+    # Each record fills one %-template built here: object ids, forest encodings
+    # and statistic names are plain ASCII with nothing to escape in json.  The
+    # walk is teed, one copy per field, and zip builds each record's fields.
     if args.objects not in SCANS:
         if wanted is not None:
             raise ValueError("--stats applies to statistic-bearing objects, not forests")
-        # {0}..{2} are the x, y and z leaf counts, {3} the trees, {4} the encoding.
-        line = ('{{"leaves": {{"x": {0}, "y": {1}, "z": {2}}}, "object": "{4}", "trees": {3}}}\n'
-                if args.format == "json" else "{4} trees={3} x={0} y={1} z={2}\n")
-        for word in grow_forests(args.objects.removesuffix("-forests"), args.n):
-            out.write(line.format(*census(word), word))
+        words, copy = tee(grow_forests(args.objects.removesuffix("-forests"), args.n))
+        # census(word) + (word,) is x, y, z, trees, word; the template's order
+        # is x, y, z, word, trees for json and word, trees, x, y, z for text.
+        if args.format == "json":
+            line = '{"leaves": {"x": %d, "y": %d, "z": %d}, "object": "%s", "trees": %d}\n'
+            order = itemgetter(0, 1, 2, 4, 3)
+        else:
+            line, order = "%s trees=%d x=%d y=%d z=%d\n", itemgetter(4, 3, 0, 1, 2)
+        fields = map(order, map(tuple.__add__, map(census, words), zip(copy)))
+        _write_batched(out, map(line.__mod__, fields))
         return 0
     # Over its cap, the enumerator raises ValueError when called, before any output.
     walk = _ENUMERATORS[args.objects](args.n)
@@ -131,14 +152,20 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
         known = ", ".join(sorted(scans))
         raise ValueError(f"unknown statistic(s) {', '.join(missing)}; known: {known}")
     names = sorted(scans if wanted is None else set(wanted))
-    named = [scans[s] for s in names]
     if args.format == "json":
         line = '{"object": "%%s", "stats": {%s}}\n' % ", ".join(f'"{s}": %d' for s in names)
     else:
         line = " ".join(["%s", *(f"{s}=%d" for s in names)]) + "\n"
-    for obj in walk:
-        out.write(line % (_object_id(obj), *[scan(obj) for scan in named]))
+    objs, *copies = tee(walk, len(names) + 1)
+    fields = zip(map(_object_id, objs), *[map(scans[s], c) for s, c in zip(names, copies)])
+    _write_batched(out, map(line.__mod__, fields))
     return 0
+
+
+def _write_batched(out, records) -> None:
+    """Write the records, none of them empty, 512 per ``write``."""
+    while text := "".join(islice(records, 512)):
+        out.write(text)
 
 
 # -- verify ----------------------------------------------------------------

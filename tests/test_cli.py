@@ -6,7 +6,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -15,7 +17,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import normord
-from normord import FAMILY_NAMES, Polynomial, combinat, family_row
+from normord import FAMILY_NAMES, Polynomial, build_triangle, combinat, family_row, family_rows
 from normord.cli import OBJECT_NAMES, _object_id, main
 from normord.combinat import CAPS, SCANS
 from normord.forests import FLAVORS, census, grow_forests
@@ -27,6 +29,27 @@ def run(*argv: str) -> tuple[int, str, str]:
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+class CountingOut(io.StringIO):
+    """A stdout that keeps the text of each ``write`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return super().write(text)
+
+
+def run_counting(*argv: str) -> list[str]:
+    """The text of each ``write`` that a successful command makes on stdout."""
+    out, err = CountingOut(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    assert (code, err.getvalue()) == (0, "")
+    return out.writes
 
 
 class TestExpand:
@@ -117,6 +140,31 @@ class TestTriangle:
         assert code == 0
         rows = [json.loads(line) for line in out.splitlines()]
         assert {"family": "beta", "n": 1, "index": {"k": 1, "j": 0, "l": 0}, "entry": 1} in rows
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_beta_columns_name_their_entry(self, fmt):
+        # beta's index is (k, j, l); csv writes k, l, j and json sorts its keys,
+        # so each line must name the key of its own entry, whatever the digests say.
+        code, out, err = run("triangle", "--family", "beta", "--n", "6", "--format", fmt)
+        assert (code, err) == (0, "")
+        triangle = build_triangle("beta", 6)
+        seen = {}
+        if fmt == "csv":
+            header, *lines = out.splitlines()
+            assert header == "family,n,k,l,j,entry"
+            for line in lines:
+                family, n, k, l, j, entry = line.split(",")
+                assert family == "beta"
+                seen[int(n), int(k), int(j), int(l)] = int(entry)
+        else:
+            for line in out.splitlines():
+                record = json.loads(line)
+                index = record["index"]
+                seen[record["n"], index["k"], index["j"], index["l"]] = record["entry"]
+        assert seen == triangle
+        assert len(seen) == len(out.splitlines()) - (fmt == "csv")
+        # The check has teeth: some entries differ under a swap of j and l.
+        assert any(triangle.get((n, k, l, j)) != v for (n, k, j, l), v in triangle.items())
 
     def test_polynomial_entries_render_as_text(self):
         code, out, _ = run("triangle", "--family", "Ap", "--n", "3", "--format", "json")
@@ -444,6 +492,42 @@ class TestTriangleDigests:
             code, out, err = run("triangle", "--family", "A", "--n", "50", "--format", fmt)
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
+
+
+class TestBatchedWrites:
+    # Records and row entries are joined 512 to a write, never written one by one.
+
+    # The level n of every entry in a write, by format.
+    LEVEL = {"text": r"\((\d+),", "csv": r"^A,(\d+),", "json": r'"n": (\d+)\}$'}
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_triangle_writes_per_row(self, fmt):
+        writes = run_counting("triangle", "--family", "A", "--n", "50", "--format", fmt)
+        if fmt == "csv":
+            assert writes.pop(0) == "family,n,k,l,j,entry\n"
+        per_level: dict[int, int] = {}
+        for text in writes:
+            (n,) = set(map(int, re.findall(self.LEVEL[fmt], text, re.MULTILINE)))
+            per_level[n] = per_level.get(n, 0) + 1
+        sizes = {n: len(row) for n, row in family_rows("A", 50)}
+        assert set(per_level) == set(sizes)
+        assert all(per_level[n] <= math.ceil(sizes[n] / 512) for n in sizes)
+        assert max(sizes.values()) > 1024
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_enumerate_writes_512_records(self, fmt):
+        writes = run_counting("enumerate", "--objects", "permutations", "--n", "7", "--format", fmt)
+        assert len(writes) == math.ceil(5040 / 512)
+        assert [text.count("\n") for text in writes] == [512] * 9 + [5040 - 9 * 512]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_forest_writes_512_records(self, fmt):
+        count = sum(1 for _ in grow_forests("full-binary", 6))
+        writes = run_counting("enumerate", "--objects", "full-binary-forests", "--n", "6",
+                              "--format", fmt)
+        assert count > 1024
+        assert len(writes) == math.ceil(count / 512)
+        assert sum(text.count("\n") for text in writes) == count
 
 
 class TestVerify:
