@@ -30,7 +30,6 @@ from .forests import grow_forests
 from .grammar import PRESETS, Grammar
 from .normal_form import NormalForm, normal_order_power
 from .poly import (
-    Monomial,
     ParseError,
     PoleError,
     Polynomial,
@@ -59,7 +58,6 @@ __all__ = [
     "CheckSpec",
     "FAMILY_NAMES",
     "Grammar",
-    "Monomial",
     "NormalForm",
     "PRESETS",
     "ParseError",

@@ -12,10 +12,12 @@ one level, registered with its metadata by the ``check`` decorator.  Each
 side is a polynomial, or a pre-rendered string for a side condition that is
 not one.  The runner built at registration walks the levels in order, hands
 every pair to ``_compare`` (the one place sides are rendered and compared)
-and stops at the first witness.  Each check declares the range of levels it
-covers and two feasibility caps: ``full_cap`` is the largest level the check
-is designed to reach, and ``quick_cap`` keeps a whole-registry run within
-interactive time.
+and stops at the first witness.  A side that raises ValueError or
+ArithmeticError while it is built is its level's witness, naming the
+exception, so one broken check cannot abort a whole run.  Each check
+declares the range of levels it covers and two feasibility caps:
+``full_cap`` is the largest level the check is designed to reach, and
+``quick_cap`` keeps a whole-registry run within interactive time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .combinat import stat_keys, stat_polynomial, tally
 from .forests import census, grow_forests
 from .grammar import Grammar
 from .normal_form import normal_order_power
-from .poly import ONE, ZERO, Monomial, Polynomial, mono, variable
+from .poly import ONE, ZERO, Polynomial, mono, variable
 from .series import bessel_polynomial, verify_catalan_egf
 from .triangles import (
     assemble,
@@ -110,8 +112,6 @@ class CheckSpec:
     runner: Runner
 
 
-
-
 Side = Union[Polynomial, str]
 Sides = Callable[[int], Iterator[Tuple[str, Side, Side]]]
 
@@ -129,10 +129,13 @@ def _compare(n: int, note: str, left: Side, right: Side) -> Optional[Witness]:
 def _level_runner(sides: Sides) -> Runner:
     def run(lo: int, hi: int) -> Optional[Witness]:
         for n in range(lo, hi + 1):
-            for note, left, right in sides(n):
-                witness = _compare(n, note, left, right)
-                if witness is not None:
-                    return witness
+            try:
+                for note, left, right in sides(n):
+                    witness = _compare(n, note, left, right)
+                    if witness is not None:
+                        return witness
+            except (ValueError, ArithmeticError) as exc:
+                return Witness(n, f"a side raised {type(exc).__name__}", str(exc), "not built")
         return None
 
     return run
@@ -300,7 +303,7 @@ def _gamma_basis_expansion(n: int):
        "list counts match the binomial-factorial closed form and row sums", 1, 10, 8)
 def _lah_closed_form(n: int):
     closed = Polynomial(
-        (Monomial({"z": k}), math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k))
+        ({"z": k}, math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k))
         for k in range(1, n + 1)
     )
     yield ("list-count triangle vs binomial-factorial closed form",
@@ -510,8 +513,8 @@ def _updown_normal_order(n: int):
     yield ("assembly at unit first slots vs rising factorial",
            tri.subs({"x": ONE, "y": ONE}), rising_factorial("z", n))
     runs = assemble("updown-run-x", n)
-    hom = Polynomial((Monomial({"x": m.exponent("x"), "y": n - m.exponent("x")}), c)
-                     for m, c in runs.terms())
+    # Homogenize to degree n: each term gains y^(n - its degree).
+    hom = Polynomial(((*m, ("y", n - sum(e for _, e in m))), c) for m, c in runs.terms())
     yield ("assembly at unit third slot vs homogenized alternating-run polynomial",
            tri.subs({"z": ONE}), hom)
 

@@ -50,7 +50,7 @@ from itertools import product as _product
 from operator import eq, gt, lt, neg
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from .poly import Monomial, Polynomial
+from .poly import Polynomial
 
 T = TypeVar("T")
 
@@ -339,7 +339,7 @@ def tally(keys: Iterable[tuple[int, ...]], symbols: tuple[str, ...]) -> Polynomi
     ``len(symbols)`` raises ValueError.
     """
     return Polynomial(
-        (Monomial(zip(symbols, key, strict=True)), count) for key, count in Counter(keys).items()
+        (zip(symbols, key, strict=True), count) for key, count in Counter(keys).items()
     )
 
 

@@ -56,8 +56,8 @@ class Grammar:
             clean[name] = Polynomial._coerce(rhs, f"rule for {name!r} is not a polynomial")
         object.__setattr__(self, "rules", clean)
         # derive's rule table, built once: for each symbol s, the terms of
-        # rule(s)/s as (pairs, coeff).  Not a field, so ==, hash and repr
-        # still see only the rules.
+        # rule(s)/s as (pairs, coeff).  Not a field, so == and repr still see
+        # only the rules; hash raises TypeError, as the rules are a dict.
         object.__setattr__(self, "_table", {
             name: tuple((_pairs_mul(k, ((name, -1),)), c) for k, c in p._terms.items())
             for name, p in clean.items()

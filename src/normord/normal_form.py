@@ -24,7 +24,7 @@ symbols s of e_s * m * (w * rule(s)/s).  Each step multiplies a monomial by
 one term of w and at most one term of a rule(s)/s, so after n steps no
 exponent exceeds n*(W + R), with W and R the largest exponent magnitudes in
 w and in the table; that bound sets the field width.  Each coefficient
-converts back to pair keys once (no ``Monomial`` is built).
+converts back to pair keys once.
 
 The two readers of a normal form, ``specialize`` (D^k -> v^k) and
 ``apply_to`` (D^k -> D^k(f)), are one direct sum of coeffs[k] * values[k]

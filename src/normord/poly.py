@@ -8,7 +8,7 @@ terms like ``3*x*y^-1`` are representable.  Coefficients are Python ints
 ``fractions.Fraction`` values, which are normalised back to ints whenever
 the denominator clears.  Floats are rejected.  A symbol name is an ASCII
 letter or underscore followed by ASCII letters, digits and underscores,
-the one name rule that the parser, ``Monomial(...)`` and the grammar and
+the one name rule that the parser, ``Polynomial(...)`` and the grammar and
 CLI front ends share.
 
 Rendering and parsing share one canonical text form: terms are sorted in
@@ -17,15 +17,16 @@ compared symbol by symbol in alphabetical order), exponents are written
 ``x^2``, and all products use an explicit ``*``.  ``parse(p.render())``
 returns ``p`` for every polynomial with integer coefficients.
 
-A monomial's canonical form is its ``pairs`` (``Pairs``): (symbol,
-exponent) tuples sorted by symbol, with no zero exponent, ``()`` for the
-constant monomial.  A polynomial stores its terms keyed by those tuples
-alone, and every ring operation merges them (``_pairs_mul``) into a dict
-that the one trusted constructor, ``Polynomial._collect``, closes.
-``Monomial`` is the public view of one term: ``terms()`` and
-``sorted_terms()`` build one per term when read.  The public constructors
-``Monomial(...)``, ``Polynomial(...)`` and ``parse`` accept any shape,
-validate it and bring it to the canonical form.
+A monomial has one format, public and private: its canonical pair tuple
+(``Pairs``), (symbol, exponent) tuples sorted by symbol, with no zero
+exponent, ``()`` for the constant monomial.  A polynomial stores its terms
+keyed by those tuples, and every ring operation merges them (``_pairs_mul``)
+into a dict that the one trusted constructor, ``Polynomial._collect``,
+closes.  ``terms()`` and ``sorted_terms()`` yield the stored tuples
+themselves.  The public constructors ``Polynomial(...)``, ``mono`` and
+``parse`` accept an exponent map or any iterable of (symbol, exponent)
+pairs per term, and ``_canonical_pairs`` validates it and brings it to the
+canonical form.
 
 The normal-form kernel has a second, private exponent format, ``_Packer``
 (packed exponent vectors, Monagan & Pearce, CASC 2007).  Over a sorted
@@ -50,9 +51,10 @@ from typing import Callable, Iterable, Iterator, Union
 
 Scalar = Union[int, Fraction]
 Pairs = tuple[tuple[str, int], ...]
+Exponents = Union[Mapping[str, int], Iterable[tuple[str, int]]]
 
 # The one rule for symbol names: the tokenizer reads exactly these, and
-# ``Monomial(...)``, ``Grammar.from_text`` and the CLI accept no other.
+# ``Polynomial(...)``, ``Grammar.from_text`` and the CLI accept no other.
 _SYMBOL = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
@@ -134,69 +136,26 @@ def _render_pairs(pairs: Pairs) -> str:
     return "*".join([s if e == 1 else f"{s}^{e}" for s, e in pairs]) or "1"
 
 
-class Monomial:
-    """Product of symbol powers; exponents are nonzero signed integers.
+def _canonical_pairs(exponents: Exponents) -> Pairs:
+    """The canonical pair tuple of an exponent map or an iterable of (symbol, exponent) pairs.
 
-    The public view of one term: a polynomial stores only the canonical
-    ``pairs``.  Ordering is graded lexicographic: compare total degree
-    first, then exponents symbol by symbol with symbols taken alphabetically.
+    Repeated symbols add up and zero exponents drop out.  A bad symbol name
+    raises ValueError; a string where pairs belong, or an exponent that is not
+    an int, raises TypeError.
     """
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, exponents: Mapping[str, int] | Iterable[tuple[str, int]] = ()):
-        if isinstance(exponents, Monomial):
-            pairs = exponents.pairs
-        else:
-            items = exponents.items() if isinstance(exponents, Mapping) else exponents
-            merged: dict[str, int] = {}
-            # A string would unpack letter by letter, as if it held pairs.
-            for item in (items,) if isinstance(items, str) else items:
-                if isinstance(item, str):
-                    raise TypeError(f"(symbol, exponent) pairs required, got string {item!r}")
-                name, exp = item
-                if not _SYMBOL.fullmatch(name):
-                    raise ValueError(f"bad symbol name {name!r}")
-                if not isinstance(exp, int):
-                    raise TypeError(f"integer exponent required for {name!r}")
-                merged[name] = merged.get(name, 0) + exp
-            pairs = tuple(sorted((s, e) for s, e in merged.items() if e))
-        self.pairs = pairs
-
-    @classmethod
-    def _canonical(cls, pairs: Pairs) -> "Monomial":
-        """Trusted constructor: ``pairs`` must already be sorted with no zero exponent."""
-        m = object.__new__(cls)
-        m.pairs = pairs
-        return m
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.pairs)
-
-    def exponent(self, name: str) -> int:
-        return _exponent(self.pairs, name)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial._canonical(_pairs_mul(self.pairs, other.pairs))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        key = _grlex_key(sorted({s for s, _ in self.pairs} | {s for s, _ in other.pairs}))
-        return key(self.pairs) < key(other.pairs)
-
-    def render(self) -> str:
-        return _render_pairs(self.pairs)
-
-    def __repr__(self) -> str:
-        return f"Monomial({dict(self.pairs)!r})"
+    items = exponents.items() if isinstance(exponents, Mapping) else exponents
+    merged: dict[str, int] = {}
+    # A string would unpack letter by letter, as if it held pairs.
+    for item in (items,) if isinstance(items, str) else items:
+        if isinstance(item, str):
+            raise TypeError(f"(symbol, exponent) pairs required, got string {item!r}")
+        name, exp = item
+        if not _SYMBOL.fullmatch(name):
+            raise ValueError(f"bad symbol name {name!r}")
+        if not isinstance(exp, int):
+            raise TypeError(f"integer exponent required for {name!r}")
+        merged[name] = merged.get(name, 0) + exp
+    return tuple(sorted((s, e) for s, e in merged.items() if e))
 
 
 class Polynomial:
@@ -204,15 +163,14 @@ class Polynomial:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = ()):
+    def __init__(self, terms: Mapping[Pairs, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Pairs, Scalar] = {}
         for m, c in items:
-            if not isinstance(m, Monomial):
-                m = Monomial(m)
+            m = _canonical_pairs(m)
             c = _norm_scalar(c)
             if c:
-                acc[m.pairs] = acc.get(m.pairs, 0) + c
+                acc[m] = acc.get(m, 0) + c
         self._terms = {m: _norm_scalar(c) for m, c in acc.items() if c}
         self._hash = None
 
@@ -249,9 +207,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
-        canonical = Monomial._canonical
-        return ((canonical(k), c) for k, c in self._terms.items())
+    def terms(self) -> Iterator[tuple[Pairs, Scalar]]:
+        """The (pairs, coeff) terms, each pair tuple the stored key itself."""
+        return iter(self._terms.items())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -272,10 +230,8 @@ class Polynomial:
             return degs.pop()
         return None
 
-    def coefficient(self, monomial: Monomial | Mapping[str, int]) -> Scalar:
-        if not isinstance(monomial, Monomial):
-            monomial = Monomial(monomial)
-        return self._terms.get(monomial.pairs, 0)
+    def coefficient(self, monomial: Exponents) -> Scalar:
+        return self._terms.get(_canonical_pairs(monomial), 0)
 
     def constant_term(self) -> Scalar:
         return self._terms.get((), 0)
@@ -461,10 +417,10 @@ class Polynomial:
             return list(self._terms)
         return sorted(self._terms, key=_grlex_key(sorted(self.variables())), reverse=True)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        """Terms in canonical (descending graded-lex) order."""
-        canonical, terms = Monomial._canonical, self._terms
-        return [(canonical(k), terms[k]) for k in self._sorted_keys()]
+    def sorted_terms(self) -> list[tuple[Pairs, Scalar]]:
+        """The (pairs, coeff) terms in canonical (descending graded-lex) order."""
+        terms = self._terms
+        return [(k, terms[k]) for k in self._sorted_keys()]
 
     def render(self) -> str:
         if not self._terms:
@@ -505,7 +461,7 @@ class Polynomial:
     @staticmethod
     def from_json_dict(data: Mapping) -> "Polynomial":
         return Polynomial(
-            (Monomial({str(s): int(e) for s, e in t["monomial"].items()}), Fraction(t["coeff"]))
+            ({str(s): int(e) for s, e in t["monomial"].items()}, Fraction(t["coeff"]))
             for t in data["terms"]
         )
 
@@ -516,12 +472,12 @@ ONE = Polynomial.constant(1)
 
 def variable(name: str) -> Polynomial:
     """The polynomial consisting of the single symbol ``name``."""
-    return Polynomial({Monomial({name: 1}): 1})
+    return Polynomial([({name: 1}, 1)])
 
 
 def mono(coeff: Scalar = 1, /, **exponents: int) -> Polynomial:
     """Single-term polynomial, e.g. ``mono(4, x=2, y=2)`` is ``4*x^2*y^2``."""
-    return Polynomial({Monomial(exponents): coeff})
+    return Polynomial([(exponents, coeff)])
 
 
 # -- packed exponents ------------------------------------------------------

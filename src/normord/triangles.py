@@ -48,7 +48,17 @@ from itertools import accumulate, count
 from math import factorial, prod
 from typing import Callable, Iterator, Mapping, Optional, Union
 
-from .poly import ONE, ZERO, Monomial, Polynomial, variable
+from .poly import (
+    ONE,
+    ZERO,
+    Pairs,
+    Polynomial,
+    Scalar,
+    _canonical_pairs,
+    _exponent,
+    _pairs_mul,
+    variable,
+)
 
 Entry = Union[int, Polynomial]
 Row = Mapping[tuple, Entry]
@@ -247,20 +257,17 @@ def indexed_polynomial(entries: Mapping[tuple, Entry], n: int, exps: ExponentMap
     Entries that land on the same monomial add up; polynomial entries (the
     ``Ap`` family) are multiplied through.
     """
-
-    def terms():
-        for idx, v in entries.items():
-            e = exps(n, *idx)
-            if e is None:
-                continue
-            m = Monomial(e)
-            if isinstance(v, Polynomial):
-                for vm, vc in v.terms():
-                    yield m.mul(vm), vc
-            else:
-                yield m, v
-
-    return Polynomial(terms())
+    acc: dict[Pairs, Scalar] = {}
+    for idx, v in entries.items():
+        e = exps(n, *idx)
+        if e is None:
+            continue
+        m = _canonical_pairs(e)
+        # An int entry is one constant term.
+        for k, c in v.terms() if isinstance(v, Polynomial) else (((), v),):
+            key = _pairs_mul(m, k)
+            acc[key] = acc.get(key, 0) + c
+    return Polynomial._collect(acc)
 
 
 def row_polynomial(family: str, n: int, exps: ExponentMap) -> Polynomial:
@@ -364,7 +371,7 @@ def _elementary(f: Polynomial, symbols: tuple[str, ...], what: str) -> dict[tupl
     extra = f.variables() - set(symbols)
     if extra:
         raise ValueError(f"{what} involves symbols outside the basis: {sorted(extra)}")
-    if any(e < 0 for m, _ in f.terms() for _, e in m.pairs):
+    if any(e < 0 for m, _ in f.terms() for _, e in m):
         raise ValueError("negative exponents have no expansion in this basis")
     e = [ONE]  # e0, e1, ...: taking in a symbol v turns e_j into e_j + v * e_(j-1)
     for v in map(variable, symbols):
@@ -372,8 +379,8 @@ def _elementary(f: Polynomial, symbols: tuple[str, ...], what: str) -> dict[tupl
     out: dict[tuple[int, ...], int] = {}
     residual = f
     while not residual.is_zero:
-        lead, c = max(residual.terms(), key=lambda t: [t[0].exponent(s) for s in symbols])
-        a = [lead.exponent(s) for s in symbols] + [0]
+        lead, c = max(residual.terms(), key=lambda t: [_exponent(t[0], s) for s in symbols])
+        a = [_exponent(lead, s) for s in symbols] + [0]
         index = tuple(a[j] - a[j + 1] for j in range(len(symbols)))
         if any(i < 0 for i in index):
             raise ValueError(f"{what} is not symmetric in {', '.join(symbols)}")

@@ -317,7 +317,7 @@ def test_type_b_families():
         assert t_rec == t_enum, n
         homog = Polynomial()
         for m, c in t_rec.terms():
-            l = m.exponent("x")
+            l = dict(m).get("x", 0)
             homog = homog + mono(c, x=l, y=n - l)
         assert assemble("W", n).subs({"z": 1}) == homog, n
 
@@ -360,7 +360,7 @@ def test_foundation_identities():
         eul = assemble("eulerian-x", n)
         homog = Polynomial()
         for m, c in eul.terms():
-            l = m.exponent("x")
+            l = dict(m).get("x", 0)
             homog = homog + mono(c, x=l, y=n + 1 - l)
         assert y * an.subs({"z": 1}) == homog, n
         assert an.subs({"y": 1, "z": 1}) == eul, n

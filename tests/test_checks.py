@@ -162,6 +162,22 @@ class TestReporting:
             }
         ]
 
+    def test_side_that_raises_is_the_witness(self, monkeypatch):
+        import normord.checks
+
+        def asymmetric(f):
+            raise ValueError("input is not symmetric in x, y, z")
+
+        monkeypatch.setattr(normord.checks, "e_expand", asymmetric)
+        result = run_check("beta-e-expansion", 3)
+        assert result.witness == Witness(1, "a side raised ValueError",
+                                         "input is not symmetric in x, y, z", "not built")
+        # Exceptions outside ValueError and ArithmeticError are faults of the
+        # program, not failed identities, and still propagate.
+        monkeypatch.setattr(normord.checks, "e_expand", lambda f: f.no_such_method())
+        with pytest.raises(AttributeError):
+            run_check("beta-e-expansion", 3)
+
     def test_json_failure_payload(self):
         w = Witness(2, "note", "left text", "right text")
         blob = results_to_json([CheckResult("demo", (1, 4), w)])

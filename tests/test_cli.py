@@ -618,6 +618,36 @@ class TestVerify:
             "right": rhs,
         }
 
+    def test_side_that_raises_fails_its_check_and_the_run_goes_on(self, monkeypatch):
+        import normord.checks
+        import normord.series
+
+        def asymmetric(f):
+            raise ValueError("input is not symmetric in x, y, z")
+
+        catalan_number = normord.series.catalan_number
+        monkeypatch.setattr(normord.checks, "e_expand", asymmetric)
+        monkeypatch.setattr(normord.series, "catalan_number",
+                            lambda m: catalan_number(m) + (m == 3))
+        code, out, err = run("verify", "--profile", "quick")
+        lines = out.splitlines()
+        assert (code, err, len(lines)) == (1, "", 34)
+        assert lines[-1] == "31/33 checks passed"
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL beta-e-expansion (n=1..4): n=1 [a side raised ValueError]"
+            " left: input is not symmetric in x, y, z | right: not built",
+            "FAIL catalan-egf (n=0..6): n=3 [a side raised ArithmeticError]"
+            " left: Catalan recurrence disagrees with the closed form at m = 3 | right: not built",
+        ]
+        code, out, _ = run(
+            "verify", "--check", "catalan-egf", "--n-max", "5", "--format", "json"
+        )
+        assert code == 1
+        assert json.loads(out)[0]["witness"] == {
+            "left": "Catalan recurrence disagrees with the closed form at m = 3", "n": 3,
+            "note": "a side raised ArithmeticError", "right": "not built",
+        }
+
 
 class TestHarness:
     def test_no_arguments(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import pathlib
+import sys
 
 import normord
 
@@ -42,3 +43,17 @@ def test_private_triangle_names_stay_in_triangles():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert not found, found
+
+
+def test_standard_library_only():
+    # The package has no runtime dependencies: every import is relative or standard library.
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0)
+        for name in ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+        if name != "__future__" and name.partition(".")[0] not in sys.stdlib_module_names
+    ]
+    assert SOURCES and not found, found

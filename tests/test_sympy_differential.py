@@ -25,7 +25,7 @@ def to_sympy(p: Polynomial):
     terms = []
     for m, c in p.terms():
         c = Fraction(c)
-        factors = [sympy.Symbol(s) ** e for s, e in m.pairs]
+        factors = [sympy.Symbol(s) ** e for s, e in m]
         terms.append(sympy.Mul(sympy.Rational(c.numerator, c.denominator), *factors))
     return sympy.Add(*terms)
 
