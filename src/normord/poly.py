@@ -161,7 +161,7 @@ def _canonical_pairs(exponents: Exponents) -> Pairs:
 class Polynomial:
     """Immutable sparse polynomial: map canonical pairs -> nonzero exact scalar."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Pairs, Scalar] | Iterable[tuple[Exponents, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -172,7 +172,6 @@ class Polynomial:
             if c:
                 acc[m] = acc.get(m, 0) + c
         self._terms = {m: _norm_scalar(c) for m, c in acc.items() if c}
-        self._hash = None
 
     @classmethod
     def _collect(cls, acc: dict[Pairs, Scalar]) -> "Polynomial":
@@ -183,7 +182,6 @@ class Polynomial:
         """
         p = object.__new__(cls)
         p._terms = {m: c if type(c) is int else _norm_scalar(c) for m, c in acc.items() if c}
-        p._hash = None
         return p
 
     # -- constructors ------------------------------------------------------
@@ -403,13 +401,10 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            # A constant equals its scalar (see __eq__), so it hashes like it.
-            if self._terms.keys() <= {()}:
-                self._hash = hash(self.constant_term())
-            else:
-                self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        # A constant equals its scalar (see __eq__), so it hashes like it.
+        if self._terms.keys() <= {()}:
+            return hash(self.constant_term())
+        return hash(frozenset(self._terms.items()))
 
     def _sorted_keys(self) -> list[Pairs]:
         """Term keys in canonical (descending graded-lex) order."""

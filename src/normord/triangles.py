@@ -16,10 +16,12 @@ walk, so each call returns a new dict that no other caller shares;
 levels.  Keys are plain index tuples.
 
 Families, their step and their row keys.  Fourteen families share one of
-three step shapes and state only their own weights; beta keeps its own step:
+two step shapes and state only their move table, each weight an integer
+affine form in (n, k, l).  Ap's mid move carries a factor p, so Ap stores
+polynomials in p; beta keeps its own step:
 
-    climb     A, Ap, a, gamma, C      (k, l)     Ap stores polynomials in p
-    split     B, E, W                 (k, l)
+    pair      A, Ap, a, gamma, C      (k, l)     unit move to (k+1, l+1)
+    pair      B, E, W                 (k, l)     unit move to (k+1, l)
     single    S2, S1, eulerian, eulerian2, eulerianB, lah    (k,)
     own step  beta                    (k, j, l)
     rows      bessel                  (j,)       closed form (n+j)!/(2^j (n-j)! j!)
@@ -27,9 +29,9 @@ three step shapes and state only their own weights; beta keeps its own step:
 
 ``row_polynomial(family, n, exps)`` turns a row into a polynomial through an
 exponent map ``exps(n, *index) -> {symbol: exponent}``.  ``assemble`` names
-15 generating polynomials in the standard symbol layout (x/y graded by leaf
+14 generating polynomials in the standard symbol layout (x/y graded by leaf
 type, z marking the operator power, and u/v/w/q for the elementary-symmetric
-family): nine read a family row under one exponent map.  Five, and
+family): nine read a family row under one exponent map.  Four, and
 ``ctilde_xx``, state only the coefficients (a, b, c) of a first-order
 derivative recurrence, f -> (a + i*b)*f + c*df/ds at step i from f = 1,
 which one stepper iterates; ``second-order-xyz`` takes three partials from
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, count
 from math import factorial, prod
 from typing import Callable, Iterator, Mapping, Optional, Union
@@ -63,69 +66,58 @@ from .poly import (
 Entry = Union[int, Polynomial]
 Row = Mapping[tuple, Entry]
 
-_P, _Q, _X, _Z = variable("p"), variable("q"), variable("x"), variable("z")
+_P, _X, _Z = variable("p"), variable("x"), variable("z")
 _X2 = _X * _X
 _XYZ = _X * variable("y") * _Z
 
 
 # Each step maps the row at level n to the row at level n+1 by pushing the
-# contributions of an entry to its children.  Fourteen families build their
-# step from one of three shapes, _climb, _split or _single, passing only
-# their weights; beta, with four moves over three indices, keeps its own.
-# Each move adds in place: a zero contribution is skipped and a key's first
-# contribution is stored as it is (Ap's never becomes 0 + p).  The move by
-# weight 1 carries v, never zero as no row holds a zero, and has no test.
+# contributions of an entry to its children.  Fourteen families step by one
+# of two shapes, _pair or _single, bound by functools.partial to their move
+# table: each weight an integer affine form, (c_n, c_k, c_l, c_0) for c_n*n
+# + c_k*k + c_l*l + c_0 over two indices and (c_n, c_k, c_0) over one.  A
+# step folds the n terms once per row.  Beta, with four moves over three
+# indices, keeps its own step.  Each move adds in place: a zero contribution
+# is skipped and a key's first contribution is stored as it is (Ap's never
+# becomes 0 + p).  The move by weight 1 carries v, never zero as no row holds
+# a zero, and has no test.
 Step = Callable[[Row, int], dict]
+Form = tuple[int, ...]
 
 
-def _climb(mid: Callable[[int, int, int], Entry]) -> Step:
-    """(k, l) keeps weight l, climbs to (k, l+1) by mid(n, k, l) and to (k+1, l+1) by 1."""
-
-    def step(prev: Row, n: int) -> dict:
-        nxt: dict = {}
-        get = nxt.get
-        for (k, l), v in prev.items():
-            if w := l * v:
-                nxt[key] = w if (old := get(key := (k, l))) is None else old + w
-            if w := mid(n, k, l) * v:
-                nxt[key] = w if (old := get(key := (k, l + 1))) is None else old + w
-            nxt[key] = v if (old := get(key := (k + 1, l + 1))) is None else old + v
-        return nxt
-
-    return step
-
-
-def _split(mid: Callable[[int, int, int], Entry]) -> Step:
-    """(k, l) keeps weight k+2l, moves to (k, l+1) by mid(n, k, l) and to (k+1, l) by 1."""
-
-    def step(prev: Row, n: int) -> dict:
-        nxt: dict = {}
-        get = nxt.get
-        for (k, l), v in prev.items():
-            if w := (k + 2 * l) * v:
-                nxt[key] = w if (old := get(key := (k, l))) is None else old + w
-            if w := mid(n, k, l) * v:
-                nxt[key] = w if (old := get(key := (k, l + 1))) is None else old + w
-            nxt[key] = v if (old := get(key := (k + 1, l))) is None else old + v
-        return nxt
-
-    return step
+def _pair(prev: Row, n: int, keep: Form, mid: Form, dl: int,
+          factor: Polynomial | None = None) -> dict:
+    """(k, l) keeps weight keep, moves to (k, l+1) by mid * factor and to (k+1, l+dl) by 1."""
+    kn, kk, kl, k0 = keep
+    mn, mk, ml, m0 = mid
+    k0 += kn * n
+    m0 += mn * n
+    nxt: dict = {}
+    get = nxt.get
+    for (k, l), v in prev.items():
+        if w := (k0 + kk * k + kl * l) * v:
+            nxt[key] = w if (old := get(key := (k, l))) is None else old + w
+        if w := m0 + mk * k + ml * l:
+            w = (w if factor is None else w * factor) * v
+            nxt[key] = w if (old := get(key := (k, l + 1))) is None else old + w
+        nxt[key] = v if (old := get(key := (k + 1, l + dl))) is None else old + v
+    return nxt
 
 
-def _single(stay: Callable[[int, int], int], up: Callable[[int, int], int]) -> Step:
-    """(k,) keeps weight stay(n, k) and moves to (k+1,) by up(n, k)."""
-
-    def step(prev: Row, n: int) -> dict:
-        nxt: dict = {}
-        get = nxt.get
-        for (k,), v in prev.items():
-            if w := stay(n, k) * v:
-                nxt[key] = w if (old := get(key := (k,))) is None else old + w
-            if w := up(n, k) * v:
-                nxt[key] = w if (old := get(key := (k + 1,))) is None else old + w
-        return nxt
-
-    return step
+def _single(prev: Row, n: int, stay: Form, up: Form) -> dict:
+    """(k,) keeps weight stay and moves to (k+1,) by up."""
+    sn, sk, s0 = stay
+    un, uk, u0 = up
+    s0 += sn * n
+    u0 += un * n
+    nxt: dict = {}
+    get = nxt.get
+    for (k,), v in prev.items():
+        if w := (s0 + sk * k) * v:
+            nxt[key] = w if (old := get(key := (k,))) is None else old + w
+        if w := (u0 + uk * k) * v:
+            nxt[key] = w if (old := get(key := (k + 1,))) is None else old + w
+    return nxt
 
 
 def _step_beta(prev: Row, n: int) -> dict:
@@ -173,37 +165,37 @@ class FamilySpec:
 
 
 FAMILIES: dict[str, FamilySpec] = {
-    "A": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _climb(
-        lambda n, k, l: n - l)),
-    "Ap": FamilySpec(("k", "l"), 1, {(1, 1): ONE}, _climb(
-        lambda n, k, l: (n - l) * _P)),
-    "a": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _climb(
-        lambda n, k, l: n + k - l)),
-    "gamma": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _climb(
-        lambda n, k, l: 2 * (n + k - 2 * l))),
-    "C": FamilySpec(("k", "l"), 1, {(1, 1): 1}, _climb(
-        lambda n, k, l: 2 * n - k - l)),
+    "A": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
+        _pair, keep=(0, 0, 1, 0), mid=(1, 0, -1, 0), dl=1)),
+    "Ap": FamilySpec(("k", "l"), 1, {(1, 1): ONE}, partial(
+        _pair, keep=(0, 0, 1, 0), mid=(1, 0, -1, 0), dl=1, factor=_P)),
+    "a": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
+        _pair, keep=(0, 0, 1, 0), mid=(1, 1, -1, 0), dl=1)),
+    "gamma": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
+        _pair, keep=(0, 0, 1, 0), mid=(2, 2, -4, 0), dl=1)),
+    "C": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
+        _pair, keep=(0, 0, 1, 0), mid=(2, -1, -1, 0), dl=1)),
     "beta": FamilySpec(("k", "j", "l"), 1, {(1, 0, 0): 1}, _step_beta),
-    "B": FamilySpec(("k", "l"), 1, {(1, 0): 1}, _split(
-        lambda n, k, l: 2 * n - k - 2 * l)),
-    "E": FamilySpec(("k", "l"), 1, {(1, 0): 1}, _split(
-        lambda n, k, l: 2 * n - 2 * k - 2 * l)),
-    "W": FamilySpec(("k", "l"), 1, {(1, 0): 1}, _split(
-        lambda n, k, l: n - k - 2 * l)),
-    "S2": FamilySpec(("k",), 0, {(0,): 1}, _single(
-        lambda n, k: k, lambda n, k: 1)),
-    "S1": FamilySpec(("k",), 0, {(0,): 1}, _single(
-        lambda n, k: n, lambda n, k: 1)),
-    "eulerian": FamilySpec(("k",), 0, {(0,): 1}, _single(
-        lambda n, k: k, lambda n, k: n - k + 1)),
+    "B": FamilySpec(("k", "l"), 1, {(1, 0): 1}, partial(
+        _pair, keep=(0, 1, 2, 0), mid=(2, -1, -2, 0), dl=0)),
+    "E": FamilySpec(("k", "l"), 1, {(1, 0): 1}, partial(
+        _pair, keep=(0, 1, 2, 0), mid=(2, -2, -2, 0), dl=0)),
+    "W": FamilySpec(("k", "l"), 1, {(1, 0): 1}, partial(
+        _pair, keep=(0, 1, 2, 0), mid=(1, -1, -2, 0), dl=0)),
+    "S2": FamilySpec(("k",), 0, {(0,): 1}, partial(
+        _single, stay=(0, 1, 0), up=(0, 0, 1))),
+    "S1": FamilySpec(("k",), 0, {(0,): 1}, partial(
+        _single, stay=(1, 0, 0), up=(0, 0, 1))),
+    "eulerian": FamilySpec(("k",), 0, {(0,): 1}, partial(
+        _single, stay=(0, 1, 0), up=(1, -1, 1))),
     # Gap insertion in Stirling permutations: a new pair lands in one of
     # the 2n+1 gaps; descents are preserved or created accordingly.
-    "eulerian2": FamilySpec(("k",), 1, {(1,): 1}, _single(
-        lambda n, l: l, lambda n, l: 2 * n + 1 - l)),
-    "eulerianB": FamilySpec(("k",), 0, {(0,): 1}, _single(
-        lambda n, k: 1 + 2 * k, lambda n, k: 2 * n - 2 * k + 1)),
-    "lah": FamilySpec(("k",), 1, {(1,): 1}, _single(
-        lambda n, k: n + k, lambda n, k: 1)),
+    "eulerian2": FamilySpec(("k",), 1, {(1,): 1}, partial(
+        _single, stay=(0, 1, 0), up=(2, -1, 1))),
+    "eulerianB": FamilySpec(("k",), 0, {(0,): 1}, partial(
+        _single, stay=(0, 2, 1), up=(2, -2, 1))),
+    "lah": FamilySpec(("k",), 1, {(1,): 1}, partial(
+        _single, stay=(1, 1, 0), up=(0, 0, 1))),
     "bessel": FamilySpec(("j",), 0, {(0,): 1}, rows=lambda: map(_row_bessel, count())),
     "catalan": FamilySpec((), 0, {(): 1}, rows=_rows_catalan),
 }
@@ -280,18 +272,18 @@ def _from_row(family: str, exps: ExponentMap) -> Callable[[int], Polynomial]:
 
 
 def _linear(
-    a: Polynomial, b: Polynomial, c: Polynomial, s: str = "x", start: int = 0
+    a: Polynomial, b: Polynomial, c: Polynomial, s: str = "x"
 ) -> Callable[[int], Polynomial]:
     """n -> f_n for the derivative recurrence with coefficients a, b, c in ``s``.
 
-    f_start = 1 and f_(start+i+1) = (a + i*b) * f_(start+i) + c * df_(start+i)/ds.
+    f_0 = 1 and f_(i+1) = (a + i*b) * f_i + c * df_i/ds.
     """
 
     def level(n: int) -> Polynomial:
-        if n < start:
-            raise ValueError(f"level {n} is below the first level {start}")
+        if n < 0:
+            raise ValueError(f"level {n} is below the first level 0")
         f = ONE
-        for i in range(n - start):
+        for i in range(n):
             f = (a + i * b) * f + c * f.diff(s)
         return f
 
@@ -319,7 +311,6 @@ ASSEMBLERS: dict[str, Callable[[int], Polynomial]] = {
     "E": _from_row("E", lambda n, k, l: {"x": k + 2 * l, "y": 2 * n - 2 * k - 2 * l, "z": k}),
     "W": _from_row("W", lambda n, k, l: {"x": k + 2 * l, "y": n - k - 2 * l, "z": k}),
     "eulerian-x": _linear(_X, _X, _X - _X2),
-    "eulerian-xq": _linear(_X + _Q, _X, _X - _X2, start=1),
     "type-b-x": _linear(ONE + _X, 2 * _X, 2 * (_X - _X2)),
     "second-order-x": _from_row("eulerian2", lambda n, l: {"x": l}),
     "second-order-xyz": _assemble_second_order_xyz,

@@ -36,6 +36,7 @@ from normord.combinat import (
     type_b_descents,
     updown_runs,
 )
+from normord.triangles import row_polynomial
 
 # Each statistic-bearing kind with a size small enough for object-by-object tests.
 KINDS = (
@@ -321,13 +322,13 @@ class TestDistributions:
         assert got == assemble("eulerian-x", 3)
 
     def test_cycle_polynomial_matches_recurrence(self):
-        # The displayed recurrence output times q equals the enumeration.
+        # Row n of the A triangle, entry (k, l) at x^(n-l) * q^k, equals the enumeration.
         for n in range(1, 8):
             got = Polynomial()
             for word in permutations(n):
                 s = stats("permutations", word)
                 got = got + mono(1, x=s["exc"], q=s["cyc"])
-            assert got == assemble("eulerian-xq", n) * variable("q")
+            assert got == row_polynomial("A", n, lambda n, k, l: {"x": n - l, "q": k})
 
     def test_type_b_descent_polynomial(self):
         for n in range(1, 6):
