@@ -490,11 +490,8 @@ def _ascent_plateau_rows(n: int):
 @check("bessel-diagonal",
        "unit-slot assembly equals the weighted-pairing polynomial", 1, 10, 8)
 def _bessel_diagonal(n: int):
-    pairing = bessel_polynomial(n)
     yield ("triangle assembly at unit slots vs weighted-pairing polynomial",
-           assemble("E", n).subs({"x": ONE, "y": ONE}), pairing)
-    yield ("weighted-pairing polynomial vs diagonal recurrence at unit slot",
-           pairing, ctilde_xx(n).subs({"x": ONE}))
+           assemble("E", n).subs({"x": ONE, "y": ONE}), bessel_polynomial(n))
 
 
 @check("updown-runs",

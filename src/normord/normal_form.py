@@ -17,14 +17,16 @@ normal form is just the vector of polynomial coefficients indexed by the
 power of D.
 
 Only the recursion runs on packed exponents (``poly._Packer``): each
-monomial is one int, so a product is one addition.  ``normal_order_power``
-packs w and the grammar's table of rule(s)/s once, over the sorted union of
-their symbols, and folds w into the table, so w*D(c) is the sum over
-symbols s of e_s * m * (w * rule(s)/s).  Each step multiplies a monomial by
+monomial is one int, so a product is one addition, and the whole row
+sum_k c_k D^k is one dict, the power k of D being one more bit field above
+the symbol fields.  A step is one pass over the row.  Each term m moves
+once per term of each w * rule(s)/s, weighted by the exponent e_s it reads
+from m's field for s (the w*D(c_k) part), and once per term of w into the
+field of D one power up (the w*c_(k-1) part).  Each move multiplies m by
 one term of w and at most one term of a rule(s)/s, so after n steps no
 exponent exceeds n*(W + R), with W and R the largest exponent magnitudes in
-w and in the table; that bound sets the field width.  Each coefficient
-converts back to pair keys once.
+w and in the rules; that bound sets the field width.  At the end the row
+splits by D's power and each coefficient converts back to pair keys once.
 
 The two readers of a normal form, ``specialize`` (D^k -> v^k) and
 ``apply_to`` (D^k -> D^k(f)), are one direct sum of coeffs[k] * values[k]
@@ -37,39 +39,16 @@ t -> w*D(t) through it remains an independent check of these coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable
 
 from .grammar import Grammar
 from .poly import ONE, ZERO, Pairs, Polynomial, Scalar, _Packer
 
-T = TypeVar("T")
-
 Packed = dict[int, Scalar]
-
-
-def _grow(order: int, entry: Callable[[int, T, T], T], one: T, zero: T) -> list[T]:
-    """Row ``order`` of v'_k = entry(k, v_k, v_(k-1)) from [one]; v beyond the row is zero."""
-    row = [one]
-    for _ in range(order):
-        padded = [zero, *row, zero]
-        row = [entry(k, padded[k + 1], padded[k]) for k in range(len(row) + 1)]
-    return row
 
 
 def _max_exponent(polys: Iterable[Polynomial]) -> int:
     return max((abs(e) for p in polys for k in p._terms for _, e in k), default=0)
-
-
-def _mul_into(acc: Packed, a: Packed, b: Packed) -> Packed:
-    """Add the product of two packed polynomials into ``acc``: keys add."""
-    get = acc.get
-    for k1, c1 in a.items():
-        if not c1:  # a term cancelled in ``a``; keep it from spreading
-            continue
-        for k2, c2 in b.items():
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
-    return acc
 
 
 @dataclass(frozen=True)
@@ -120,13 +99,13 @@ class NormalForm:
         if any(not c.is_zero for c in self.coeffs[self.order + 1:]):
             return None
         w = self.multiplier
-        dw = self.grammar.derive(w)
-        xs = _grow(
-            self.order,
-            lambda k, cur, below: dw * cur * k + w * self.grammar.derive(cur) + below,
-            ONE,
-            ZERO,
-        )
+        derive = self.grammar.derive
+        dw = derive(w)
+        xs = [ONE]
+        for _ in range(self.order):
+            padded = [ZERO, *xs, ZERO]
+            xs = [dw * cur * k + w * derive(cur) + below
+                  for k, (below, cur) in enumerate(zip(padded, padded[1:]))]
         power = ONE
         for k, xi in enumerate(xs):
             if xi * power != self.coefficient(k):
@@ -174,34 +153,43 @@ def normal_order_power(
         wp.variables().union(rules, *(r.variables() for r in rules.values())),
         max(n, 1) * (_max_exponent([wp]) + _max_exponent(rules.values())),
     )
+    mask, half, bias = packer.mask, packer.half, packer.bias
+    # The power of D is one more field, above the symbol fields; it is never
+    # negative, so it takes no bias and (key + bias) >> top reads it.
+    top = len(packer.symbols) * packer.width
     pw = packer.pack(wp)
-    # w*D(c) is the sum over symbols s of e_s * m * (w * rule(s)/s).
-    steps = [
-        (packer.shift[s], tuple(_mul_into({}, pw, packer.pack(r)).items()))
-        for s, r in rules.items()
-    ]
-    exponent = packer.exponent
-
-    def entry(k: int, ck: Packed, below: Packed) -> Packed:
+    # w*D(m) is the sum over symbols s of e_s * m * (w * rule(s)/s): one move
+    # (shift of s, key, coefficient) per term of rule(s)/s and term of w.
+    # Each term of w also moves m one power of D up, the w * c_(k-1) of c'_k.
+    moves = [(packer.shift[s], wk + rk, wc * rc) for s, r in rules.items()
+             for rk, rc in packer.pack(r).items() for wk, wc in pw.items()]
+    ups = [(wk + (1 << top), wc) for wk, wc in pw.items()]
+    row: Packed = {0: 1}
+    for _ in range(n):
         acc: Packed = {}
         get = acc.get
-        for key, c in ck.items():
-            if not c:
+        for key, c in row.items():
+            if not c:  # a term cancelled in the row; keep it from spreading
                 continue
-            for shift, terms in steps:
-                e = exponent(key, shift)
+            biased = key + bias
+            for shift, tk, tc in moves:
+                e = (biased >> shift & mask) - half
                 if e:
-                    weight = c * e
-                    for tk, tc in terms:
-                        kk = key + tk
-                        acc[kk] = get(kk, 0) + weight * tc
-        return _mul_into(acc, below, pw)
-
-    row = _grow(n, entry, {0: 1}, {})
-    # Convert each coefficient as its packed form is dropped, so the two
-    # forms of the whole row are never held at once.
+                    k = key + tk
+                    acc[k] = get(k, 0) + c * (e * tc)
+            for tk, tc in ups:
+                k = key + tk
+                acc[k] = get(k, 0) + c * tc
+        row = acc
+    # Split the row by D's power (``unpack`` reads only the symbol fields),
+    # then convert each coefficient as its packed form is dropped, so the
+    # packed and the converted row are never held whole at once.
+    parts: list[Packed] = [{} for _ in range(n + 1)]
+    for key, c in row.items():
+        parts[(key + bias) >> top][key] = c
+    row.clear()
     coeffs = []
-    for k, c in enumerate(row):
-        row[k] = None
-        coeffs.append(packer.unpack(c))
+    for k, part in enumerate(parts):
+        parts[k] = None
+        coeffs.append(packer.unpack(part))
     return NormalForm(grammar=grammar, multiplier=wp, order=n, coeffs=tuple(coeffs))

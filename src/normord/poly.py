@@ -485,24 +485,26 @@ class _Packer:
     bit ``i*width`` up, and a monomial is the int ``sum(e_i << (i*width))``:
     a product of monomials is the sum of their keys.  Keys carry no bias, so
     negative exponents need no special case; reading a field first adds
-    ``2**(width-1)`` to every field, then shifts and masks.  The caller
+    ``bias``, ``half = 2**(width-1)`` in every field, then shifts and masks.
+    ``unpack`` reads only the symbol fields, so a caller may keep a
+    nonnegative count in the bits above them.  The caller
     computes ``bound`` from its inputs so that every exponent of every
     monomial it keys lies in ``[-bound, bound]``; the width is the least
     that holds that range, and ``pack`` raises ``ArithmeticError`` on an
     input exponent outside it.
     """
 
-    __slots__ = ("symbols", "bound", "shift", "_width", "_mask", "_half", "_bias", "_pairs")
+    __slots__ = ("symbols", "bound", "shift", "width", "mask", "half", "bias", "_pairs")
 
     def __init__(self, symbols: Iterable[str], bound: int):
         self.symbols = tuple(sorted(set(symbols)))
         self.bound = bound
         width = bound.bit_length() + 1
-        self._width = width
-        self._mask = (1 << width) - 1
-        self._half = 1 << (width - 1)
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.half = 1 << (width - 1)
         self.shift = {s: i * width for i, s in enumerate(self.symbols)}
-        self._bias = sum(self._half << i * width for i in range(len(self.symbols)))
+        self.bias = sum(self.half << i * width for i in range(len(self.symbols)))
         # Per symbol, exponent -> its (symbol, exponent) pair, so the
         # keys ``unpack`` builds share pair tuples as products do.
         self._pairs: tuple[dict[int, tuple[str, int]], ...] = tuple({} for _ in self.symbols)
@@ -520,14 +522,10 @@ class _Packer:
             out[key] = c
         return out
 
-    def exponent(self, key: int, shift: int) -> int:
-        """The exponent in the field at ``shift`` (``self.shift[symbol]``) of ``key``."""
-        return ((key + self._bias) >> shift & self._mask) - self._half
-
     def unpack(self, packed: dict[int, Scalar]) -> Polynomial:
         """The polynomial of a packed dict; zero coefficients are dropped."""
         fields = tuple(zip(self.symbols, self._pairs))
-        width, mask, half, bias = self._width, self._mask, self._half, self._bias
+        width, mask, half, bias = self.width, self.mask, self.half, self.bias
         acc: dict[Pairs, Scalar] = {}
         for key, c in packed.items():
             k = key + bias

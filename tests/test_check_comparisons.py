@@ -40,7 +40,7 @@ def assert_check_matches(run, record: dict, check_id: str) -> None:
 
 def test_record_covers_the_registry(quick_run):
     assert sorted(RECORD) == sorted(quick_run.digests)
-    assert sum(entry["comparisons"] for entry in RECORD.values()) == 426
+    assert sum(entry["comparisons"] for entry in RECORD.values()) == 418
 
 
 @pytest.mark.parametrize("check_id", sorted(RECORD))

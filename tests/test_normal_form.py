@@ -116,6 +116,40 @@ PRESET_DIGESTS = {
     ),
 }
 
+# sha256 of render() and of specialize(q).render() for the fixed deep cases
+# of the expand benchmark, at their full n; recorded from the per-coefficient
+# recursion, and equal to the entries of perfbench/expected.json.
+DEEP_DIGESTS = {
+    ("eulerian-xy", "x", 60): (
+        "f7a96b80a3b722b59e592be2ae8dde8c6b66358cd0c9a3da624d71b84bdbdaeb",
+        "d2b2587e921a16dd5aadd3eff6f740b4c501bf0be6986f6a6a43ee41544cddba",
+    ),
+    ("trivariate-second-order", "x", 16): (
+        "5816de057866355e3ea758cfb8e960fb57107783786cf6cbcb132ee536da7ae7",
+        "61282a75a8601c3f08a8e9b5cf47d50b859488f0a3904ad4bd81b29c7e0b6790",
+    ),
+    ("full-ternary", "x*y*z", 30): (
+        "f01917a3ba6d29a9183c3a964c12d9cb4bd59dfac9047311a6bf3ad0b02c8ef2",
+        "bb89b8da0820824a5c5ac21e0df12365fc74a43f86ee4d8d903266c43899ae20",
+    ),
+    ("second-order", "x", 40): (
+        "a4716d6c6b795eb200d8d83898732a4dedd5e30ed72d2335fb5d31453b1f5b83",
+        "e354d546a7af0c73124db0654779d18e4549605f781561bc25c9c8ba62adfa3a",
+    ),
+    ("swap", "x*y", 40): (
+        "ae45cd97cdf8cf0c288bc5f5ece97a0af8f44c50f79a78067b0ee3b5d4d8236a",
+        "69003b5bb8fa233128d12ee901ddeeeddb13ce54e6818648ab6ed01ae55d37e9",
+    ),
+    ("pq-eulerian", "x", 40): (
+        "7e4901e364309d5668660a490bba81c76306dca00bbbfc553b264ce6618ada07",
+        "af83f86cd0244a4c6b33d5c4098d1d28d7abed191b4f5c955e410adf92a773a9",
+    ),
+    ("stirling-second", "x", 200): (
+        "83141b842faecbf15adbd59eaf3f1ddc4a299fad26ef7c4037748961e04a794b",
+        "34cbb6b688ed04516fcd7ece3d910519a1ca5984def6a5ff803a5a1c71b43b59",
+    ),
+}
+
 
 class TestGoldens:
     def test_square_under_eulerian(self):
@@ -201,6 +235,13 @@ class TestStructure:
             at_q = nf.specialize(q).render()
             assert hashlib.sha256(at_q.encode()).hexdigest() == specialize_sha, name
 
+    def test_deep_digests(self):
+        for (name, w_text, n), (render_sha, specialize_sha) in DEEP_DIGESTS.items():
+            nf = normal_order_power(parse(w_text), Grammar.preset(name), n)
+            assert hashlib.sha256(nf.render().encode()).hexdigest() == render_sha, (name, n)
+            at_q = nf.specialize(q).render()
+            assert hashlib.sha256(at_q.encode()).hexdigest() == specialize_sha, (name, n)
+
 
 class TestPackedEdges:
     """The packed recursion against the pair-tuple reference at the edges of its format."""
@@ -215,6 +256,8 @@ class TestPackedEdges:
          Grammar.preset("swap"), 4),
         ("huge exponent", x ** (2 ** 70), Grammar.preset("eulerian-xy"), 4),
         ("huge Laurent exponent", x ** -(2 ** 70) * y, Grammar.preset("pq-eulerian"), 4),
+        # Terms cancel to zero inside the row from n = 2 on (six by n = 6).
+        ("cancelled terms", x + y, Grammar.from_text("x -> y; y -> -x"), 7),
     ]
 
     def test_matches_iterated_derive(self):
