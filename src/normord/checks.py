@@ -171,26 +171,19 @@ def _forest_poly(flavor: str, n: int, names: Tuple[str, ...]) -> Polynomial:
 
 def _slice_one_up(family: str, n: int) -> Polynomial:
     """The k = 1 slice of a two-index family at level n + 1, as a polynomial in x^l."""
-    return row_polynomial(family, n + 1, lambda n, k, l: {"x": l} if k == 1 else None)
+    row = row_polynomial(family, n + 1, {"x": (0, 0, 1, 0), "z": (0, 1, 0, 0)})
+    return row.slices("z").get(1, ZERO)
 
 
-# Exponent maps shared by several checks: exps(n, *index) -> {symbol: exponent}.
-
-
-def _x_k(n: int, k: int, *_: int) -> Dict[str, int]:
-    return {"x": k}
-
-
-def _z_k(n: int, k: int, *_: int) -> Dict[str, int]:
-    return {"z": k}
-
-
-def _u_l_z_k(n: int, k: int, l: int) -> Dict[str, int]:
-    return {"u": l, "z": k}
-
-
-def _signed_descent_hom(n: int, k: int) -> Dict[str, int]:
-    return {"x": 2 * k + 1, "y": 2 * n + 1 - 2 * k}
+# Exponent maps {symbol: form} named for the checks below, each form
+# (c_n, c_index..., c_0) over (n, *index, 1): _X_K and _Z_K read one index,
+# _Z_K2 the first of two.
+_X_K = {"x": (0, 1, 0)}
+_Z_K = {"z": (0, 1, 0)}
+_Z_K2 = {"z": (0, 1, 0, 0)}
+_U_L_Z_K = {"u": (0, 0, 1, 0), "z": (0, 1, 0, 0)}
+_SIGNED_DESCENT_HOM = {"x": (0, 2, 1), "y": (2, -2, 1)}
+_UVW = {"u": (0, 1, 0, 0, 0), "v": (0, 0, 1, 0, 0), "w": (0, 0, 0, 1, 0)}
 
 
 def _forest_triple(grammar: str, multiplier: Polynomial, assembly: str, flavor: str) -> Sides:
@@ -212,7 +205,7 @@ def _forest_triple(grammar: str, multiplier: Polynomial, assembly: str, flavor: 
 def _stirling_second_dual(n: int):
     yield ("iterated derivative vs set-partition triangle",
            Grammar.preset("stirling-dual").derive_power(A, n),
-           A * row_polynomial("S2", n, lambda n, k: {"b": k}))
+           A * row_polynomial("S2", n, {"b": (0, 1, 0)}))
 
 
 @check("stirling-second-normal-order",
@@ -220,14 +213,14 @@ def _stirling_second_dual(n: int):
 def _stirling_second_normal_order(n: int):
     yield ("normal order vs set-partition triangle",
            normal_order_power(X, Grammar.preset("stirling-second"), n).specialize(Z),
-           row_polynomial("S2", n, lambda n, k: {"x": k, "z": k}))
+           row_polynomial("S2", n, {"x": (0, 1, 0), "z": (0, 1, 0)}))
 
 
 @check("stirling-first-surrogate",
        "normal ordering over the self-reproducing rule matches cycle counts", 0, 10, 8)
 def _stirling_first_surrogate(n: int):
     left = normal_order_power(A, Grammar.preset("exp-surrogate"), n).specialize(Z)
-    row = row_polynomial("S1", n, _z_k)
+    row = row_polynomial("S1", n, _Z_K)
     yield "normal order vs cycle-count triangle", left, mono(1, a=n) * row
     yield "cycle-count triangle vs rising factorial", row, rising_factorial("z", n)
 
@@ -239,14 +232,14 @@ def _eulerian_grammar_self_dual(n: int):
     da = g.derive_power(A, n)
     yield "derivative of first symbol vs second symbol", da, g.derive_power(B, n)
     yield ("iterated derivative vs descent triangle", da,
-           row_polynomial("eulerian", n, lambda n, k: {"a": k, "b": n + 1 - k}))
+           row_polynomial("eulerian", n, {"a": (0, 1, 0), "b": (1, -1, 1)}))
     yield ("iterated derivative vs descent enumeration", da,
            tally(((d + 1, n - d) for (d,) in stat_keys("permutations", n, ("des",))), ("a", "b")))
     nf = normal_order_power(X * Y, Grammar.preset("eulerian-full"), n)
     fx = nf.apply_to(X)
     yield "product-multiplier action on x vs on y", fx, nf.apply_to(Y)
     yield ("product-multiplier action vs descent triangle", fx,
-           row_polynomial("eulerian", n, lambda n, k: {"x": k, "y": n + 1 - k}))
+           row_polynomial("eulerian", n, {"x": (0, 1, 0), "y": (1, -1, 1)}))
 
 
 check("binary-forest-triple",
@@ -257,18 +250,19 @@ check("binary-forest-triple",
 @check("eulerian-specialization-chain",
        "triangle specializations reach set-partition, descent and cycle counts", 1, 8, 8)
 def _eulerian_specialization_chain(n: int):
+    # The diagonal l = k is the zeroth slice of d^(l - k), never negative in A.
+    diagonal = row_polynomial("A", n, {"d": (0, -1, 1, 0), "z": (0, 1, 0, 0)}).slices("d")
     yield ("triangle diagonal vs set-partition triangle",
-           row_polynomial("A", n, lambda n, k, l: {"z": k} if l == k else None),
-           row_polynomial("S2", n, _z_k))
+           diagonal.get(0, ZERO), row_polynomial("S2", n, _Z_K))
     yield ("third-slot specialization vs descent triangle",
-           row_polynomial("A", n, lambda n, k, l: {"x": l, "y": n - l}),
-           row_polynomial("eulerian", n, lambda n, k: {"x": k, "y": n - k}))
+           row_polynomial("A", n, {"x": (0, 0, 1, 0), "y": (1, 0, -1, 0)}),
+           row_polynomial("eulerian", n, {"x": (0, 1, 0), "y": (1, -1, 0)}))
     yield ("first-two-slot specialization vs rising factorial",
-           row_polynomial("A", n, _z_k), rising_factorial("z", n))
+           row_polynomial("A", n, _Z_K2), rising_factorial("z", n))
     ex = assemble("eulerian-x", n)
-    yield "descent recurrence polynomial vs triangle row", ex, row_polynomial("eulerian", n, _x_k)
+    yield "descent recurrence polynomial vs triangle row", ex, row_polynomial("eulerian", n, _X_K)
     yield ("descent polynomial vs reversed-row symmetry", ex,
-           row_polynomial("eulerian", n, lambda n, k: {"x": n + 1 - k}))
+           row_polynomial("eulerian", n, {"x": (1, -1, 1)}))
     yield "single-slice row one level up vs descent polynomial", _slice_one_up("A", n), ex
 
 
@@ -292,11 +286,11 @@ check("full-binary-forest-triple",
        "paired-symbol expansion of the assembly matches its own recurrence", 1, 8, 6)
 def _gamma_basis_expansion(n: int):
     yield ("basis expansion of assembly vs paired-symbol triangle",
-           indexed_polynomial(gamma_expand(assemble("a", n)), n, _u_l_z_k),
-           row_polynomial("gamma", n, _u_l_z_k))
+           indexed_polynomial(gamma_expand(assemble("a", n)), n, _U_L_Z_K),
+           row_polynomial("gamma", n, _U_L_Z_K))
     yield ("surrogate normal order vs paired-symbol triangle",
            normal_order_power(U, Grammar.preset("pair-symmetric"), n).specialize(Z),
-           row_polynomial("gamma", n, lambda n, k, l: {"u": l, "v": n + k - 2 * l, "z": k}))
+           row_polynomial("gamma", n, {"u": (0, 0, 1, 0), "v": (1, 1, -2, 0), "z": (0, 1, 0, 0)}))
 
 
 @check("lah-closed-form",
@@ -307,8 +301,8 @@ def _lah_closed_form(n: int):
         for k in range(1, n + 1)
     )
     yield ("list-count triangle vs binomial-factorial closed form",
-           row_polynomial("lah", n, _z_k), closed)
-    yield "ascent-triangle row sums vs closed form", row_polynomial("a", n, _z_k), closed
+           row_polynomial("lah", n, _Z_K), closed)
+    yield "ascent-triangle row sums vs closed form", row_polynomial("a", n, _Z_K2), closed
 
 
 @check("list-partition-ascents",
@@ -316,9 +310,9 @@ def _lah_closed_form(n: int):
 def _list_partition_ascents(n: int):
     enum = stat_polynomial("list-partitions", n, {"asc": "x", "blocks": "z"})
     yield ("list-partition ascent enumeration vs triangle", enum,
-           row_polynomial("a", n, lambda n, k, l: {"x": l, "z": k}))
+           row_polynomial("a", n, {"x": (0, 0, 1, 0), "z": (0, 1, 0, 0)}))
     yield ("list-partition block counts vs list-count triangle", enum.subs({"x": ONE}),
-           row_polynomial("lah", n, _z_k))
+           row_polynomial("lah", n, _Z_K))
 
 
 @check("gamma-valley-enumeration",
@@ -328,7 +322,7 @@ def _gamma_valley_enumeration(n: int):
            tally(((blocks + val, blocks)
                   for blocks, val, dd in stat_keys("list-partitions", n, ("blocks", "val", "dd"))
                   if dd == 0), ("u", "z")),
-           row_polynomial("gamma", n, _u_l_z_k))
+           row_polynomial("gamma", n, _U_L_Z_K))
 
 
 @check("second-order-row-polynomial",
@@ -336,7 +330,7 @@ def _gamma_valley_enumeration(n: int):
 def _second_order_row_polynomial(n: int):
     yield ("operator applied to its multiplier vs homogenized row",
            normal_order_power(X, Grammar.preset("second-order"), n).apply_to(X),
-           row_polynomial("eulerian2", n, lambda n, k: {"x": k, "y": 2 * n + 1 - k}))
+           row_polynomial("eulerian2", n, {"x": (0, 1, 0), "y": (2, -1, 1)}))
 
 
 check("ternary-forest-triple",
@@ -368,7 +362,7 @@ def _ctilde_diagonal(n: int):
 def _bessel_closed_form(n: int):
     left = ctilde_xx(n)
     yield ("diagonal recurrence vs factorial closed form", left,
-           row_polynomial("bessel", n - 1, lambda m, j: {"x": m + 1 + j, "z": m + 1 - j}))
+           row_polynomial("bessel", n - 1, {"x": (1, 1, 1), "z": (1, -1, 1)}))
     yield ("diagonal at unit first slot vs weighted-pairing polynomial",
            left.subs({"x": ONE}), bessel_polynomial(n))
 
@@ -412,12 +406,11 @@ def _stirling_list_distribution(n: int):
        "each operator slice expands positively in elementary symmetric functions", 1, 6, 4)
 def _beta_e_expansion(n: int):
     nf = normal_order_power(X * Y * Z, Grammar.preset("full-ternary"), n)
+    tri = assemble("beta", n).slices("q")
     for k in range(1, n + 1):
         yield (f"elementary-symmetric expansion of slice {k} vs triangle",
-               indexed_polynomial(e_expand(nf.coefficient(k)), n,
-                                  lambda n, i, j, m: {"u": i, "v": j, "w": m}),
-               row_polynomial("beta", n, lambda n, kk, j, l: (
-                   {"u": 2 * n - 2 * k - 2 * j - 3 * l, "v": j, "w": l + k} if kk == k else None)))
+               indexed_polynomial(e_expand(nf.coefficient(k)), n, _UVW),
+               tri.get(k, ZERO))
 
 
 @check("beta-positivity",
@@ -435,7 +428,7 @@ def _beta_positivity(n: int):
        "the signed-descent row recurrence matches the derivative recurrence", 0, 9, 7)
 def _type_b_eulerian_numbers(n: int):
     yield ("scatter recurrence row vs derivative recurrence",
-           row_polynomial("eulerianB", n, _x_k), assemble("type-b-x", n))
+           row_polynomial("eulerianB", n, _X_K), assemble("type-b-x", n))
 
 
 @check("signed-permutation-descents",
@@ -451,7 +444,7 @@ def _swap_grammar_expansion(n: int):
     nf = normal_order_power(X * Y, Grammar.preset("swap"), n)
     yield "normal order vs triangle assembly", nf.specialize(Z), assemble("B", n)
     yield ("operator applied to its multiplier vs homogenized row",
-           nf.apply_to(X * Y), row_polynomial("eulerianB", n, _signed_descent_hom))
+           nf.apply_to(X * Y), row_polynomial("eulerianB", n, _SIGNED_DESCENT_HOM))
 
 
 @check("half-square-grammar-expansion",
@@ -460,14 +453,14 @@ def _half_square_grammar_expansion(n: int):
     nf = normal_order_power(X, Grammar.preset("type-b-split"), n)
     yield "normal order vs triangle assembly", nf.specialize(Z), assemble("E", n)
     yield ("operator applied to a product vs homogenized row",
-           nf.apply_to(X * Y), row_polynomial("eulerianB", n, _signed_descent_hom))
+           nf.apply_to(X * Y), row_polynomial("eulerianB", n, _SIGNED_DESCENT_HOM))
 
 
 @check("type-b-normal-order-rows",
        "the single-slice row one level up equals the signed-descent row", 0, 9, 7)
 def _type_b_normal_order_rows(n: int):
     yield ("single-slice row one level up vs signed-descent row",
-           _slice_one_up("B", n), row_polynomial("eulerianB", n, _x_k))
+           _slice_one_up("B", n), row_polynomial("eulerianB", n, _X_K))
 
 
 @check("flag-ascent-plateau",

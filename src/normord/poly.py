@@ -187,14 +187,6 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return ZERO
-
-    @staticmethod
-    def one() -> "Polynomial":
-        return ONE
-
-    @staticmethod
     def constant(c: Scalar) -> "Polynomial":
         # 0 + c stores a bool as its int, so constant(True) renders "1".
         return Polynomial._collect({(): 0 + _norm_scalar(c)})
@@ -214,10 +206,6 @@ class Polynomial:
 
     def variables(self) -> set[str]:
         return {s for k in self._terms for s, _ in k}
-
-    def degree(self) -> int:
-        """Max total degree over terms (0 for the zero polynomial)."""
-        return max((sum(e for _, e in k) for k in self._terms), default=0)
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if mixed."""

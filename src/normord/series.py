@@ -55,7 +55,7 @@ def bessel_polynomial(n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError("defined for n >= 1")
-    return row_polynomial("bessel", n - 1, lambda m, j: {"z": m + 1 - j})
+    return row_polynomial("bessel", n - 1, {"z": (1, -1, 1)})
 
 
 def verify_catalan_egf(n: int):

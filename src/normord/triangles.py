@@ -28,7 +28,8 @@ polynomials in p; beta keeps its own step:
     rows      catalan                 ()         one number per row
 
 ``row_polynomial(family, n, exps)`` turns a row into a polynomial through an
-exponent map ``exps(n, *index) -> {symbol: exponent}``.  ``assemble`` names
+exponent map ``{symbol: form}``, each form an integer affine form over (n,
+*index, 1) in the layout of the move tables.  ``assemble`` names
 14 generating polynomials in the standard symbol layout (x/y graded by leaf
 type, z marking the operator power, and u/v/w/q for the elementary-symmetric
 family): nine read a family row under one exponent map.  Four, and
@@ -49,7 +50,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, count
 from math import factorial, prod
-from typing import Callable, Iterator, Mapping, Optional, Union
+from operator import mul
+from typing import Callable, Iterator, Mapping, Union
 
 from .poly import (
     ONE,
@@ -57,7 +59,7 @@ from .poly import (
     Pairs,
     Polynomial,
     Scalar,
-    _canonical_pairs,
+    _SYMBOL,
     _exponent,
     _pairs_mul,
     variable,
@@ -239,22 +241,36 @@ def build_triangle(family: str, max_n: int) -> dict[tuple, Entry]:
 
 # -- assembled polynomials -------------------------------------------------
 
-# exps(n, *index) -> {symbol: exponent}, or None to leave the entry out.
-ExponentMap = Callable[..., Optional[Mapping[str, int]]]
+# An exponent map {symbol: form}: each form (c_n, c_index..., c_0) gives the
+# symbol's exponent c_n*n + sum c_i*index_i + c_0 at level n.
+ExponentMap = Mapping[str, Form]
 
 
 def indexed_polynomial(entries: Mapping[tuple, Entry], n: int, exps: ExponentMap) -> Polynomial:
-    """Sum of entry * prod(symbol^e) over ``entries``, exponents from ``exps(n, *index)``.
+    """Sum of entry * prod(symbol^e) over ``entries``, each e read from its form in ``exps``.
 
     Entries that land on the same monomial add up; polynomial entries (the
-    ``Ap`` family) are multiplied through.
+    ``Ap`` family) are multiplied through.  The map is checked once: a map
+    that is not a mapping, or a form coefficient that is not an int, raises
+    TypeError; a bad symbol name, or a form whose length is not the index
+    length + 2, raises ValueError.
     """
+    if not isinstance(exps, Mapping):
+        raise TypeError(f"exponent map {{symbol: form}} required, got {type(exps).__name__}")
+    width = len(next(iter(entries), ())) + 2
+    for s, form in exps.items():
+        if not isinstance(s, str) or not _SYMBOL.fullmatch(s):
+            raise ValueError(f"bad symbol name {s!r}")
+        if not isinstance(form, tuple) or not all(isinstance(c, int) for c in form):
+            raise TypeError(f"form of {s!r} must be a tuple of ints, got {form!r}")
+        if entries and len(form) != width:
+            raise ValueError(f"form of {s!r} has length {len(form)}, not {width}")
+    # Fold n into each form once; sorted symbols and no zero exponent make
+    # each key canonical as built.
+    folded = [(s, f[1:-1], f[-1] + f[0] * n) for s, f in sorted(exps.items())]
     acc: dict[Pairs, Scalar] = {}
     for idx, v in entries.items():
-        e = exps(n, *idx)
-        if e is None:
-            continue
-        m = _canonical_pairs(e)
+        m = tuple([(s, e) for s, cs, c0 in folded if (e := sum(map(mul, cs, idx), c0))])
         # An int entry is one constant term.
         for k, c in v.terms() if isinstance(v, Polynomial) else (((), v),):
             key = _pairs_mul(m, k)
@@ -263,12 +279,12 @@ def indexed_polynomial(entries: Mapping[tuple, Entry], n: int, exps: ExponentMap
 
 
 def row_polynomial(family: str, n: int, exps: ExponentMap) -> Polynomial:
-    """Row n of a family as a polynomial, each index mapped by ``exps(n, *index)``."""
+    """Row n of a family as a polynomial, each index mapped through the forms of ``exps``."""
     return indexed_polynomial(family_row(family, n), n, exps)
 
 
-def _from_row(family: str, exps: ExponentMap) -> Callable[[int], Polynomial]:
-    return lambda n: ONE if n == 0 else row_polynomial(family, n, exps)
+def _from_row(family: str, exps: ExponentMap, n: int) -> Polynomial:
+    return ONE if n == 0 else row_polynomial(family, n, exps)
 
 
 def _linear(
@@ -300,19 +316,18 @@ def _assemble_second_order_xyz(n: int) -> Polynomial:
 
 
 ASSEMBLERS: dict[str, Callable[[int], Polynomial]] = {
-    "A": _from_row("A", lambda n, k, l: {"x": l, "y": n - l, "z": k}),
-    "Ap": _from_row("Ap", lambda n, k, l: {"x": l, "y": n - l, "z": k}),
-    "a": _from_row("a", lambda n, k, l: {"x": l, "y": n + k - l, "z": k}),
-    "Ct": _from_row("C", lambda n, k, l: {"x": l, "y": 2 * n - k - l, "z": k}),
-    "beta": _from_row(
-        "beta", lambda n, k, j, l: {"u": 2 * n - 2 * k - 2 * j - 3 * l, "v": j, "w": l + k, "q": k}
-    ),
-    "B": _from_row("B", lambda n, k, l: {"x": k + 2 * l, "y": 2 * n - k - 2 * l, "z": k}),
-    "E": _from_row("E", lambda n, k, l: {"x": k + 2 * l, "y": 2 * n - 2 * k - 2 * l, "z": k}),
-    "W": _from_row("W", lambda n, k, l: {"x": k + 2 * l, "y": n - k - 2 * l, "z": k}),
+    "A": partial(_from_row, "A", {"x": (0, 0, 1, 0), "y": (1, 0, -1, 0), "z": (0, 1, 0, 0)}),
+    "Ap": partial(_from_row, "Ap", {"x": (0, 0, 1, 0), "y": (1, 0, -1, 0), "z": (0, 1, 0, 0)}),
+    "a": partial(_from_row, "a", {"x": (0, 0, 1, 0), "y": (1, 1, -1, 0), "z": (0, 1, 0, 0)}),
+    "Ct": partial(_from_row, "C", {"x": (0, 0, 1, 0), "y": (2, -1, -1, 0), "z": (0, 1, 0, 0)}),
+    "beta": partial(_from_row, "beta", {"u": (2, -2, -2, -3, 0), "v": (0, 0, 1, 0, 0),
+                                        "w": (0, 1, 0, 1, 0), "q": (0, 1, 0, 0, 0)}),
+    "B": partial(_from_row, "B", {"x": (0, 1, 2, 0), "y": (2, -1, -2, 0), "z": (0, 1, 0, 0)}),
+    "E": partial(_from_row, "E", {"x": (0, 1, 2, 0), "y": (2, -2, -2, 0), "z": (0, 1, 0, 0)}),
+    "W": partial(_from_row, "W", {"x": (0, 1, 2, 0), "y": (1, -1, -2, 0), "z": (0, 1, 0, 0)}),
     "eulerian-x": _linear(_X, _X, _X - _X2),
     "type-b-x": _linear(ONE + _X, 2 * _X, 2 * (_X - _X2)),
-    "second-order-x": _from_row("eulerian2", lambda n, l: {"x": l}),
+    "second-order-x": partial(_from_row, "eulerian2", {"x": (0, 1, 0)}),
     "second-order-xyz": _assemble_second_order_xyz,
     "flag-ascent-plateau-x": _linear(_X, 2 * _X2, _X - _X * _X2),
     "updown-run-x": _linear(_X, _X2, _X - _X * _X2),

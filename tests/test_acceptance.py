@@ -32,6 +32,7 @@ from normord import (
 )
 from normord.combinat import SCANS, stat_keys
 from normord.forests import census
+from normord.poly import ONE
 
 x = variable("x")
 y = variable("y")
@@ -329,7 +330,7 @@ def test_foundation_identities():
     g = Grammar.preset("stirling-dual")
     for n in range(11):
         if n == 0:
-            want = Polynomial.one()
+            want = ONE
         else:
             want = Polynomial()
             for (k,), v in family_row("S2", n).items():

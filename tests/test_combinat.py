@@ -328,7 +328,7 @@ class TestDistributions:
             for word in permutations(n):
                 s = stats("permutations", word)
                 got = got + mono(1, x=s["exc"], q=s["cyc"])
-            assert got == row_polynomial("A", n, lambda n, k, l: {"x": n - l, "q": k})
+            assert got == row_polynomial("A", n, {"x": (1, 0, -1, 0), "q": (0, 1, 0, 0)})
 
     def test_type_b_descent_polynomial(self):
         for n in range(1, 6):

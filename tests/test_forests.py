@@ -17,6 +17,7 @@ from normord import (
 )
 from normord.checks import _forest_poly
 from normord.forests import census
+from normord.poly import ONE
 
 
 def forest_rows(flavor: str, n: int):
@@ -157,7 +158,7 @@ class TestOperatorTallies:
     def test_weights_equal_normal_order_coefficients(
         self, flavor, multiplier, preset, n_max
     ):
-        w = Polynomial.one()
+        w = ONE
         for s in multiplier.split("*"):
             w = w * variable(s)
         g = Grammar.preset(preset)

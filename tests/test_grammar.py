@@ -10,6 +10,7 @@ import pytest
 from conftest import SMALL_PRESETS, random_polynomial
 from normord import Grammar, ParseError, Polynomial, family_row, mono, parse, variable
 from normord.grammar import PRESETS
+from normord.poly import ONE
 
 a = variable("a")
 b = variable("b")
@@ -68,7 +69,7 @@ class TestConstruction:
         assert [f.name for f in dataclasses.fields(Grammar)] == ["rules"]
         twin = Grammar(dict(g.rules))
         assert g == twin == Grammar.from_text(g.render_rules())
-        assert g != Grammar({**g.rules, "t": Polynomial.one()})
+        assert g != Grammar({**g.rules, "t": ONE})
         # The rules mapping is a dict, so a Grammar is unhashable, as before.
         for grammar in (g, twin):
             with pytest.raises(TypeError, match="unhashable type: 'dict'"):

@@ -21,6 +21,7 @@ from normord import (
     parse,
     variable,
 )
+from normord.poly import ONE, ZERO
 from test_poly import assert_canonical
 
 x = variable("x")
@@ -36,16 +37,16 @@ def direct_power(w: Polynomial, g: Grammar, n: int, target: Polynomial) -> Polyn
 
 def reference_coeffs(w: Polynomial, g: Grammar, n: int) -> tuple[Polynomial, ...]:
     """c'_k = w*(D(c_k) + c_(k-1)) iterated on pair tuples through ``Grammar.derive``."""
-    row = [Polynomial.one()]
+    row = [ONE]
     for _ in range(n):
-        padded = [Polynomial.zero(), *row, Polynomial.zero()]
+        padded = [ZERO, *row, ZERO]
         row = [w * (g.derive(padded[k + 1]) + padded[k]) for k in range(len(row) + 1)]
     return tuple(row)
 
 
 def reference_specialize(nf: NormalForm, value) -> Polynomial:
     """Horner's rule over ``Polynomial`` arithmetic."""
-    acc = Polynomial.zero()
+    acc = ZERO
     for c in reversed(nf.coeffs):
         acc = acc * value + c
     return acc
@@ -193,7 +194,7 @@ class TestStructure:
     def test_order_zero_identity(self):
         nf = normal_order_power(x, Grammar.preset("eulerian-xy"), 0)
         assert nf.order == 0
-        assert nf.coeffs == (Polynomial.one(),)
+        assert nf.coeffs == (ONE,)
 
     def test_constant_coefficient_vanishes(self):
         for name in ("eulerian-xy", "eulerian-full", "second-order", "swap"):
@@ -274,11 +275,11 @@ class TestPackedEdges:
     def test_zero_multiplier_and_order_zero(self):
         for name in ("eulerian-xy", "type-b", "elementary-symmetric"):
             g = Grammar.preset(name)
-            for w in (Polynomial.zero(), x, parse("x^-1 + 2"), 0):
-                assert normal_order_power(w, g, 0).coeffs == (Polynomial.one(),)
+            for w in (ZERO, x, parse("x^-1 + 2"), 0):
+                assert normal_order_power(w, g, 0).coeffs == (ONE,)
             for n in range(1, 5):
                 nf = normal_order_power(0, g, n)
-                assert nf.coeffs == (Polynomial.zero(),) * (n + 1)
+                assert nf.coeffs == (ZERO,) * (n + 1)
                 assert nf.render() == "0"
 
     def test_non_int_power_raises(self):
@@ -295,14 +296,14 @@ class TestSpecialize:
 
     def test_identity_normal_form(self):
         nf = normal_order_power(x, Grammar.preset("pq-eulerian"), 0)
-        assert nf.specialize(q) == Polynomial.one()
+        assert nf.specialize(q) == ONE
 
     def test_total_mass_is_factorial(self):
         import math
 
         g = Grammar.preset("pq-eulerian")
         for n in range(8):
-            total = normal_order_power(x, g, n).specialize(Polynomial.one())
+            total = normal_order_power(x, g, n).specialize(ONE)
             value = total.evaluate({"p": 1, "x": 1, "y": 1})
             assert value == math.factorial(n)
 
@@ -318,12 +319,12 @@ class TestSpecialize:
             normal_order_power(x, Grammar.from_text("x -> x^-2*y; y -> 1"), 5),
             normal_order_power(x ** (2 ** 70), Grammar.preset("eulerian-xy"), 3),
             # At the value x, the terms cancel to zero.
-            NormalForm(Grammar(), x, 2, (Polynomial.zero(), -x, Polynomial.one())),
+            NormalForm(Grammar(), x, 2, (ZERO, -x, ONE)),
             NormalForm(Grammar(), x, 0, ()),
-            NormalForm(Grammar(), x, 2, (Polynomial.zero(),) * 3),
+            NormalForm(Grammar(), x, 2, (ZERO,) * 3),
         ]
         values = [x + 1, x - y, 3, Fraction(2, 3), Fraction(-4, 2), parse("x^-1"),
-                  parse("q^-2*y"), 0, Polynomial.zero(), q]
+                  parse("q^-2*y"), 0, ZERO, q]
         for nf in forms:
             for value in values:
                 got = nf.specialize(value)
@@ -344,9 +345,9 @@ class TestApply:
         target = y ** 2 + 3
         assert nf.apply_to(target) == target
         # Hand-built forms with no coefficient, or only zero ones, act as zero.
-        for order, coeffs in ((0, ()), (2, (Polynomial.zero(),) * 3)):
+        for order, coeffs in ((0, ()), (2, (ZERO,) * 3)):
             got = NormalForm(nf.grammar, x, order, coeffs).apply_to(target)
-            assert got == Polynomial.zero()
+            assert got == ZERO
             assert_canonical(got)
 
     def test_swap_square_on_product(self):
@@ -385,11 +386,11 @@ class TestXiFactorization:
         nf = normal_order_power(w, Grammar.preset("swap"), 4)
         xs = nf.xi_coefficients()
         assert xs is not None
-        assert xs[4] == Polynomial.one()
+        assert xs[4] == ONE
 
     def test_order_zero(self):
         nf = normal_order_power(x, Grammar.preset("eulerian-xy"), 0)
-        assert nf.xi_coefficients() == [Polynomial.one()]
+        assert nf.xi_coefficients() == [ONE]
 
     def test_hand_built_coefficients(self):
         g = Grammar.preset("swap")
@@ -399,7 +400,7 @@ class TestXiFactorization:
         # Zero coefficients past the order change nothing; a nonzero one never matches.
         xs = nf.xi_coefficients()
         assert xs is not None
-        assert NormalForm(g, x, 2, (*nf.coeffs, Polynomial.zero())).xi_coefficients() == xs
+        assert NormalForm(g, x, 2, (*nf.coeffs, ZERO)).xi_coefficients() == xs
         assert NormalForm(g, x, 2, (*nf.coeffs, x)).xi_coefficients() is None
 
 

@@ -35,7 +35,9 @@ from normord import (
 )
 from normord import triangles
 from normord.cli import main
-from normord.triangles import FAMILIES
+from normord.poly import ONE, ZERO
+from normord.triangles import FAMILIES, indexed_polynomial, row_polynomial
+from test_poly import assert_canonical
 
 x = variable("x")
 y = variable("y")
@@ -337,6 +339,71 @@ def test_assemblies_match_recorded_digest(name):
     assert _assembly_digest(name) == ASSEMBLY_DIGESTS[name]
 
 
+# Each assembler that reads a family row, with the family it reads.
+ROW_ASSEMBLERS = {"A": "A", "Ap": "Ap", "a": "a", "Ct": "C", "beta": "beta", "B": "B",
+                  "E": "E", "W": "W", "second-order-x": "eulerian2"}
+
+
+def test_assembler_maps_are_integer_forms():
+    # A row assembler binds its family and its exponent map {symbol: form}
+    # by functools.partial; each form is (c_n, c_index..., c_0).
+    bound = {name for name, fn in triangles.ASSEMBLERS.items()
+             if isinstance(fn, functools.partial)}
+    assert bound == ROW_ASSEMBLERS.keys()
+    for name, family in ROW_ASSEMBLERS.items():
+        fn = triangles.ASSEMBLERS[name]
+        assert fn.func is triangles._from_row and not fn.keywords, name
+        bound_family, exps = fn.args
+        assert bound_family == family and exps, name
+        width = len(FAMILIES[family].indices) + 2
+        for symbol, form in exps.items():
+            assert type(symbol) is str, (name, symbol)
+            assert type(form) is tuple and len(form) == width, (name, symbol, form)
+            assert all(type(c) is int for c in form), (name, symbol, form)
+
+
+class TestExponentForms:
+    def test_forms_fold_the_level(self):
+        # (1, 2) -> x^(1 - 1) * y^(4 - 2), (2, 0) -> x^(2 - 1) * y^(4 - 0).
+        got = indexed_polynomial({(1, 2): 3, (2, 0): 5}, 4,
+                                 {"y": (1, 0, -1, 0), "x": (0, 1, 0, -1)})
+        assert got == 3 * y ** 2 + 5 * x * y ** 4
+        assert_canonical(got)
+
+    def test_keys_are_canonical_over_polynomial_entries(self):
+        got = row_polynomial("Ap", 5, {"z": (0, 1, 0, 0), "a": (1, 0, -1, 0), "x": (0, 0, 1, 0)})
+        assert_canonical(got)
+        assert got == triangles.assemble("Ap", 5).subs({"y": variable("a")})
+
+    def test_empty_entries_give_zero(self):
+        assert indexed_polynomial({}, 3, {"x": (0, 1, 0)}) == ZERO
+        assert indexed_polynomial({}, 0, {}) == ZERO
+
+    def test_empty_map_sums_the_row(self):
+        assert row_polynomial("S2", 5, {}) == 52
+
+    def test_callable_map_raises_type_error(self):
+        with pytest.raises(TypeError, match="exponent map"):
+            row_polynomial("S2", 3, lambda n, k: {"x": k})
+
+    @pytest.mark.parametrize("symbol", ["2x", "x y", "", 3])
+    def test_bad_symbol_raises_value_error(self, symbol):
+        with pytest.raises(ValueError, match="bad symbol name"):
+            row_polynomial("S2", 3, {"x": (0, 1, 0), symbol: (0, 1, 0)})
+
+    @pytest.mark.parametrize("form", [(0, 1.0, 0), (0, "1", 0), [0, 1, 0], 1])
+    def test_non_int_form_raises_type_error(self, form):
+        with pytest.raises(TypeError, match="tuple of ints"):
+            row_polynomial("S2", 3, {"x": form})
+
+    @pytest.mark.parametrize("form", [(0, 1), (0, 1, 0, 0, 0), ()])
+    def test_form_length_raises_value_error(self, form):
+        with pytest.raises(ValueError, match="has length"):
+            row_polynomial("S2", 3, {"x": form})
+        with pytest.raises(ValueError, match="has length"):
+            indexed_polynomial({(1, 2): 1}, 3, {"x": (0, 0, 1, 0), "y": form})
+
+
 class TestTriangleObject:
     def test_entry_keyed_by_level_and_index(self):
         assert build_triangle("A", 5)[(4, 2, 2)] == 7
@@ -421,21 +488,21 @@ class TestAssemble:
             ctilde_xx(-1)
 
     def test_rising_factorial_rejects_negative_level(self):
-        assert rising_factorial("z", 0) == Polynomial.one()
+        assert rising_factorial("z", 0) == ONE
         with pytest.raises(ValueError):
             rising_factorial("z", -2)
 
 
 class TestAssembledRecurrences:
     def test_binary_family_rows(self):
-        prev = Polynomial.one()
+        prev = ONE
         for n in range(7):
             cur = assemble("A", n + 1)
             assert cur == x * (n + z) * prev + x * (y - x) * prev.diff("x")
             prev = cur
 
     def test_type_b_family_rows(self):
-        prev = Polynomial.one()
+        prev = ONE
         for n in range(7):
             cur = assemble("B", n + 1)
             step = (x * y * z + 2 * n * x ** 2) * prev
@@ -444,7 +511,7 @@ class TestAssembledRecurrences:
             prev = cur
 
     def test_half_square_family_rows(self):
-        prev = Polynomial.one()
+        prev = ONE
         for n in range(7):
             cur = assemble("E", n + 1)
             step = (x * z + 2 * n * x ** 2) * prev
@@ -455,7 +522,7 @@ class TestAssembledRecurrences:
 
     def test_updown_family_rows(self):
         # The step mixes in x/y and x^2/y^2; Laurent monomials express it.
-        prev = Polynomial.one()
+        prev = ONE
         for n in range(7):
             cur = assemble("W", n + 1)
             step = x * (z + n * mono(1, x=1, y=-1)) * prev
@@ -492,7 +559,7 @@ class TestSpecializations:
 
 class TestDiagonalSums:
     def test_recurrence_reproduces_diagonal(self):
-        prev = Polynomial.one()
+        prev = ONE
         assert ctilde_xx(0) == prev
         for m in range(8):
             step = (x * z + 2 * m * x ** 2) * prev - x ** 2 * z * prev.diff("z")
