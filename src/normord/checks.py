@@ -9,15 +9,15 @@ differing pair verbatim.
 
 A check is a generator ``sides(n)`` that yields ``(note, left, right)`` for
 one level, registered with its metadata by the ``check`` decorator.  Each
-side is a polynomial, or a pre-rendered string for a side condition that is
-not one.  The runner built at registration walks the levels in order, hands
-every pair to ``_compare`` (the one place sides are rendered and compared)
-and stops at the first witness.  A side that raises ValueError or
-ArithmeticError while it is built is its level's witness, naming the
-exception, so one broken check cannot abort a whole run.  Each check
-declares the range of levels it covers and two feasibility caps:
-``full_cap`` is the largest level the check is designed to reach, and
-``quick_cap`` keeps a whole-registry run within interactive time.
+side is a polynomial.  The runner built at registration walks the levels in
+order, hands every pair to ``_compare`` (the one place sides are rendered
+and compared) and stops at the first witness.  A side condition that is not
+a comparison raises ValueError or ArithmeticError, as does a side that
+cannot be built; either becomes its level's witness, naming the exception,
+so one broken check cannot abort a whole run.  Each check declares the
+range of levels it covers and two feasibility caps: ``full_cap`` is the
+largest level the check is designed to reach, and ``quick_cap`` keeps a
+whole-registry run within interactive time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .combinat import stat_keys, stat_polynomial, tally
 from .forests import census, grow_forests
@@ -37,7 +37,6 @@ from .triangles import (
     assemble,
     ctilde_xx,
     e_expand,
-    family_row,
     gamma_expand,
     indexed_polynomial,
     rising_factorial,
@@ -112,17 +111,12 @@ class CheckSpec:
     runner: Runner
 
 
-Side = Union[Polynomial, str]
-Sides = Callable[[int], Iterator[Tuple[str, Side, Side]]]
+Sides = Callable[[int], Iterator[Tuple[str, Polynomial, Polynomial]]]
 
 
-def _render(side: Side) -> str:
-    return side if isinstance(side, str) else side.render()
-
-
-def _compare(n: int, note: str, left: Side, right: Side) -> Optional[Witness]:
+def _compare(n: int, note: str, left: Polynomial, right: Polynomial) -> Optional[Witness]:
     """Render both sides once; a witness when the renders differ."""
-    lr, rr = _render(left), _render(right)
+    lr, rr = left.render(), right.render()
     return None if lr == rr else Witness(n, note, lr, rr)
 
 
@@ -416,12 +410,15 @@ def _beta_e_expansion(n: int):
 @check("beta-positivity",
        "the surrogate normal order reproduces the nonnegative triangle", 1, 8, 6)
 def _beta_positivity(n: int):
+    tri = assemble("beta", n)
     yield ("surrogate normal order vs triangle assembly",
-           normal_order_power(W, Grammar.preset("elementary-symmetric"), n).specialize(Q),
-           assemble("beta", n))
-    for idx, v in family_row("beta", n).items():
-        if not isinstance(v, int) or v < 0:
-            yield "negative or non-integer triangle entry", str(idx), str(v)
+           normal_order_power(W, Grammar.preset("elementary-symmetric"), n).specialize(Q), tri)
+    # Beta's map is injective: entry (k, j, l) is the term with q^k, v^j and w^(k+l).
+    for m, c in tri.terms():
+        if not isinstance(c, int) or c < 0:
+            e = dict(m)
+            idx = (e.get("q", 0), e.get("v", 0), e.get("w", 0) - e.get("q", 0))
+            raise ValueError(f"negative or non-integer triangle entry {idx}: {c}")
 
 
 @check("type-b-eulerian-numbers",

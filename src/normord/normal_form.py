@@ -16,17 +16,24 @@ with c_0 = 1 at order 0.  D itself is never a ring element here; a
 normal form is just the vector of polynomial coefficients indexed by the
 power of D.
 
-Only the recursion runs on packed exponents (``poly._Packer``): each
-monomial is one int, so a product is one addition, and the whole row
-sum_k c_k D^k is one dict, the power k of D being one more bit field above
-the symbol fields.  A step is one pass over the row.  Each term m moves
-once per term of each w * rule(s)/s, weighted by the exponent e_s it reads
-from m's field for s (the w*D(c_k) part), and once per term of w into the
-field of D one power up (the w*c_(k-1) part).  Each move multiplies m by
-one term of w and at most one term of a rule(s)/s, so after n steps no
-exponent exceeds n*(W + R), with W and R the largest exponent magnitudes in
-w and in the rules; that bound sets the field width.  At the end the row
-splits by D's power and each coefficient converts back to pair keys once.
+Only the recursion runs on packed exponents (``_Packer`` below; Monagan &
+Pearce, CASC 2007).  Over the sorted symbols of w and the rules, symbol i
+owns bit field i, the ``width`` bits from bit i*width up, and a monomial is
+the one int sum_i e_i << (i*width), so a product is one addition.  Keys
+carry no bias, so Laurent exponents need no special case: reading a field
+first adds ``half = 2**(width-1)`` in every field, then shifts and masks.
+The width is the least that holds every exponent in [-bound, bound], and
+packing an exponent outside that bound raises ``ArithmeticError``.  The
+whole row sum_k c_k D^k is one dict, the power k of D being one more bit
+field above the symbol fields.  A step is one pass over the row.  Each term
+m moves once per term of each w * rule(s)/s, weighted by the exponent e_s
+it reads from m's field for s (the w*D(c_k) part), and once per term of w
+into the field of D one power up (the w*c_(k-1) part).  Each move
+multiplies m by one term of w and at most one term of a rule(s)/s, so after
+n steps no exponent exceeds n*(W + R), with W and R the largest exponent
+magnitudes in w and in the rules; that bound sets the field width.  At the
+end the row splits by D's power and each coefficient converts back to pair
+keys once.
 
 The two readers of a normal form, ``specialize`` (D^k -> v^k) and
 ``apply_to`` (D^k -> D^k(f)), are one direct sum of coeffs[k] * values[k]
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .grammar import Grammar
-from .poly import ONE, ZERO, Pairs, Polynomial, Scalar, _Packer
+from .poly import ONE, ZERO, Pairs, Polynomial, Scalar
 
 Packed = dict[int, Scalar]
 
@@ -136,6 +143,62 @@ class NormalForm:
         return self.render()
 
 
+class _Packer:
+    """Packed exponent vectors over one fixed symbol order, in the module's format.
+
+    The caller computes ``bound`` from its inputs so that every exponent of
+    every monomial it keys lies in ``[-bound, bound]``; ``pack`` raises
+    ``ArithmeticError`` on an input exponent outside it.
+    """
+
+    __slots__ = ("symbols", "bound", "shift", "width", "mask", "half", "bias", "_pairs")
+
+    def __init__(self, symbols: Iterable[str], bound: int):
+        self.symbols = tuple(sorted(set(symbols)))
+        self.bound = bound
+        width = bound.bit_length() + 1
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.half = 1 << (width - 1)
+        self.shift = {s: i * width for i, s in enumerate(self.symbols)}
+        self.bias = sum(self.half << i * width for i in range(len(self.symbols)))
+        # Per symbol, exponent -> its (symbol, exponent) pair, so the
+        # keys ``unpack`` builds share pair tuples as products do.
+        self._pairs: tuple[dict[int, tuple[str, int]], ...] = tuple({} for _ in self.symbols)
+
+    def pack(self, p: Polynomial) -> Packed:
+        """The terms of ``p`` keyed by packed monomial."""
+        shift, bound = self.shift, self.bound
+        out: Packed = {}
+        for k, c in p._terms.items():
+            key = 0
+            for s, e in k:
+                if not -bound <= e <= bound:
+                    raise ArithmeticError(f"exponent {s}^{e} exceeds the packing bound {bound}")
+                key += e << shift[s]
+            out[key] = c
+        return out
+
+    def unpack(self, packed: Packed) -> Polynomial:
+        """The polynomial of a packed dict (symbol fields only); zero coefficients are dropped."""
+        fields = tuple(zip(self.symbols, self._pairs))
+        width, mask, half, bias = self.width, self.mask, self.half, self.bias
+        acc: dict[Pairs, Scalar] = {}
+        for key, c in packed.items():
+            k = key + bias
+            pairs = []
+            for s, shared in fields:
+                e = (k & mask) - half
+                if e:
+                    pair = shared.get(e)
+                    if pair is None:
+                        pair = shared[e] = (s, e)
+                    pairs.append(pair)
+                k >>= width
+            acc[tuple(pairs)] = c
+        return Polynomial._collect(acc)
+
+
 def normal_order_power(
     w: Polynomial | Scalar, grammar: Grammar, n: int
 ) -> NormalForm:
@@ -154,8 +217,9 @@ def normal_order_power(
         max(n, 1) * (_max_exponent([wp]) + _max_exponent(rules.values())),
     )
     mask, half, bias = packer.mask, packer.half, packer.bias
-    # The power of D is one more field, above the symbol fields; it is never
-    # negative, so it takes no bias and (key + bias) >> top reads it.
+    # The power of D is one more field, above the symbol fields, which
+    # ``unpack`` never reads; it is never negative, so it takes no bias and
+    # (key + bias) >> top reads it.
     top = len(packer.symbols) * packer.width
     pw = packer.pack(wp)
     # w*D(m) is the sum over symbols s of e_s * m * (w * rule(s)/s): one move
@@ -181,9 +245,9 @@ def normal_order_power(
                 k = key + tk
                 acc[k] = get(k, 0) + c * tc
         row = acc
-    # Split the row by D's power (``unpack`` reads only the symbol fields),
-    # then convert each coefficient as its packed form is dropped, so the
-    # packed and the converted row are never held whole at once.
+    # Split the row by D's power, then convert each coefficient as its packed
+    # form is dropped, so the packed and the converted row are never held
+    # whole at once.
     parts: list[Packed] = [{} for _ in range(n + 1)]
     for key, c in row.items():
         parts[(key + bias) >> top][key] = c

@@ -26,20 +26,9 @@ closes.  ``terms()`` and ``sorted_terms()`` yield the stored tuples
 themselves.  The public constructors ``Polynomial(...)``, ``mono`` and
 ``parse`` accept an exponent map or any iterable of (symbol, exponent)
 pairs per term, and ``_canonical_pairs`` validates it and brings it to the
-canonical form.
-
-The normal-form kernel has a second, private exponent format, ``_Packer``
-(packed exponent vectors, Monagan & Pearce, CASC 2007).  Over a sorted
-symbol order fixed once per computation, a monomial is one int holding
-exponent i in bit field i, so a monomial product is one integer addition.
-Keys carry no bias: reading a field adds a per-field bias, then shifts and
-masks, so Laurent exponents need no special case.  The field width follows
-from an exponent bound the caller computes from its inputs, not from a
-setting, and packing an exponent outside that bound raises
-``ArithmeticError``.  Results convert back to pair keys once.  ``*``,
-``diff``, ``subs`` and ``Grammar.derive`` stay on pair tuples: iterating
-``derive`` is the independent reference the packed kernel is tested
-against, so the two share no code.
+canonical form.  ``*``, ``diff``, ``subs`` and ``Grammar.derive`` stay on
+pair tuples: iterating ``derive`` is the independent reference the
+normal-form kernel is tested against, so the two share no code.
 """
 
 from __future__ import annotations
@@ -461,73 +450,6 @@ def variable(name: str) -> Polynomial:
 def mono(coeff: Scalar = 1, /, **exponents: int) -> Polynomial:
     """Single-term polynomial, e.g. ``mono(4, x=2, y=2)`` is ``4*x^2*y^2``."""
     return Polynomial([(exponents, coeff)])
-
-
-# -- packed exponents ------------------------------------------------------
-
-
-class _Packer:
-    """Packed exponent vectors over one fixed symbol order (Monagan & Pearce).
-
-    Symbol i of ``sorted(symbols)`` owns field i, the ``width`` bits from
-    bit ``i*width`` up, and a monomial is the int ``sum(e_i << (i*width))``:
-    a product of monomials is the sum of their keys.  Keys carry no bias, so
-    negative exponents need no special case; reading a field first adds
-    ``bias``, ``half = 2**(width-1)`` in every field, then shifts and masks.
-    ``unpack`` reads only the symbol fields, so a caller may keep a
-    nonnegative count in the bits above them.  The caller
-    computes ``bound`` from its inputs so that every exponent of every
-    monomial it keys lies in ``[-bound, bound]``; the width is the least
-    that holds that range, and ``pack`` raises ``ArithmeticError`` on an
-    input exponent outside it.
-    """
-
-    __slots__ = ("symbols", "bound", "shift", "width", "mask", "half", "bias", "_pairs")
-
-    def __init__(self, symbols: Iterable[str], bound: int):
-        self.symbols = tuple(sorted(set(symbols)))
-        self.bound = bound
-        width = bound.bit_length() + 1
-        self.width = width
-        self.mask = (1 << width) - 1
-        self.half = 1 << (width - 1)
-        self.shift = {s: i * width for i, s in enumerate(self.symbols)}
-        self.bias = sum(self.half << i * width for i in range(len(self.symbols)))
-        # Per symbol, exponent -> its (symbol, exponent) pair, so the
-        # keys ``unpack`` builds share pair tuples as products do.
-        self._pairs: tuple[dict[int, tuple[str, int]], ...] = tuple({} for _ in self.symbols)
-
-    def pack(self, p: Polynomial) -> dict[int, Scalar]:
-        """The terms of ``p`` keyed by packed monomial."""
-        shift, bound = self.shift, self.bound
-        out: dict[int, Scalar] = {}
-        for k, c in p._terms.items():
-            key = 0
-            for s, e in k:
-                if not -bound <= e <= bound:
-                    raise ArithmeticError(f"exponent {s}^{e} exceeds the packing bound {bound}")
-                key += e << shift[s]
-            out[key] = c
-        return out
-
-    def unpack(self, packed: dict[int, Scalar]) -> Polynomial:
-        """The polynomial of a packed dict; zero coefficients are dropped."""
-        fields = tuple(zip(self.symbols, self._pairs))
-        width, mask, half, bias = self.width, self.mask, self.half, self.bias
-        acc: dict[Pairs, Scalar] = {}
-        for key, c in packed.items():
-            k = key + bias
-            pairs = []
-            for s, shared in fields:
-                e = (k & mask) - half
-                if e:
-                    pair = shared.get(e)
-                    if pair is None:
-                        pair = shared[e] = (s, e)
-                    pairs.append(pair)
-                k >>= width
-            acc[tuple(pairs)] = c
-        return Polynomial._collect(acc)
 
 
 # -- parsing ---------------------------------------------------------------

@@ -85,7 +85,7 @@ def record_comparisons(profile: str) -> RecordedRun:
     digests: dict[str, dict] = {}
 
     def recording(n, note, left, right):
-        lines.append(f"{n}\t{note}\t{_sha(checks._render(left))}\t{_sha(checks._render(right))}\n")
+        lines.append(f"{n}\t{note}\t{_sha(left.render())}\t{_sha(right.render())}\n")
         return compare(n, note, left, right)
 
     def bounded(check_id, runner):

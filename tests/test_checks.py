@@ -10,6 +10,7 @@ from normord import (
     CheckResult,
     Witness,
     check_ids,
+    mono,
     render_report,
     results_to_json,
     run_all,
@@ -177,6 +178,17 @@ class TestReporting:
         monkeypatch.setattr(normord.checks, "e_expand", lambda f: f.no_such_method())
         with pytest.raises(AttributeError):
             run_check("beta-e-expansion", 3)
+
+    def test_negative_beta_entry_raises(self, monkeypatch):
+        import normord.checks
+
+        assemble = normord.checks.assemble
+        # Entry (k, j, l) = (1, 1, 0) is the term q*v*w.
+        monkeypatch.setattr(normord.checks, "assemble",
+                            lambda name, n: assemble(name, n) - mono(1, q=1, v=1, w=1))
+        with pytest.raises(ValueError,
+                           match=r"^negative or non-integer triangle entry \(1, 1, 0\): -1$"):
+            list(normord.checks._beta_positivity(3))
 
     def test_json_failure_payload(self):
         w = Witness(2, "note", "left text", "right text")

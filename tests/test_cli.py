@@ -689,6 +689,22 @@ class TestHarness:
         assert proc.returncode == 0
         assert proc.stdout == "D^1: x*y ; D^2: x^2\n"
 
+    def test_closed_pipe_exits_quietly(self):
+        # A reader that stops early, like ``| head -c 10``, is not an error.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(normord.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "normord", "triangle", "--family", "A", "--n", "120"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=package_root),
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (head, code, err) == (b"(1,1,1)=1\n", 0, b"")
+
     def test_benchmark_tracer_installs(self):
         # The benchmark's tracer wraps library names by name; a rename fails here.
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(normord.__file__)))

@@ -167,6 +167,11 @@ class TestCaps:
             with pytest.raises(TypeError, match="size must be an int, got float"):
                 combinat._ENUMERATORS[kind](n)
 
+    @pytest.mark.parametrize("kind", sorted(SCANS))
+    def test_negative_size_raises_when_called(self, kind):
+        with pytest.raises(ValueError, match="size must be nonnegative"):
+            combinat._ENUMERATORS[kind](-1)
+
     @pytest.mark.parametrize("kind", sorted(CAPS))
     def test_lowered_entry_is_the_cap(self, kind, monkeypatch):
         # CAPS is the only cap, read when each enumerator is called.

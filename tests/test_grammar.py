@@ -87,6 +87,8 @@ class TestConstruction:
     def test_from_text(self):
         g = Grammar.from_text("x->y^2; y->x*y")
         assert g == Grammar.preset("type-b-split")
+        # A trailing separator leaves an empty rule, which is skipped.
+        assert Grammar.from_text("x->y^2; y->x*y;") == g
 
     def test_from_text_whitespace_insensitive(self):
         assert Grammar.from_text(" x ->y ; y->  x") == Grammar.preset("swap")
@@ -116,6 +118,10 @@ class TestConstruction:
         with pytest.raises(TypeError) as info:
             Grammar({key: variable("x")})
         assert str(info.value) == f"rule key {key!r} is not a symbol name"
+
+    def test_constructor_rejects_rules_that_are_not_polynomials(self):
+        with pytest.raises(TypeError, match="rule for 'x' is not a polynomial"):
+            Grammar({"x": "y"})
 
     @pytest.mark.parametrize("text, position", [
         ("x -> y; y -> y + * 2", 17),
@@ -163,6 +169,10 @@ class TestDerivePower:
         g = Grammar.preset("eulerian-ab")
         f = a ** 2 + b
         assert g.derive_power(f, 0) == f
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="repeat count must be nonnegative"):
+            Grammar.preset("stirling-dual").derive_power(a, -1)
 
     def test_three_iterations(self):
         g = Grammar.preset("eulerian-ab")

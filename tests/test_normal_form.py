@@ -21,6 +21,7 @@ from normord import (
     parse,
     variable,
 )
+from normord.normal_form import _Packer
 from normord.poly import ONE, ZERO
 from test_poly import assert_canonical
 
@@ -286,6 +287,76 @@ class TestPackedEdges:
         for n in (2.0, 1.5, "2"):
             with pytest.raises(TypeError, match="operator power must be an int"):
                 normal_order_power(x, Grammar.preset("second-order"), n)
+
+    def test_negative_power_and_inexact_inputs_raise(self):
+        g = Grammar.preset("second-order")
+        with pytest.raises(ValueError, match="operator power must be nonnegative"):
+            normal_order_power(x, g, -1)
+        with pytest.raises(TypeError, match="multiplier must be a polynomial or exact scalar"):
+            normal_order_power("x", g, 2)
+        nf = normal_order_power(x, g, 2)
+        with pytest.raises(TypeError, match="specialize expects a polynomial or exact scalar"):
+            nf.specialize("q")
+        with pytest.raises(TypeError, match="apply_to expects a polynomial or exact scalar"):
+            nf.apply_to(1.5)
+
+
+class TestPacker:
+    """Packed exponents: one int per monomial, products by key addition."""
+
+    def test_round_trip_and_products(self):
+        rng = random.Random(7717)
+        for _ in range(200):
+            a = random_polynomial(rng, "wxyz", rationals=True, min_exp=-3)
+            b = random_polynomial(rng, "xyu", rationals=True, min_exp=-3)
+            packer = _Packer(a.variables() | b.variables() | {"v"}, 6)
+            pa, pb = packer.pack(a), packer.pack(b)
+            assert packer.unpack(pa) == a
+            product: dict[int, object] = {}
+            for k1, c1 in pa.items():
+                for k2, c2 in pb.items():
+                    product[k1 + k2] = product.get(k1 + k2, 0) + c1 * c2
+            assert_canonical(packer.unpack(product))
+            assert packer.unpack(product) == a * b
+            for m, _ in a.terms():
+                key = next(iter(packer.pack(Polynomial({m: 1}))))
+                ((pairs, _),) = packer.unpack({key: 1}).terms()
+                for s in packer.symbols:
+                    assert dict(pairs).get(s, 0) == dict(m).get(s, 0)
+                # A count kept in the bits above the symbol fields is not read.
+                above = key + (5 << len(packer.symbols) * packer.width)
+                assert list(packer.unpack({above: 1}).terms()) == [(pairs, 1)]
+
+    def test_field_width_follows_the_bound(self):
+        big = 2 ** 70
+        packer = _Packer("xy", 2 * big)
+        p = mono(3, x=big, y=-big) + mono(-1, x=-big)
+        key, = packer.pack(mono(1, x=big, y=-big))
+        assert packer.unpack({key + key: 1}) == mono(1, x=2 * big, y=-2 * big)
+        assert packer.unpack(packer.pack(p)) == p
+
+    def test_exponent_outside_the_bound_raises(self):
+        packer = _Packer("xy", 3)
+        assert packer.unpack(packer.pack(x ** 3 * y ** -3)) == x ** 3 * y ** -3
+        for bad in (x ** 4, y ** -4, x * y ** 5):
+            with pytest.raises(ArithmeticError):
+                packer.pack(bad)
+
+    def test_unpacked_monomials_share_pairs(self):
+        packer = _Packer("xy", 4)
+        a = packer.unpack(packer.pack(x * y + x * y ** 2))
+        b = packer.unpack(packer.pack(x ** -1 * y ** 2))
+        (m1, _), (m2, _) = sorted(a.terms(), key=lambda t: sum(e for _, e in t[0]))
+        ((m3, _),) = b.terms()
+        assert m1[0] is m2[0]
+        assert m2[1] is m3[1]
+
+    def test_unpack_drops_zero_coefficients(self):
+        packer = _Packer("x", 1)
+        p = packer.unpack({0: 0, 1: Fraction(4, 2)})
+        assert p == 2 * x
+        ((_, c),) = p.terms()
+        assert type(c) is int
 
 
 class TestSpecialize:

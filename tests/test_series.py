@@ -33,6 +33,8 @@ class TestCatalan:
     def test_series_rejects_negative_order(self):
         with pytest.raises(ValueError):
             catalan_series(-1)
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            catalan_number(-1)
 
 
 class TestBesselPolynomial:

@@ -57,3 +57,17 @@ def test_standard_library_only():
         if name != "__future__" and name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert SOURCES and not found, found
+
+
+def test_packed_format_lives_in_normal_form():
+    # The packed exponent format has one home, the kernel that reads its
+    # fields: no other module defines, imports or even names ``_Packer``.
+    defined = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ClassDef) and node.name == "_Packer"
+    ]
+    named = [path.name for path in SOURCES
+             if path.name != "normal_form.py" and "_Packer" in path.read_text(encoding="utf-8")]
+    assert defined == ["normal_form.py"] and not named, (defined, named)

@@ -486,6 +486,8 @@ class TestAssemble:
     def test_levels_below_the_first_raise(self):
         with pytest.raises(ValueError, match="level -1 is below the first level 0"):
             ctilde_xx(-1)
+        with pytest.raises(ValueError, match="level must be nonnegative"):
+            assemble("A", -1)
 
     def test_rising_factorial_rejects_negative_level(self):
         assert rising_factorial("z", 0) == ONE
@@ -621,6 +623,10 @@ class TestGammaExpand:
     def test_rejects_non_homogeneous_slice(self):
         with pytest.raises(ValueError):
             gamma_expand(x ** 2 + y ** 2 + x + y)
+
+    def test_rejects_negative_powers_of_z(self):
+        with pytest.raises(ValueError, match="negative power of 'z'"):
+            gamma_expand(x * y * z ** -1)
 
     def test_matches_gamma_triangle(self):
         for n in range(1, 9):
