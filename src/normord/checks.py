@@ -13,8 +13,9 @@ side is a polynomial.  The runner built at registration walks the levels in
 order, hands every pair to ``_compare`` (the one place sides are rendered
 and compared) and stops at the first witness.  A side condition that is not
 a comparison raises ValueError or ArithmeticError, as does a side that
-cannot be built; either becomes its level's witness, naming the exception,
-so one broken check cannot abort a whole run.  Each check declares the
+cannot be built; either becomes its level's witness, naming the exception
+and how many of the level's pairs were built and equal before it, so one
+broken check cannot abort a whole run.  Each check declares the
 range of levels it covers and two feasibility caps: ``full_cap`` is the
 largest level the check is designed to reach, and ``quick_cap`` keeps a
 whole-registry run within interactive time.
@@ -37,6 +38,7 @@ from .triangles import (
     assemble,
     ctilde_xx,
     e_expand,
+    family_row,
     gamma_expand,
     indexed_polynomial,
     rising_factorial,
@@ -123,13 +125,18 @@ def _compare(n: int, note: str, left: Polynomial, right: Polynomial) -> Optional
 def _level_runner(sides: Sides) -> Runner:
     def run(lo: int, hi: int) -> Optional[Witness]:
         for n in range(lo, hi + 1):
+            equal = 0
             try:
                 for note, left, right in sides(n):
                     witness = _compare(n, note, left, right)
                     if witness is not None:
                         return witness
+                    equal += 1
             except (ValueError, ArithmeticError) as exc:
-                return Witness(n, f"a side raised {type(exc).__name__}", str(exc), "not built")
+                built = "not built"
+                if equal:
+                    built = f"{equal} pair{'s' * (equal != 1)} built and equal"
+                return Witness(n, f"a side raised {type(exc).__name__}", str(exc), built)
         return None
 
     return run
@@ -223,17 +230,18 @@ def _stirling_first_surrogate(n: int):
        "both symbols derive to the same descent polynomial, matched by enumeration", 1, 8, 6)
 def _eulerian_grammar_self_dual(n: int):
     g = Grammar.preset("eulerian-ab")
+    row = family_row("eulerian", n)
     da = g.derive_power(A, n)
     yield "derivative of first symbol vs second symbol", da, g.derive_power(B, n)
     yield ("iterated derivative vs descent triangle", da,
-           row_polynomial("eulerian", n, {"a": (0, 1, 0), "b": (1, -1, 1)}))
+           indexed_polynomial(row, n, {"a": (0, 1, 0), "b": (1, -1, 1)}))
     yield ("iterated derivative vs descent enumeration", da,
            tally(((d + 1, n - d) for (d,) in stat_keys("permutations", n, ("des",))), ("a", "b")))
     nf = normal_order_power(X * Y, Grammar.preset("eulerian-full"), n)
     fx = nf.apply_to(X)
     yield "product-multiplier action on x vs on y", fx, nf.apply_to(Y)
     yield ("product-multiplier action vs descent triangle", fx,
-           row_polynomial("eulerian", n, {"x": (0, 1, 0), "y": (1, -1, 1)}))
+           indexed_polynomial(row, n, {"x": (0, 1, 0), "y": (1, -1, 1)}))
 
 
 check("binary-forest-triple",
@@ -244,19 +252,20 @@ check("binary-forest-triple",
 @check("eulerian-specialization-chain",
        "triangle specializations reach set-partition, descent and cycle counts", 1, 8, 8)
 def _eulerian_specialization_chain(n: int):
+    a_row, e_row = family_row("A", n), family_row("eulerian", n)
     # The diagonal l = k is the zeroth slice of d^(l - k), never negative in A.
-    diagonal = row_polynomial("A", n, {"d": (0, -1, 1, 0), "z": (0, 1, 0, 0)}).slices("d")
+    diagonal = indexed_polynomial(a_row, n, {"d": (0, -1, 1, 0), "z": (0, 1, 0, 0)}).slices("d")
     yield ("triangle diagonal vs set-partition triangle",
            diagonal.get(0, ZERO), row_polynomial("S2", n, _Z_K))
     yield ("third-slot specialization vs descent triangle",
-           row_polynomial("A", n, {"x": (0, 0, 1, 0), "y": (1, 0, -1, 0)}),
-           row_polynomial("eulerian", n, {"x": (0, 1, 0), "y": (1, -1, 0)}))
+           indexed_polynomial(a_row, n, {"x": (0, 0, 1, 0), "y": (1, 0, -1, 0)}),
+           indexed_polynomial(e_row, n, {"x": (0, 1, 0), "y": (1, -1, 0)}))
     yield ("first-two-slot specialization vs rising factorial",
-           row_polynomial("A", n, _Z_K2), rising_factorial("z", n))
+           indexed_polynomial(a_row, n, _Z_K2), rising_factorial("z", n))
     ex = assemble("eulerian-x", n)
-    yield "descent recurrence polynomial vs triangle row", ex, row_polynomial("eulerian", n, _X_K)
+    yield "descent recurrence polynomial vs triangle row", ex, indexed_polynomial(e_row, n, _X_K)
     yield ("descent polynomial vs reversed-row symmetry", ex,
-           row_polynomial("eulerian", n, {"x": (1, -1, 1)}))
+           indexed_polynomial(e_row, n, {"x": (1, -1, 1)}))
     yield "single-slice row one level up vs descent polynomial", _slice_one_up("A", n), ex
 
 
@@ -279,12 +288,13 @@ check("full-binary-forest-triple",
 @check("gamma-basis-expansion",
        "paired-symbol expansion of the assembly matches its own recurrence", 1, 8, 6)
 def _gamma_basis_expansion(n: int):
+    row = family_row("gamma", n)
     yield ("basis expansion of assembly vs paired-symbol triangle",
            indexed_polynomial(gamma_expand(assemble("a", n)), n, _U_L_Z_K),
-           row_polynomial("gamma", n, _U_L_Z_K))
+           indexed_polynomial(row, n, _U_L_Z_K))
     yield ("surrogate normal order vs paired-symbol triangle",
            normal_order_power(U, Grammar.preset("pair-symmetric"), n).specialize(Z),
-           row_polynomial("gamma", n, {"u": (0, 0, 1, 0), "v": (1, 1, -2, 0), "z": (0, 1, 0, 0)}))
+           indexed_polynomial(row, n, {"u": (0, 0, 1, 0), "v": (1, 1, -2, 0), "z": (0, 1, 0, 0)}))
 
 
 @check("lah-closed-form",
@@ -354,11 +364,12 @@ def _ctilde_diagonal(n: int):
 @check("bessel-closed-form",
        "the diagonal matches the factorial closed form for weighted pairings", 1, 10, 8)
 def _bessel_closed_form(n: int):
-    left = ctilde_xx(n)
+    left, row = ctilde_xx(n), family_row("bessel", n - 1)
     yield ("diagonal recurrence vs factorial closed form", left,
-           row_polynomial("bessel", n - 1, {"x": (1, 1, 1), "z": (1, -1, 1)}))
+           indexed_polynomial(row, n - 1, {"x": (1, 1, 1), "z": (1, -1, 1)}))
+    # bessel_polynomial(n), read off the same row.
     yield ("diagonal at unit first slot vs weighted-pairing polynomial",
-           left.subs({"x": ONE}), bessel_polynomial(n))
+           left.subs({"x": ONE}), indexed_polynomial(row, n - 1, {"z": (1, -1, 1)}))
 
 
 @check("trivariate-second-order",

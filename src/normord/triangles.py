@@ -7,23 +7,28 @@ brute-force enumeration.  Bessel is the one exception: its rows are the
 closed form (n+j)!/(2^j (n-j)! j!), the side that the ``bessel-closed-form``
 check holds against the diagonal recurrence.  One walk,
 ``family_rows(family, max_n)``, checks the family and its start level and
-pairs each level start..max_n with its row, holding only the row it last
-yielded: a stepped family folds its step over the levels from a copy of its
-base row, bessel maps its closed form over them, and catalan convolves the
-numbers its own walk has built.  ``family_row`` keeps the last row of a new
-walk, so each call returns a new dict that no other caller shares;
-``build_triangle`` and ``normord triangle`` read one walk for all their
-levels.  Keys are plain index tuples.
+pairs each level start..max_n with its row, holding only the step state it
+last made: a shaped family folds its step over the levels from its base
+row as columns, each row a new dict read off the columns in index order;
+beta folds its dict step from a copy of its base row; Ap weights each entry
+of A's walk; bessel maps its closed form over the levels, and catalan
+convolves the numbers its own walk has built.  ``family_row`` keeps the
+last row of a new walk, so each call returns a new dict that no other
+caller shares; ``build_triangle`` and ``normord triangle`` read one walk
+for all their levels.  Keys are plain index tuples.
 
-Families, their step and their row keys.  Fourteen families share one of
+Families, their step and their row keys.  Thirteen families share one of
 two step shapes and state only their move table, each weight an integer
-affine form in (n, k, l).  Ap's mid move carries a factor p, so Ap stores
-polynomials in p; beta keeps its own step:
+affine form in (n, k, l); each step works a column at a time, the run of
+entries along the last index.  Beta keeps its own dict step, and Ap is
+read off A's walk: Ap(n; k, l) = A(n; k, l) * p^(l - k), so Ap stores
+polynomials in p:
 
-    pair      A, Ap, a, gamma, C      (k, l)     unit move to (k+1, l+1)
+    pair      A, a, gamma, C          (k, l)     unit move to (k+1, l+1)
     pair      B, E, W                 (k, l)     unit move to (k+1, l)
     single    S2, S1, eulerian, eulerian2, eulerianB, lah    (k,)
     own step  beta                    (k, j, l)
+    rows      Ap                      (k, l)     A's rows, entry c at (k, l) as c * p^(l-k)
     rows      bessel                  (j,)       closed form (n+j)!/(2^j (n-j)! j!)
     rows      catalan                 ()         one number per row
 
@@ -48,9 +53,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, count
+from itertools import accumulate, chain, compress, count, repeat
 from math import factorial, prod
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterator, Mapping, Union
 
 from .poly import (
@@ -68,58 +73,83 @@ from .poly import (
 Entry = Union[int, Polynomial]
 Row = Mapping[tuple, Entry]
 
-_P, _X, _Z = variable("p"), variable("x"), variable("z")
+_X, _Z = variable("x"), variable("z")
 _X2 = _X * _X
 _XYZ = _X * variable("y") * _Z
 
 
-# Each step maps the row at level n to the row at level n+1 by pushing the
-# contributions of an entry to its children.  Fourteen families step by one
-# of two shapes, _pair or _single, bound by functools.partial to their move
-# table: each weight an integer affine form, (c_n, c_k, c_l, c_0) for c_n*n
-# + c_k*k + c_l*l + c_0 over two indices and (c_n, c_k, c_0) over one.  A
-# step folds the n terms once per row.  Beta, with four moves over three
-# indices, keeps its own step.  Each move adds in place: a zero contribution
-# is skipped and a key's first contribution is stored as it is (Ap's never
-# becomes 0 + p).  The move by weight 1 carries v, never zero as no row holds
-# a zero, and has no test.
-Step = Callable[[Row, int], dict]
+# A shaped step maps the columns of the row at level n to those of level
+# n+1.  A column (prefix, lo, values) is the run of entries along the last
+# index: entry prefix + (lo + i,) holds values[i].  _single's row is one
+# column; _pair's are one per k, consecutive from the first.  Thirteen
+# families step by _pair or _single, bound by functools.partial to their
+# move table: each weight an integer affine form, (c_n, c_k, c_l, c_0) for
+# c_n*n + c_k*k + c_l*l + c_0 over two indices and (c_n, c_k, c_0) over one,
+# so along a column each move's weights are one range and each move is one
+# C-level map(mul, ...).  A column's keep and mid runs, and the unit move
+# carried over from column k-1, are summed by map(add, ...), padded to one
+# span where their starts or lengths differ; zero ends are trimmed.  Beta, with four moves over three indices
+# and columns of about three entries, keeps its own dict step, each move
+# added in place.  Ap is not stepped: Ap(n; k, l) = A(n; k, l) * p^(l - k),
+# since mid is the one move of A that changes l - k and the one that
+# carries p, so Ap's rows are A's walk with each entry weighted.
+Column = tuple[tuple, int, list]
+Columns = list[Column]
+Step = Callable[[Columns, int], Columns]
 Form = tuple[int, ...]
+_ZERO = (0,)
 
 
-def _pair(prev: Row, n: int, keep: Form, mid: Form, dl: int,
-          factor: Polynomial | None = None) -> dict:
-    """(k, l) keeps weight keep, moves to (k, l+1) by mid * factor and to (k+1, l+dl) by 1."""
+def _spread(col: list, c: int, sc: int, d: int, sd: int) -> list:
+    """len(col) + 1 values: col times weights c, c + sc, ... in place plus d, d + sd, ... one up."""
+    m = len(col)
+    kept = map(mul, range(c, c + sc * m, sc) if sc else repeat(c, m), col)
+    moved = map(mul, range(d, d + sd * m, sd) if sd else repeat(d, m), col)
+    return list(map(add, chain(kept, _ZERO), chain(_ZERO, moved)))
+
+
+def _column(prefix: tuple, lo: int, vals: list) -> Column:
+    """The column of ``vals`` from ``lo``, its zero ends trimmed."""
+    while vals and not vals[-1]:
+        vals.pop()
+    first = next(compress(count(), vals), 0)
+    return prefix, lo + first, vals[first:] if first else vals
+
+
+def _pair(cols: Columns, n: int, keep: Form, mid: Form, dl: int) -> Columns:
+    """(k, l) keeps weight keep, moves to (k, l+1) by mid and to (k+1, l+dl) by 1."""
     kn, kk, kl, k0 = keep
     mn, mk, ml, m0 = mid
     k0 += kn * n
     m0 += mn * n
-    nxt: dict = {}
-    get = nxt.get
-    for (k, l), v in prev.items():
-        if w := (k0 + kk * k + kl * l) * v:
-            nxt[key] = w if (old := get(key := (k, l))) is None else old + w
-        if w := m0 + mk * k + ml * l:
-            w = (w if factor is None else w * factor) * v
-            nxt[key] = w if (old := get(key := (k, l + 1))) is None else old + w
-        nxt[key] = v if (old := get(key := (k + 1, l + dl))) is None else old + v
+    nxt: Columns = []
+    # Column k-1's unit move into column k: its values from l = ulo.
+    ulo, unit = cols[0][1], ()
+    for prefix, lo, col in cols:
+        (k,) = prefix
+        vals = _spread(col, k0 + kk * k + kl * lo, kl, m0 + mk * k + ml * lo, ml)
+        u = len(unit)
+        start = min(lo, ulo)
+        if ulo == lo and u <= len(vals):
+            vals[:u] = map(add, vals, unit)
+        else:
+            # Pad both runs to one span: vals from lo, unit from ulo.
+            end = max(lo + len(vals), ulo + u)
+            carried = chain(repeat(0, ulo - start), unit, repeat(0, end - ulo - u))
+            vals = chain(repeat(0, lo - start), vals, repeat(0, end - lo - len(vals)))
+            vals = list(map(add, vals, carried))
+        nxt.append(_column(prefix, start, vals))
+        ulo, unit = lo + dl, col
+    nxt.append(((k + 1,), ulo, unit))
     return nxt
 
 
-def _single(prev: Row, n: int, stay: Form, up: Form) -> dict:
+def _single(cols: Columns, n: int, stay: Form, up: Form) -> Columns:
     """(k,) keeps weight stay and moves to (k+1,) by up."""
     sn, sk, s0 = stay
     un, uk, u0 = up
-    s0 += sn * n
-    u0 += un * n
-    nxt: dict = {}
-    get = nxt.get
-    for (k,), v in prev.items():
-        if w := (s0 + sk * k) * v:
-            nxt[key] = w if (old := get(key := (k,))) is None else old + w
-        if w := (u0 + uk * k) * v:
-            nxt[key] = w if (old := get(key := (k + 1,))) is None else old + w
-    return nxt
+    ((prefix, lo, col),) = cols
+    return [_column(prefix, lo, _spread(col, s0 + sn * n + sk * lo, sk, u0 + un * n + uk * lo, uk))]
 
 
 def _step_beta(prev: Row, n: int) -> dict:
@@ -159,25 +189,58 @@ def _rows_catalan() -> Iterator[dict]:
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A family's index names, start level and base row, and how its rows are made.
+
+    A stepped family folds ``step`` over the levels from its base row.  A
+    shaped step maps columns to columns, starting from one column per base
+    entry; with ``columns`` False (beta) the step maps a dict row to the
+    next.  A family without a step reads its rows from ``rows()``.
+    """
+
     indices: tuple[str, ...]
     start: int
     base: Mapping[tuple, Entry]
-    step: Step | None = None
+    step: Step | Callable[[Row, int], dict] | None = None
     rows: Callable[[], Iterator[dict]] | None = None
+    columns: bool = True
+
+
+def _states(spec: FamilySpec) -> Iterator:
+    """The step states of a stepped family from its start level up, each stepped from the last."""
+    base = ([(idx[:-1], idx[-1], [v]) for idx, v in spec.base.items()] if spec.columns
+            else dict(spec.base))
+    return accumulate(count(spec.start), spec.step, initial=base)
+
+
+def _row(cols: Columns) -> dict:
+    """The row held by ``cols`` as a new dict in index order, its zero entries left out."""
+    row: dict = {}
+    for prefix, lo, col in cols:
+        row.update(compress(zip(zip(*map(repeat, prefix), count(lo)), col), col))
+    return row
+
+
+def _p_power(e: int, c: int) -> Polynomial:
+    return Polynomial._collect({(("p", e),) if e else (): c})
+
+
+def _rows_ap() -> Iterator[dict]:
+    # Each entry c of A at (k, l) stored as c * p^(l - k).
+    for cols in _states(FAMILIES["A"]):
+        yield _row([((k,), lo, list(map(_p_power, count(lo - k), col))) for (k,), lo, col in cols])
 
 
 FAMILIES: dict[str, FamilySpec] = {
     "A": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
         _pair, keep=(0, 0, 1, 0), mid=(1, 0, -1, 0), dl=1)),
-    "Ap": FamilySpec(("k", "l"), 1, {(1, 1): ONE}, partial(
-        _pair, keep=(0, 0, 1, 0), mid=(1, 0, -1, 0), dl=1, factor=_P)),
+    "Ap": FamilySpec(("k", "l"), 1, {(1, 1): ONE}, rows=_rows_ap),
     "a": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
         _pair, keep=(0, 0, 1, 0), mid=(1, 1, -1, 0), dl=1)),
     "gamma": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
         _pair, keep=(0, 0, 1, 0), mid=(2, 2, -4, 0), dl=1)),
     "C": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
         _pair, keep=(0, 0, 1, 0), mid=(2, -1, -1, 0), dl=1)),
-    "beta": FamilySpec(("k", "j", "l"), 1, {(1, 0, 0): 1}, _step_beta),
+    "beta": FamilySpec(("k", "j", "l"), 1, {(1, 0, 0): 1}, _step_beta, columns=False),
     "B": FamilySpec(("k", "l"), 1, {(1, 0): 1}, partial(
         _pair, keep=(0, 1, 2, 0), mid=(2, -1, -2, 0), dl=0)),
     "E": FamilySpec(("k", "l"), 1, {(1, 0): 1}, partial(
@@ -223,8 +286,10 @@ def family_rows(family: str, max_n: int) -> Iterator[tuple[int, dict[tuple, Entr
     if max_n < spec.start:
         raise ValueError(f"family {family!r} starts at n = {spec.start}")
     levels = range(spec.start, max_n + 1)
-    rows = (spec.rows() if spec.step is None
-            else accumulate(levels, spec.step, initial=dict(spec.base)))
+    if spec.step is None:
+        rows = spec.rows()
+    else:
+        rows = map(_row, _states(spec)) if spec.columns else _states(spec)
     # The levels come first in zip, so no row past max_n is stepped.
     return zip(levels, rows)
 

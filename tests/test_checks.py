@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -189,6 +190,26 @@ class TestReporting:
         with pytest.raises(ValueError,
                            match=r"^negative or non-integer triangle entry \(1, 1, 0\): -1$"):
             list(normord.checks._beta_positivity(3))
+
+    def test_raise_after_equal_pairs_names_them(self, monkeypatch):
+        import normord.checks
+
+        # Both sides of beta-positivity's one comparison lose the term q*v*w,
+        # entry (1, 1, 0), so they compare equal before the entry check raises.
+        assemble = normord.checks.assemble
+
+        def shifted(name, n):
+            return assemble(name, n) - mono(1, q=1, v=1, w=1)
+
+        monkeypatch.setattr(normord.checks, "assemble", shifted)
+        monkeypatch.setattr(
+            normord.checks, "normal_order_power",
+            lambda w, g, n: SimpleNamespace(specialize=lambda q: shifted("beta", n)))
+        result = run_check("beta-positivity", 3)
+        assert result.render() == (
+            "FAIL beta-positivity (n=1..3): n=1 [a side raised ValueError]"
+            " left: negative or non-integer triangle entry (1, 1, 0): -1"
+            " | right: 1 pair built and equal")
 
     def test_json_failure_payload(self):
         w = Witness(2, "note", "left text", "right text")

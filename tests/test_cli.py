@@ -22,6 +22,7 @@ from normord.cli import OBJECT_NAMES, _object_id, main
 from normord.combinat import CAPS, SCANS
 from normord.forests import FLAVORS, census, grow_forests
 from normord.triangles import FAMILIES
+from test_triangles import STEPPED, STEPPER
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -184,26 +185,32 @@ class TestTriangle:
         code, out, err = run("triangle", "--family", "A", "--n", "0")
         assert (code, out, err) == (2, "", "error: family 'A' starts at n = 1\n")
 
-    @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.step])
+    @pytest.mark.parametrize("family", STEPPED)
     def test_command_drops_the_kept_row(self, family, monkeypatch):
         # The command steps each level below --n once, none past it, and holds
-        # no row of its walk once it returns.
-        spec = FAMILIES[family]
-        argv = ("triangle", "--family", family, "--n", str(spec.start + 5))
+        # no step state of its walk once it returns: beta's dict row, or
+        # another family's columns (Ap's are A's).
+        start = FAMILIES[family].start
+        spec = FAMILIES[STEPPER[family]]
+        argv = ("triangle", "--family", family, "--n", str(start + 5))
         want = run(*argv)
         stepped = []
 
         class Row(dict):
             pass
 
-        def step(prev, n):
-            row = Row(spec.step(prev, n))
-            stepped.append((n, weakref.ref(row)))
-            return row
+        class Columns(list):
+            pass
 
-        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec, step=step))
+        def step(prev, n):
+            state = spec.step(prev, n)
+            state = (Row if isinstance(state, dict) else Columns)(state)
+            stepped.append((n, weakref.ref(state)))
+            return state
+
+        monkeypatch.setitem(FAMILIES, STEPPER[family], dataclasses.replace(spec, step=step))
         assert run(*argv) == want
-        assert [n for n, _ in stepped] == list(range(spec.start, spec.start + 5))
+        assert [n for n, _ in stepped] == list(range(start, start + 5))
         assert all(ref() is None for _, ref in stepped)
 
 

@@ -111,13 +111,11 @@ class TestFamilyRow:
                     assert value >= 0
 
     def test_stepped_rows_hold_no_zero_and_one_entry_type(self):
-        # A step skips zero contributions and stores a key's first one as it
-        # is: no entry is 0, Ap's entries are polynomials and all others ints.
-        for family, spec in FAMILIES.items():
-            if spec.step is None:
-                continue
+        # A row leaves out zero entries: no entry is 0, Ap's entries are
+        # polynomials and all others ints.
+        for family in STEPPED:
             kind = Polynomial if family == "Ap" else int
-            for n in range(spec.start, 16):
+            for n in range(FAMILIES[family].start, 16):
                 for idx, v in family_row(family, n).items():
                     assert v and type(v) is kind, (family, n, idx, v)
 
@@ -136,16 +134,29 @@ class TestFamilyRow:
                 assert a_row.get((k, k), 0) == s2.get((k,), 0)
 
 
+# The family whose step steps each stepped family's rows: Ap's rows are A's
+# walk with each entry weighted by p^(l - k).
+STEPPER = {**{f: f for f, spec in FAMILIES.items() if spec.step}, "Ap": "A"}
+STEPPED = [f for f in FAMILY_NAMES if f in STEPPER]
+
+
+def test_steppers_cover_every_family_but_the_row_readers():
+    # A family left out here would drop out of every step-counting test.
+    assert set(FAMILY_NAMES) - set(STEPPER) == {"bessel", "catalan"}
+    assert all(FAMILIES[stepper].step for stepper in STEPPER.values())
+
+
 def _counting_steps(monkeypatch, family: str) -> list:
-    """Patch ``family``'s step to record each level it steps from."""
-    spec = FAMILIES[family]
+    """Patch the step behind ``family``'s rows to record each level it steps from."""
+    stepper = STEPPER[family]
+    spec = FAMILIES[stepper]
     calls = []
 
     def counting(prev, n):
         calls.append(n)
         return spec.step(prev, n)
 
-    monkeypatch.setitem(FAMILIES, family, dataclasses.replace(spec, step=counting))
+    monkeypatch.setitem(FAMILIES, stepper, dataclasses.replace(spec, step=counting))
     return calls
 
 
@@ -161,7 +172,7 @@ class TestRowWindow:
         family_row("A", 1)
         assert len(steps) == 59 + 9
 
-    @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.step])
+    @pytest.mark.parametrize("family", STEPPED)
     def test_held_row_outlives_restepping(self, family):
         # Later reads, from above and from below, leave a held row as it was.
         n = FAMILIES[family].start + 2
@@ -182,7 +193,7 @@ class TestFamilyRows:
         rows = [row for _, row in pairs] + [FAMILIES[family].base]
         assert len({id(row) for row in rows}) == len(rows)
 
-    @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.step])
+    @pytest.mark.parametrize("family", STEPPED)
     def test_steps_max_n_minus_start(self, family, monkeypatch):
         steps = _counting_steps(monkeypatch, family)
         start = FAMILIES[family].start
@@ -190,6 +201,11 @@ class TestFamilyRows:
             steps.clear()
             assert sum(1 for _ in family_rows(family, top)) == top - start + 1
             assert steps == list(range(start, top))
+
+    @pytest.mark.parametrize("family", [f for f in STEPPED if f != "beta"])
+    def test_shaped_rows_iterate_in_index_order(self, family):
+        for n, row in family_rows(family, FAMILIES[family].start + 12):
+            assert list(row) == sorted(row), (family, n)
 
     @pytest.mark.parametrize("family", ["A", "S2", "bessel", "catalan"])
     def test_one_below_start_message(self, family, capsys):
@@ -226,7 +242,7 @@ class TestPureRows:
         assert family_row(family, start + 3) == want[start + 3]
         assert FAMILIES[family].base == want[start]
 
-    @pytest.mark.parametrize("family", [f for f, spec in FAMILIES.items() if spec.step])
+    @pytest.mark.parametrize("family", STEPPED)
     def test_triangle_steps_each_level_once(self, family, monkeypatch):
         # build_triangle reads one walk and steps no row past its top level.
         steps = _counting_steps(monkeypatch, family)
@@ -282,14 +298,12 @@ def test_rows_match_recorded_digest(family):
 def test_shaped_weights_are_integer_forms():
     # Every stepped family but beta binds its step shape to a move table of
     # integer affine forms, (c_n, c_k, c_l, c_0) over two indices and
-    # (c_n, c_k, c_0) over one; Ap's p is a factor on its mid move.
-    p = variable("p")
+    # (c_n, c_k, c_0) over one.
     for family, spec in FAMILIES.items():
         if spec.step is None or family == "beta":
             continue
         assert isinstance(spec.step, functools.partial), family
         moves = dict(spec.step.keywords)
-        assert (moves.pop("factor", None) == p) == (family == "Ap"), family
         if len(spec.indices) == 2:
             assert type(moves.pop("dl")) is int, family
             assert moves.keys() == {"keep", "mid"}, family
@@ -298,6 +312,63 @@ def test_shaped_weights_are_integer_forms():
         for form in moves.values():
             assert type(form) is tuple and len(form) == len(spec.indices) + 2, (family, form)
             assert all(type(c) is int for c in form), (family, form)
+
+
+def _dict_pair(prev, n, keep, mid, dl, factor=None):
+    """Reference dict step: (k, l) keeps weight keep, moves to (k, l+1) by mid * factor
+    and to (k+1, l+dl) by 1, each weight an integer affine form in (n, k, l)."""
+    nxt: dict = {}
+    for (k, l), v in prev.items():
+        w = mid[0] * n + mid[1] * k + mid[2] * l + mid[3]
+        for key, c in (((k, l), (keep[0] * n + keep[1] * k + keep[2] * l + keep[3]) * v),
+                       ((k, l + 1), (w if factor is None else w * factor) * v),
+                       ((k + 1, l + dl), v)):
+            if c:
+                nxt[key] = nxt[key] + c if key in nxt else c
+    return nxt
+
+
+def _dict_single(prev, n, stay, up):
+    """Reference dict step: (k,) keeps weight stay and moves to (k+1,) by up."""
+    nxt: dict = {}
+    for (k,), v in prev.items():
+        for key, c in (((k,), (stay[0] * n + stay[1] * k + stay[2]) * v),
+                       ((k + 1,), (up[0] * n + up[1] * k + up[2]) * v)):
+            if c:
+                nxt[key] = nxt[key] + c if key in nxt else c
+    return nxt
+
+
+def test_ap_is_a_weighted_by_p_to_the_l_minus_k():
+    # Against A's recurrence with p carried on its mid move.
+    ref = {(1, 1): ONE}
+    for n, row in family_rows("Ap", 30):
+        assert row == ref, n
+        assert all(type(v) is Polynomial and v for v in row.values()), n
+        ref = _dict_pair(ref, n, keep=(0, 0, 1, 0), mid=(1, 0, -1, 0), dl=1, factor=variable("p"))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_column_steps_match_dict_steps(seed):
+    # Random move tables, with negative weights, cancelling entries and a
+    # unit move that lands below or above its column's start, reach the
+    # padded and trimmed paths that no family's table reaches.
+    rng = random.Random(seed)
+
+    def form(width):
+        return tuple(rng.randint(-2, 2) for _ in range(width))
+
+    dl = rng.randint(-1, 2)
+    for step, ref, table, base in (
+        (triangles._pair, _dict_pair, {"keep": form(4), "mid": form(4), "dl": dl}, (1, 1)),
+        (triangles._single, _dict_single, {"stay": form(3), "up": form(3)}, (1,)),
+    ):
+        cols, row = [(base[:-1], base[-1], [1])], {base: 1}
+        for n in range(1, 9):
+            cols = step(cols, n, **table)
+            row = {idx: v for idx, v in ref(row, n, **table).items() if v}
+            assert list(triangles._row(cols).items()) == sorted(row.items()), (table, n)
+            assert all(col[:1] != [0] and col[-1:] != [0] for _, _, col in cols), (table, n)
 
 
 # sha256 over the lines "n<TAB>render" of assemble(name, n), and of
