@@ -6,89 +6,70 @@ polynomial) into a formal derivative, normal-orders powers of
 reproduces every coefficient triangle from its recurrence, enumerates
 the matching combinatorial objects by brute force, and cross-checks all
 of these constructions against each other exactly.
+
+The package imports its modules lazily (PEP 562): each public name below
+is looked up in its module on first access and then kept in the package
+namespace, so ``import normord`` loads no module, and
+``from normord.normal_form import normal_order_power`` loads ``poly``,
+``grammar`` and ``normal_form`` alone.
 """
 
-from .checks import (
-    CheckResult,
-    CheckSpec,
-    Witness,
-    check_ids,
-    render_report,
-    results_to_json,
-    run_all,
-    run_check,
-)
-from .combinat import (
-    list_partitions,
-    permutations,
-    signed_permutations,
-    stat_polynomial,
-    stirling_lists,
-    stirling_permutations,
-)
-from .forests import grow_forests
-from .grammar import PRESETS, Grammar
-from .normal_form import NormalForm, normal_order_power
-from .poly import (
-    ParseError,
-    PoleError,
-    Polynomial,
-    mono,
-    parse,
-    variable,
-)
-from .series import bessel_polynomial, catalan_number
-from .triangles import (
-    FAMILY_NAMES,
-    assemble,
-    build_triangle,
-    ctilde_xx,
-    e_expand,
-    family_row,
-    family_rows,
-    family_spec,
-    gamma_expand,
-    rising_factorial,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CheckResult",
-    "CheckSpec",
-    "FAMILY_NAMES",
-    "Grammar",
-    "NormalForm",
-    "PRESETS",
-    "ParseError",
-    "PoleError",
-    "Polynomial",
-    "Witness",
-    "assemble",
-    "bessel_polynomial",
-    "build_triangle",
-    "catalan_number",
-    "check_ids",
-    "ctilde_xx",
-    "e_expand",
-    "family_row",
-    "family_rows",
-    "family_spec",
-    "gamma_expand",
-    "grow_forests",
-    "list_partitions",
-    "mono",
-    "normal_order_power",
-    "parse",
-    "permutations",
-    "render_report",
-    "results_to_json",
-    "rising_factorial",
-    "run_all",
-    "run_check",
-    "signed_permutations",
-    "stat_polynomial",
-    "stirling_lists",
-    "stirling_permutations",
-    "variable",
-]
+# Each public name and the module that defines it.
+_EXPORTS = {
+    "CheckResult": "checks",
+    "CheckSpec": "checks",
+    "Witness": "checks",
+    "check_ids": "checks",
+    "render_report": "checks",
+    "results_to_json": "checks",
+    "run_all": "checks",
+    "run_check": "checks",
+    "list_partitions": "combinat",
+    "permutations": "combinat",
+    "signed_permutations": "combinat",
+    "stat_polynomial": "combinat",
+    "stirling_lists": "combinat",
+    "stirling_permutations": "combinat",
+    "grow_forests": "forests",
+    "PRESETS": "grammar",
+    "Grammar": "grammar",
+    "NormalForm": "normal_form",
+    "normal_order_power": "normal_form",
+    "ParseError": "poly",
+    "PoleError": "poly",
+    "Polynomial": "poly",
+    "mono": "poly",
+    "parse": "poly",
+    "variable": "poly",
+    "bessel_polynomial": "series",
+    "catalan_number": "series",
+    "FAMILY_NAMES": "triangles",
+    "assemble": "triangles",
+    "build_triangle": "triangles",
+    "ctilde_xx": "triangles",
+    "e_expand": "triangles",
+    "family_row": "triangles",
+    "family_rows": "triangles",
+    "family_spec": "triangles",
+    "gamma_expand": "triangles",
+    "rising_factorial": "triangles",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

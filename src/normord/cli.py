@@ -16,6 +16,13 @@ verify
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  All
 diagnostics go to stderr; identical invocations print identical bytes.
+
+Each command is a new process, so the module loads only what building the
+parser needs (``combinat``, for the ``--objects`` choices, and ``poly``
+through it), and each handler imports its own layer when it runs.  The
+three help texts that name registry entries (grammar presets, families,
+check ids) are completed when help is formatted, so ``--help`` is the one
+path that loads those registries without running a command.
 """
 
 from __future__ import annotations
@@ -27,32 +34,25 @@ from itertools import islice, tee
 from operator import itemgetter
 from typing import Iterable, List, Optional
 
-from .checks import check_ids, render_report, results_to_json, run_all, run_check
 from .combinat import _ENUMERATORS, CAPS, SCANS
-from .forests import census, grow_forests
-from .grammar import PRESETS, Grammar
-from .normal_form import normal_order_power
-from .poly import _SYMBOL, Polynomial, parse, variable
-from .triangles import FAMILY_NAMES, family_rows, family_spec
 
 __all__ = ["main", "build_parser"]
-
-
-def _parse_grammar(text: str) -> Grammar:
-    if "->" in text:
-        return Grammar.from_text(text)
-    return Grammar.preset(text)
 
 
 # -- expand ----------------------------------------------------------------
 
 
 def _cmd_expand(args: argparse.Namespace, out) -> int:
+    from .grammar import Grammar
+    from .normal_form import normal_order_power
+    from .poly import _SYMBOL, parse, variable
+
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     if args.at_d is not None and not _SYMBOL.fullmatch(args.at_d):
         raise ValueError(f"--at-d must be a symbol name, got {args.at_d!r}")
-    grammar = _parse_grammar(args.grammar)
+    text = args.grammar
+    grammar = Grammar.from_text(text) if "->" in text else Grammar.preset(text)
     w = parse(args.w)
     nf = normal_order_power(w, grammar, args.n)
     result = nf if args.at_d is None else nf.specialize(variable(args.at_d))
@@ -67,9 +67,13 @@ def _cmd_expand(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_triangle(args: argparse.Namespace, out) -> int:
+    from .poly import Polynomial
+    from .triangles import family_rows, family_spec
+
     # family_rows checks the family and --n at the call, before any output.
     family, rows = args.family, family_rows(args.family, args.n)
-    names = family_spec(family).indices
+    spec = family_spec(family)
+    names = spec.indices
     # Each format fills one %-template per entry: n's slot is %d, filled once
     # per row, and the index and entry slots are %%s.  `columns` names the
     # index in the template's order; csv's k, l and j columns and json's
@@ -90,10 +94,12 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
     reorder = itemgetter(*order) if order != sorted(order) else None
     entry_first = args.format == "json"
     # A text row is one line, csv and json a line per entry; a row is written
-    # 512 entries at a time, so no deep row is held as one text.
+    # 512 entries at a time, so no deep row is held as one text.  Rows come
+    # in index order but beta's, which its dict step (``columns`` False)
+    # leaves in step order.
     for n, row in rows:
         fill = (cell % n).__mod__
-        keys = sorted(row)
+        keys = list(row) if spec.columns else sorted(row)
         quote = entry_first and isinstance(row[keys[0]], Polynomial)
         for i in range(0, len(keys), 512):
             part = keys[i:i + 512]
@@ -120,6 +126,8 @@ def _object_id(obj: tuple) -> str:
 
 
 def _cmd_enumerate(args: argparse.Namespace, out) -> int:
+    from .forests import census, grow_forests
+
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     wanted: Optional[List[str]] = None
@@ -172,6 +180,8 @@ def _write_batched(out, records) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
+    from .checks import render_report, results_to_json, run_all, run_check
+
     if args.check is not None:
         if args.profile is not None:
             raise ValueError("--profile applies to a whole-registry run")
@@ -190,8 +200,42 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that completes some help texts when help is formatted.
+
+    ``late_help`` pairs an option with a function returning its full help
+    text, so a registry named in that text is imported only when help is
+    printed.  Each help is a plain string whenever argparse reads it.
+    """
+
+    late_help: tuple = ()
+
+    def format_help(self) -> str:
+        for action, text in self.late_help:
+            action.help = text()
+        return super().format_help()
+
+
+def _grammar_help() -> str:
+    from .grammar import PRESETS
+
+    return f"inline rules 'x->y;y->y' or a preset name ({', '.join(sorted(PRESETS))})"
+
+
+def _family_help() -> str:
+    from .triangles import FAMILY_NAMES
+
+    return f"one of: {', '.join(FAMILY_NAMES)}"
+
+
+def _check_help() -> str:
+    from .checks import check_ids
+
+    return f"run one check id; known: {', '.join(check_ids())}"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="normord",
         description="Normal ordering of grammar-induced derivative operators.",
     )
@@ -199,12 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="normal-order a power of multiplier * derivative")
     p.add_argument("--w", required=True, help="multiplier polynomial, e.g. 'x' or 'x*y'")
-    p.add_argument(
-        "--grammar",
-        required=True,
-        help="inline rules 'x->y;y->y' or a preset name "
-        f"({', '.join(sorted(PRESETS))})",
-    )
+    p.late_help = ((p.add_argument("--grammar", required=True), _grammar_help),)
     p.add_argument("--n", type=int, required=True, help="operator power")
     p.add_argument(
         "--at-d",
@@ -215,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser("triangle", help="stream coefficient rows of a family")
-    p.add_argument("--family", required=True, help=f"one of: {', '.join(FAMILY_NAMES)}")
+    p.late_help = ((p.add_argument("--family", required=True), _family_help),)
     p.add_argument("--n", type=int, required=True, help="largest level to print")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(handler=_cmd_triangle)
@@ -228,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run the identity check registry")
-    p.add_argument("--check", help=f"run one check id; known: {', '.join(check_ids())}")
+    p.late_help = ((p.add_argument("--check"), _check_help),)
     p.add_argument("--n-max", type=int, help="largest level for a single --check run")
     p.add_argument("--profile", choices=("quick", "full"),
                    help="depths for a whole-registry run (default: full)")

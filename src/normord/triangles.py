@@ -12,8 +12,9 @@ last made: a shaped family folds its step over the levels from its base
 row as columns, each row a new dict read off the columns in index order;
 beta folds its dict step from a copy of its base row; Ap weights each entry
 of A's walk; bessel maps its closed form over the levels, and catalan
-convolves the numbers its own walk has built.  ``family_row`` keeps the
-last row of a new walk, so each call returns a new dict that no other
+convolves the numbers its own walk has built.  Every row but beta's
+iterates in index order.  ``family_row`` steps a new walk to its level and
+reads that state alone, so each call returns a new dict that no other
 caller shares; ``build_triangle`` and ``normord triangle`` read one walk
 for all their levels.  Keys are plain index tuples.
 
@@ -193,15 +194,18 @@ class FamilySpec:
 
     A stepped family folds ``step`` over the levels from its base row.  A
     shaped step maps columns to columns, starting from one column per base
-    entry; with ``columns`` False (beta) the step maps a dict row to the
-    next.  A family without a step reads its rows from ``rows()``.
+    entry, and each row is read off its columns in index order; with
+    ``columns`` False (beta) the step maps a dict row to the next, whose
+    entries come in step order.  A family without a step walks ``rows()``,
+    and ``read``, when given, makes each row of a state of that walk.
     """
 
     indices: tuple[str, ...]
     start: int
     base: Mapping[tuple, Entry]
     step: Step | Callable[[Row, int], dict] | None = None
-    rows: Callable[[], Iterator[dict]] | None = None
+    rows: Callable[[], Iterator] | None = None
+    read: Callable[[Columns], dict] | None = None
     columns: bool = True
 
 
@@ -224,16 +228,16 @@ def _p_power(e: int, c: int) -> Polynomial:
     return Polynomial._collect({(("p", e),) if e else (): c})
 
 
-def _rows_ap() -> Iterator[dict]:
-    # Each entry c of A at (k, l) stored as c * p^(l - k).
-    for cols in _states(FAMILIES["A"]):
-        yield _row([((k,), lo, list(map(_p_power, count(lo - k), col))) for (k,), lo, col in cols])
+def _ap_row(cols: Columns) -> dict:
+    """Ap's row off the columns of A's: each entry c of A at (k, l) as c * p^(l - k)."""
+    return _row([((k,), lo, list(map(_p_power, count(lo - k), col))) for (k,), lo, col in cols])
 
 
 FAMILIES: dict[str, FamilySpec] = {
     "A": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
         _pair, keep=(0, 0, 1, 0), mid=(1, 0, -1, 0), dl=1)),
-    "Ap": FamilySpec(("k", "l"), 1, {(1, 1): ONE}, rows=_rows_ap),
+    "Ap": FamilySpec(("k", "l"), 1, {(1, 1): ONE}, rows=lambda: _states(FAMILIES["A"]),
+                     read=_ap_row),
     "a": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
         _pair, keep=(0, 0, 1, 0), mid=(1, 1, -1, 0), dl=1)),
     "gamma": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
@@ -277,26 +281,40 @@ def family_spec(family: str) -> FamilySpec:
     return spec
 
 
-def family_rows(family: str, max_n: int) -> Iterator[tuple[int, dict[tuple, Entry]]]:
-    """(n, row n) for n = start..max_n of a family, each row a new dict.
+def _walk(family: str, max_n: int) -> tuple[range, Iterator, Callable | None]:
+    """The levels start..max_n of a family, its walk's states and the function that reads one.
 
-    The family and its start level are checked at the call, before any row.
+    A state is its row itself where the reader is None.  The family and its
+    start level are checked at the call, before any step.
     """
     spec = family_spec(family)
     if max_n < spec.start:
         raise ValueError(f"family {family!r} starts at n = {spec.start}")
     levels = range(spec.start, max_n + 1)
     if spec.step is None:
-        rows = spec.rows()
-    else:
-        rows = map(_row, _states(spec)) if spec.columns else _states(spec)
+        return levels, spec.rows(), spec.read
+    return levels, _states(spec), _row if spec.columns else None
+
+
+def family_rows(family: str, max_n: int) -> Iterator[tuple[int, dict[tuple, Entry]]]:
+    """(n, row n) for n = start..max_n of a family, each row a new dict.
+
+    The family and its start level are checked at the call, before any row.
+    Every family's rows but beta's iterate in index order.
+    """
+    levels, states, read = _walk(family, max_n)
     # The levels come first in zip, so no row past max_n is stepped.
-    return zip(levels, rows)
+    return zip(levels, states if read is None else map(read, states))
 
 
 def family_row(family: str, n: int) -> dict[tuple, Entry]:
-    """Row n of a family as a new dict keyed by the index tuple, read from a walk of its own."""
-    return deque(family_rows(family, n), maxlen=1)[0][1]
+    """Row n of a family as a new dict keyed by the index tuple, read from a walk of its own.
+
+    The walk steps to level n and reads that level's state alone.
+    """
+    levels, states, read = _walk(family, n)
+    state = deque(zip(levels, states), maxlen=1)[0][1]
+    return state if read is None else read(state)
 
 
 def build_triangle(family: str, max_n: int) -> dict[tuple, Entry]:

@@ -574,10 +574,10 @@ class TestVerify:
     @pytest.mark.parametrize("argv, profile", [((), "full"), (("--profile", "quick"), "quick"),
                                                (("--profile", "full"), "full")])
     def test_whole_registry_profile(self, argv, profile, monkeypatch):
-        import normord.cli
+        import normord.checks
 
         profiles = []
-        monkeypatch.setattr(normord.cli, "run_all", lambda p: profiles.append(p) or [])
+        monkeypatch.setattr(normord.checks, "run_all", lambda p: profiles.append(p) or [])
         assert run("verify", *argv) == (0, "0/0 checks passed\n", "")
         assert profiles == [profile]
 
@@ -656,6 +656,64 @@ class TestVerify:
         }
 
 
+# sha256 of each --help text at COLUMNS=80, recorded while the parser still
+# read every registry when it was built.  The key is the subcommand before
+# --help; the empty key is the top-level help.
+HELP_DIGESTS = {
+    "": "17f40b693de94adaeaaa69fcd3aeb2d6e0ee7a42f0c00e8900ae48ef567e8a14",
+    "expand": "1b9d154907f287b9b3234ba6911bfef377615ee3130972c62b386c502c6397e1",
+    "triangle": "6bfafbf88e066dfdf814b5839ca155597e71379e4b20939956658ef7f90f382f",
+    "enumerate": "8ed5f85599bb9754dddf11e7bb485bd35c8addf283c8ce8b932cb354fbb6e9a9",
+    "verify": "c24c32d2e75db59fda923de3fde879f820af537e4b38118bdde638395dffedb3",
+}
+
+
+def _loaded_modules(code: str) -> list[str]:
+    """The normord modules a fresh interpreter holds after running ``code``."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(normord.__file__)))
+    child = code + "\nprint(*sorted(m for m in sys.modules if m.partition('.')[0] == 'normord'))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + child],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestStartup:
+    """Each entry point imports the modules it runs and no others."""
+
+    def test_parser_loads_no_registry(self):
+        loaded = _loaded_modules("import normord.cli\nnormord.cli.build_parser()")
+        assert loaded == ["normord", "normord.cli", "normord.combinat", "normord.poly"]
+
+    def test_normal_form_loads_its_layers_alone(self):
+        loaded = _loaded_modules("from normord.normal_form import normal_order_power")
+        assert loaded == ["normord", "normord.grammar", "normord.normal_form", "normord.poly"]
+
+    def test_package_import_loads_no_module(self):
+        assert _loaded_modules("import normord") == ["normord"]
+
+    def test_star_import_binds_every_export(self):
+        loaded = _loaded_modules(
+            "from normord import *\n"
+            "import normord\n"
+            "missing = [name for name in normord.__all__ if name not in globals()]\n"
+            "assert not missing, missing")
+        assert loaded == ["normord", *(f"normord.{m}" for m in (
+            "checks", "combinat", "forests", "grammar", "normal_form", "poly", "series",
+            "triangles"))]
+
+    def test_dir_covers_the_exports(self):
+        assert set(normord.__all__) <= set(dir(normord))
+
+    def test_unknown_attribute_names_itself(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            normord.no_such_name
+
+
 class TestHarness:
     def test_no_arguments(self):
         code, _, _ = run()
@@ -676,6 +734,14 @@ class TestHarness:
         code, out, _ = run("--help")
         assert code == 0
         assert "expand" in out
+
+    @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+    def test_help_matches_recorded_digest(self, command, monkeypatch):
+        # argparse wraps help to the terminal width, read from COLUMNS.
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(*command.split(), "--help")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
 
     def test_deterministic_output(self):
         args = ("triangle", "--family", "A", "--n", "5", "--format", "csv")

@@ -207,6 +207,19 @@ class TestFamilyRows:
         for n, row in family_rows(family, FAMILIES[family].start + 12):
             assert list(row) == sorted(row), (family, n)
 
+    @pytest.mark.parametrize("family", [f for f in STEPPED if f != "beta"])
+    def test_family_row_reads_one_state(self, family, monkeypatch):
+        # The walk steps to row n and turns only that level's columns into a dict.
+        reads = []
+        row = triangles._row
+        monkeypatch.setattr(triangles, "_row", lambda cols: reads.append(cols) or row(cols))
+        start = FAMILIES[family].start
+        for n in (start, start + 1, start + 9):
+            reads.clear()
+            got = family_row(family, n)
+            assert len(reads) == 1
+            assert got == dict(family_rows(family, n))[n]
+
     @pytest.mark.parametrize("family", ["A", "S2", "bessel", "catalan"])
     def test_one_below_start_message(self, family, capsys):
         start = FAMILIES[family].start
