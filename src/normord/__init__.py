@@ -47,15 +47,16 @@ _EXPORTS = {
     "variable": "poly",
     "bessel_polynomial": "series",
     "catalan_number": "series",
+    "e_expand": "symmetric",
+    "gamma_expand": "symmetric",
     "FAMILY_NAMES": "triangles",
     "assemble": "triangles",
     "build_triangle": "triangles",
     "ctilde_xx": "triangles",
-    "e_expand": "triangles",
+    "family_columns": "triangles",
     "family_row": "triangles",
     "family_rows": "triangles",
     "family_spec": "triangles",
-    "gamma_expand": "triangles",
     "rising_factorial": "triangles",
 }
 

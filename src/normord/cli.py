@@ -7,7 +7,9 @@ expand
     coefficient of each derivative power, or the fully specialized
     polynomial when --at-d is given.
 triangle
-    Stream the rows of a coefficient family in text, csv or json lines.
+    Stream the rows of a coefficient family in text, csv or json lines,
+    each formatted straight from the columns of the family's walk
+    (``triangles.family_columns``), with no dict row or index tuple.
 enumerate
     Stream combinatorial objects with their statistics as json lines
     (or a compact text form).
@@ -30,7 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice, tee
+from itertools import chain, compress, count, islice, tee
 from operator import itemgetter
 from typing import Iterable, List, Optional
 
@@ -67,49 +69,49 @@ def _cmd_expand(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_triangle(args: argparse.Namespace, out) -> int:
-    from .poly import Polynomial
-    from .triangles import family_rows, family_spec
+    from .triangles import family_columns, family_spec
 
-    # family_rows checks the family and --n at the call, before any output.
-    family, rows = args.family, family_rows(args.family, args.n)
+    # family_columns checks the family and --n at the call, before any output.
+    family, rows = args.family, family_columns(args.family, args.n)
     spec = family_spec(family)
     names = spec.indices
-    # Each format fills one %-template per entry: n's slot is %d, filled once
-    # per row, and the index and entry slots are %%s.  `columns` names the
-    # index in the template's order; csv's k, l and j columns and json's
-    # sorted keys differ from the index order for beta only.
+    # Each format fills one %-template per entry.  The slots of n and of each
+    # index but the last are named, %(n)d and %(k)d, and bound once per column
+    # (prefix, lo, values); the last index and the entry are %%s slots that
+    # the column's entries fill, the entry after the index in text and csv and
+    # before it in json.  Catalan's column ((), 0, [c]) has no last index, so
+    # a %%.0s after n's slot takes the 0 and writes nothing.
+    *named, last = "n", *names
+    slot = {c: f"%({c})d" for c in named}
+    slot[last] = "%%s" if names else "%(n)d%%.0s"
     sep = end = ""
     if args.format == "text":
-        columns, sep, end = names, ",", "\n"
-        cell = f"({','.join(['%d', *['%%s'] * len(names)])})=%%s"
+        sep, end = ",", "\n"
+        cell = f"({','.join(map(slot.get, ('n', *names)))})=%%s"
     elif args.format == "csv":
         out.write("family,n,k,l,j,entry\n")
-        columns = [c for c in "klj" if c in names]
-        cell = f"{family},%d,{','.join('%%s' if c in names else '' for c in 'klj')},%%s\n"
+        cell = f"{family},{slot['n']},{','.join(slot.get(c, '') for c in 'klj')},%%s\n"
     else:
-        columns = sorted(names)
-        index = ", ".join(f'"{c}": %%s' for c in columns)
-        cell = f'{{"entry": %%s, "family": "{family}", "index": {{{index}}}, "n": %d}}\n'
-    order = [names.index(c) for c in columns]
-    reorder = itemgetter(*order) if order != sorted(order) else None
+        # A polynomial entry (Ap) renders as plain ASCII with nothing to
+        # escape, so its json string is its render in quotes.
+        entry = "%%s" if isinstance(next(iter(spec.base.values())), int) else '"%%s"'
+        index = ", ".join(f'"{c}": {slot[c]}' for c in sorted(names))
+        cell = f'{{"entry": {entry}, "family": "{family}", "index": {{{index}}}, "n": {slot["n"]}}}\n'
     entry_first = args.format == "json"
     # A text row is one line, csv and json a line per entry; a row is written
-    # 512 entries at a time, so no deep row is held as one text.  Rows come
-    # in index order but beta's, which its dict step (``columns`` False)
-    # leaves in step order.
-    for n, row in rows:
-        fill = (cell % n).__mod__
-        keys = list(row) if spec.columns else sorted(row)
-        quote = entry_first and isinstance(row[keys[0]], Polynomial)
-        for i in range(0, len(keys), 512):
-            part = keys[i:i + 512]
-            idx = part if reorder is None else map(reorder, part)
-            vals = map(row.__getitem__, part)
-            if quote:
-                vals = map(json.dumps, map(Polynomial.render, vals))
-            pairs = (zip(vals), idx) if entry_first else (idx, zip(vals))
-            text = sep.join(map(fill, map(tuple.__add__, *pairs)))
-            out.write(text + (sep if i + len(part) < len(keys) else end))
+    # 512 entries at a time, so no deep row is held as one text.  Columns
+    # alias across levels, so they are only read, and a zero value inside a
+    # column is no entry.
+    for n, cols in rows:
+        records = chain.from_iterable(
+            map((cell % dict(zip(names, prefix), n=n)).__mod__,
+                compress(zip(vals, count(lo)) if entry_first else zip(count(lo), vals), vals))
+            for prefix, lo, vals in cols)
+        part = sep.join(islice(records, 512))
+        while more := sep.join(islice(records, 512)):
+            out.write(part + sep)
+            part = more
+        out.write(part + end)
     return 0
 
 

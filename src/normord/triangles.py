@@ -5,31 +5,33 @@ is generated bottom-up from its defining recurrence, so the triangles serve
 as an independent computation path against operator expansions and
 brute-force enumeration.  Bessel is the one exception: its rows are the
 closed form (n+j)!/(2^j (n-j)! j!), the side that the ``bessel-closed-form``
-check holds against the diagonal recurrence.  One walk,
-``family_rows(family, max_n)``, checks the family and its start level and
-pairs each level start..max_n with its row, holding only the step state it
-last made: a shaped family folds its step over the levels from its base
-row as columns, each row a new dict read off the columns in index order;
-beta folds its dict step from a copy of its base row; Ap weights each entry
-of A's walk; bessel maps its closed form over the levels, and catalan
-convolves the numbers its own walk has built.  Every row but beta's
-iterates in index order.  ``family_row`` steps a new walk to its level and
-reads that state alone, so each call returns a new dict that no other
-caller shares; ``build_triangle`` and ``normord triangle`` read one walk
-for all their levels.  Keys are plain index tuples.
+check holds against the diagonal recurrence.  One walk per read checks the
+family and its start level and pairs each level start..max_n with its
+state, holding only the state it last made.  A shaped family folds its step
+over the levels from its base row as columns, the runs of entries along the
+last index; Ap weights each entry of A's columns, and bessel's closed form
+makes one column per level.  Beta folds its dict step from a copy of its
+base row, and catalan convolves the numbers its own walk has built, one
+dict row {(): c} per level.  ``family_columns(family, max_n)`` hands out
+each level's columns in index order, the walk's own state where it is
+columns, and ``normord triangle`` formats its rows from them;
+``family_rows`` hands out each row as a new dict, read off the columns in
+index order (beta's in step order).  ``family_row`` steps a new walk to its
+level and reads that state alone, so each call returns a new dict that no
+other caller shares; ``build_triangle`` reads one walk for all its levels.
+Keys are plain index tuples.
 
 Families, their step and their row keys.  Thirteen families share one of
 two step shapes and state only their move table, each weight an integer
-affine form in (n, k, l); each step works a column at a time, the run of
-entries along the last index.  Beta keeps its own dict step, and Ap is
-read off A's walk: Ap(n; k, l) = A(n; k, l) * p^(l - k), so Ap stores
-polynomials in p:
+affine form in (n, k, l); each step works a column at a time.  Beta keeps
+its own dict step, and Ap is read off A's walk: Ap(n; k, l) = A(n; k, l) *
+p^(l - k), so Ap stores polynomials in p:
 
     pair      A, a, gamma, C          (k, l)     unit move to (k+1, l+1)
     pair      B, E, W                 (k, l)     unit move to (k+1, l)
     single    S2, S1, eulerian, eulerian2, eulerianB, lah    (k,)
     own step  beta                    (k, j, l)
-    rows      Ap                      (k, l)     A's rows, entry c at (k, l) as c * p^(l-k)
+    rows      Ap                      (k, l)     A's columns, entry c at (k, l) as c * p^(l-k)
     rows      bessel                  (j,)       closed form (n+j)!/(2^j (n-j)! j!)
     rows      catalan                 ()         one number per row
 
@@ -42,20 +44,19 @@ family): nine read a family row under one exponent map.  Four, and
 ``ctilde_xx``, state only the coefficients (a, b, c) of a first-order
 derivative recurrence, f -> (a + i*b)*f + c*df/ds at step i from f = 1,
 which one stepper iterates; ``second-order-xyz`` takes three partials from
-xyz in its own loop.  ``e_expand`` peels a polynomial symmetric in x, y, z
-into powers of e1, e2, e3, and ``gamma_expand`` peels each z^k slice of a
-polynomial in the same way in x and y: the gamma basis (xy)^l * (x+y)^(d-2l)
-is e2^l * e1^(d-2l) there.  The peel is also the symmetry test, so an
-asymmetric input raises ValueError from the peel itself.
+xyz in its own loop.  The symmetric-basis expanders ``e_expand`` and
+``gamma_expand`` live in ``normord.symmetric``, a module of their own so
+that this one stays under 4,096 parser tokens, past which CPython compiles
+a module with a larger peak; they are re-exported here, where the check
+registry and the benchmark's tracer read them.
 """
-
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
-from math import factorial, prod
+from math import factorial
 from operator import add, mul
 from typing import Callable, Iterator, Mapping, Union
 
@@ -66,10 +67,10 @@ from .poly import (
     Polynomial,
     Scalar,
     _SYMBOL,
-    _exponent,
     _pairs_mul,
     variable,
 )
+from .symmetric import e_expand, gamma_expand
 
 Entry = Union[int, Polynomial]
 Row = Mapping[tuple, Entry]
@@ -167,16 +168,16 @@ def _step_beta(prev: Row, n: int) -> dict:
     return nxt
 
 
-def _row_bessel(n: int) -> dict:
-    row: dict = {}
+def _bessel_columns(n: int) -> Columns:
+    col = []
     for j in range(n + 1):
         num = factorial(n + j)
         den = (1 << j) * factorial(n - j) * factorial(j)
         q, r = divmod(num, den)
         if r:
             raise ArithmeticError(f"bessel entry ({n}, {j}) is not an integer")
-        row[(j,)] = q
-    return row
+        col.append(q)
+    return [((), 0, col)]
 
 
 def _rows_catalan() -> Iterator[dict]:
@@ -184,8 +185,7 @@ def _rows_catalan() -> Iterator[dict]:
     c = [1]
     while True:
         yield {(): c[-1]}
-        m = len(c)
-        c.append(sum(c[i] * c[m - 1 - i] for i in range(m)))
+        c.append(sum(map(mul, c, reversed(c))))
 
 
 @dataclass(frozen=True)
@@ -194,10 +194,12 @@ class FamilySpec:
 
     A stepped family folds ``step`` over the levels from its base row.  A
     shaped step maps columns to columns, starting from one column per base
-    entry, and each row is read off its columns in index order; with
-    ``columns`` False (beta) the step maps a dict row to the next, whose
-    entries come in step order.  A family without a step walks ``rows()``,
-    and ``read``, when given, makes each row of a state of that walk.
+    entry; with ``columns`` False (beta) the step maps a dict row to the
+    next, whose entries come in step order.  A family without a step walks
+    ``rows()``, whose states are columns where ``columns`` is True (Ap,
+    bessel) and dict rows otherwise (catalan).  ``read`` maps a state that
+    is columns to the family's columns: Ap's states are A's columns, and by
+    default ``read`` copies the list of the state's own.
     """
 
     indices: tuple[str, ...]
@@ -205,14 +207,13 @@ class FamilySpec:
     base: Mapping[tuple, Entry]
     step: Step | Callable[[Row, int], dict] | None = None
     rows: Callable[[], Iterator] | None = None
-    read: Callable[[Columns], dict] | None = None
+    read: Callable[[Columns], Columns] = list
     columns: bool = True
 
 
 def _states(spec: FamilySpec) -> Iterator:
     """The step states of a stepped family from its start level up, each stepped from the last."""
-    base = ([(idx[:-1], idx[-1], [v]) for idx, v in spec.base.items()] if spec.columns
-            else dict(spec.base))
+    base = _grouped(spec.base) if spec.columns else dict(spec.base)
     return accumulate(count(spec.start), spec.step, initial=base)
 
 
@@ -228,16 +229,21 @@ def _p_power(e: int, c: int) -> Polynomial:
     return Polynomial._collect({(("p", e),) if e else (): c})
 
 
-def _ap_row(cols: Columns) -> dict:
-    """Ap's row off the columns of A's: each entry c of A at (k, l) as c * p^(l - k)."""
-    return _row([((k,), lo, list(map(_p_power, count(lo - k), col))) for (k,), lo, col in cols])
+def _ap_columns(cols: Columns) -> Columns:
+    """Ap's columns off A's: each entry c of A at (k, l) as c * p^(l - k)."""
+    return [((k,), lo, list(map(_p_power, count(lo - k), col))) for (k,), lo, col in cols]
+
+
+def _grouped(row: Row) -> Columns:
+    """A dict row as columns in index order, one per entry; catalan's {(): c} is ((), 0, [c])."""
+    return [(idx[:-1], *(idx[-1:] or (0,)), [v]) for idx, v in sorted(row.items())]
 
 
 FAMILIES: dict[str, FamilySpec] = {
     "A": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
         _pair, keep=(0, 0, 1, 0), mid=(1, 0, -1, 0), dl=1)),
     "Ap": FamilySpec(("k", "l"), 1, {(1, 1): ONE}, rows=lambda: _states(FAMILIES["A"]),
-                     read=_ap_row),
+                     read=_ap_columns),
     "a": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
         _pair, keep=(0, 0, 1, 0), mid=(1, 1, -1, 0), dl=1)),
     "gamma": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
@@ -265,8 +271,8 @@ FAMILIES: dict[str, FamilySpec] = {
         _single, stay=(0, 2, 1), up=(2, -2, 1))),
     "lah": FamilySpec(("k",), 1, {(1,): 1}, partial(
         _single, stay=(1, 1, 0), up=(0, 0, 1))),
-    "bessel": FamilySpec(("j",), 0, {(0,): 1}, rows=lambda: map(_row_bessel, count())),
-    "catalan": FamilySpec((), 0, {(): 1}, rows=_rows_catalan),
+    "bessel": FamilySpec(("j",), 0, {(0,): 1}, rows=lambda: map(_bessel_columns, count())),
+    "catalan": FamilySpec((), 0, {(): 1}, rows=_rows_catalan, columns=False),
 }
 
 FAMILY_NAMES: tuple[str, ...] = tuple(FAMILIES)
@@ -281,19 +287,15 @@ def family_spec(family: str) -> FamilySpec:
     return spec
 
 
-def _walk(family: str, max_n: int) -> tuple[range, Iterator, Callable | None]:
-    """The levels start..max_n of a family, its walk's states and the function that reads one.
+def _walk(family: str, max_n: int) -> tuple[range, Iterator, FamilySpec]:
+    """The levels start..max_n of a family, its walk's states and its spec.
 
-    A state is its row itself where the reader is None.  The family and its
-    start level are checked at the call, before any step.
+    The family and its start level are checked at the call, before any step.
     """
     spec = family_spec(family)
     if max_n < spec.start:
         raise ValueError(f"family {family!r} starts at n = {spec.start}")
-    levels = range(spec.start, max_n + 1)
-    if spec.step is None:
-        return levels, spec.rows(), spec.read
-    return levels, _states(spec), _row if spec.columns else None
+    return range(spec.start, max_n + 1), _states(spec) if spec.step else spec.rows(), spec
 
 
 def family_rows(family: str, max_n: int) -> Iterator[tuple[int, dict[tuple, Entry]]]:
@@ -302,9 +304,23 @@ def family_rows(family: str, max_n: int) -> Iterator[tuple[int, dict[tuple, Entr
     The family and its start level are checked at the call, before any row.
     Every family's rows but beta's iterate in index order.
     """
-    levels, states, read = _walk(family, max_n)
+    levels, states, spec = _walk(family, max_n)
     # The levels come first in zip, so no row past max_n is stepped.
-    return zip(levels, states if read is None else map(read, states))
+    return zip(levels, map(_row, map(spec.read, states)) if spec.columns else states)
+
+
+def family_columns(family: str, max_n: int) -> Iterator[tuple[int, Columns]]:
+    """(n, the columns of row n) for n = start..max_n of a family, in index order.
+
+    A column (prefix, lo, values) holds values[i] at index prefix + (lo + i,),
+    and a zero value is no entry; catalan's one column ((), 0, [c]) holds c at
+    its index ().  A stepped family's columns are those of its walk's own
+    state, whose value lists the next step reuses, so they are to be read,
+    never changed.  The family and its start level are checked at the call,
+    before any row.
+    """
+    levels, states, spec = _walk(family, max_n)
+    return zip(levels, map(spec.read if spec.columns else _grouped, states))
 
 
 def family_row(family: str, n: int) -> dict[tuple, Entry]:
@@ -312,9 +328,9 @@ def family_row(family: str, n: int) -> dict[tuple, Entry]:
 
     The walk steps to level n and reads that level's state alone.
     """
-    levels, states, read = _walk(family, n)
+    levels, states, spec = _walk(family, n)
     state = deque(zip(levels, states), maxlen=1)[0][1]
-    return state if read is None else read(state)
+    return _row(spec.read(state)) if spec.columns else state
 
 
 def build_triangle(family: str, max_n: int) -> dict[tuple, Entry]:
@@ -436,72 +452,3 @@ def ctilde_xx(n: int) -> Polynomial:
 def rising_factorial(name: str, n: int) -> Polynomial:
     """The product v(v+1)...(v+n-1) in the symbol ``name``."""
     return _linear(variable(name), ONE, ZERO, name)(n)
-
-
-# -- symmetric-basis expansions -------------------------------------------
-
-# e_expand's basis, and gamma_expand's pair with the symbol that slices it.
-_E_BASIS = ("x", "y", "z")
-_PAIR, _SLICE = ("x", "y"), "z"
-
-
-def _elementary(f: Polynomial, symbols: tuple[str, ...], what: str) -> dict[tuple[int, ...], int]:
-    """Peel f into sum c * e1^i_1 * ... * em^i_m over the m distinct symbols.
-
-    The fundamental theorem of symmetric functions: the lex-leading term
-    c * s1^a_1 * ... * sm^a_m of a symmetric residual has a_1 >= ... >= a_m,
-    and c * e1^(a_1 - a_2) * ... * em^a_m has the same leading term.  Each
-    step lowers the leading term among finitely many monomials; a peel that
-    ends at zero writes f in e1, ..., em, so f is symmetric.  An unsorted
-    leading exponent is therefore the one symmetry test: it raises
-    ValueError naming ``what``.  Symbols outside the basis and negative
-    exponents are rejected first, since either would break that walk.
-    """
-    extra = f.variables() - set(symbols)
-    if extra:
-        raise ValueError(f"{what} involves symbols outside the basis: {sorted(extra)}")
-    if any(e < 0 for m, _ in f.terms() for _, e in m):
-        raise ValueError("negative exponents have no expansion in this basis")
-    e = [ONE]  # e0, e1, ...: taking in a symbol v turns e_j into e_j + v * e_(j-1)
-    for v in map(variable, symbols):
-        e = [a + v * b for a, b in zip(e + [ZERO], [ZERO] + e)]
-    out: dict[tuple[int, ...], int] = {}
-    residual = f
-    while not residual.is_zero:
-        lead, c = max(residual.terms(), key=lambda t: [_exponent(t[0], s) for s in symbols])
-        a = [_exponent(lead, s) for s in symbols] + [0]
-        index = tuple(a[j] - a[j + 1] for j in range(len(symbols)))
-        if any(i < 0 for i in index):
-            raise ValueError(f"{what} is not symmetric in {', '.join(symbols)}")
-        residual = residual - c * prod(map(pow, e[1:], index), start=ONE)
-        out[index] = c
-    return out
-
-
-def gamma_expand(f: Polynomial) -> dict[tuple[int, int], int]:
-    """Expand each z^k slice in the basis (xy)^l * (x+y)^(d-2l) = e2^l * e1^(d-2l).
-
-    Every slice must be an ordinary polynomial in x and y, homogeneous and
-    symmetric under swapping them.  Returns the mapping (k, l) ->
-    coefficient; coefficients may be negative for inputs outside the
-    positivity results.
-    """
-    out: dict[tuple[int, int], int] = {}
-    for k, g in f.slices(_SLICE).items():
-        if k < 0:
-            raise ValueError(f"negative power of {_SLICE!r}")
-        if g.homogeneous_degree() is None:
-            raise ValueError(f"slice at {_SLICE}^{k} is not homogeneous")
-        for (_, l), c in _elementary(g, _PAIR, f"slice at {_SLICE}^{k}").items():
-            out[(k, l)] = c
-    return out
-
-
-def e_expand(f: Polynomial) -> dict[tuple[int, int, int], int]:
-    """Expand a polynomial symmetric in x, y, z in the elementary basis.
-
-    Returns (i, j, k) -> coefficient with f = sum c * e1^i * e2^j * e3^k,
-    where e1, e2, e3 are the elementary symmetric polynomials in x, y, z.
-    Raises ValueError if f is not symmetric.
-    """
-    return _elementary(f, _E_BASIS, "input")

@@ -18,6 +18,7 @@ import pytest
 
 import normord
 from normord import FAMILY_NAMES, Polynomial, build_triangle, combinat, family_row, family_rows
+from normord import triangles
 from normord.cli import OBJECT_NAMES, _object_id, main
 from normord.combinat import CAPS, SCANS
 from normord.forests import FLAVORS, census, grow_forests
@@ -184,6 +185,18 @@ class TestTriangle:
     def test_level_below_start(self):
         code, out, err = run("triangle", "--family", "A", "--n", "0")
         assert (code, out, err) == (2, "", "error: family 'A' starts at n = 1\n")
+
+    @pytest.mark.parametrize("family", [f for f in STEPPED if f != "beta"])
+    def test_command_builds_no_row_dict(self, family, monkeypatch):
+        # Rows are formatted straight from the walk's columns, in every format.
+        reads = []
+        row = triangles._row
+        monkeypatch.setattr(triangles, "_row", lambda cols: reads.append(cols) or row(cols))
+        for fmt in ("text", "csv", "json"):
+            code, out, err = run("triangle", "--family", family,
+                                 "--n", str(FAMILIES[family].start + 6), "--format", fmt)
+            assert (code, err) == (0, "") and out
+        assert reads == []
 
     @pytest.mark.parametrize("family", STEPPED)
     def test_command_drops_the_kept_row(self, family, monkeypatch):
@@ -500,6 +513,25 @@ class TestTriangleDigests:
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == want, fmt
 
+    # Recorded before rows were formatted straight from their columns.  B's
+    # columns (unit move dl = 0) start at l = 0, and its rows from n = 32 up
+    # are written in two parts; Ap's entries are polynomials, quoted for json,
+    # and its rows at n = 33 and 34 are written in two parts; beta's rows come
+    # from its dict step, and csv and json reorder its index (k, j, l).
+    DEEP_DIGESTS = {
+        ("B", 40, "csv"): "707879b6f32b3899d2fe78227c25ce71a6463484e24a352409ef6fa8b032b777",
+        ("Ap", 34, "text"): "c0dc0c8719728da837561072f53fe354952937ddf941dbde6cd0e6a86d211629",
+        ("Ap", 34, "json"): "0f0c5f611f6e9c65b48e5b84f291fafbb484a0c1f4e7f711897b0dabe07935cd",
+        ("beta", 20, "csv"): "ef0b447ed7aae548d1a8c7f4aa64d759caf34ce915865078349a3fe5c5e1e062",
+        ("beta", 20, "json"): "6b554a72f33ede67bb042baadc77161864775379646a0d1b4fcaecff8c8f95e3",
+    }
+
+    @pytest.mark.parametrize("family, n, fmt", sorted(DEEP_DIGESTS))
+    def test_deep_rows_match_digest(self, family, n, fmt):
+        code, out, err = run("triangle", "--family", family, "--n", str(n), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DEEP_DIGESTS[family, n, fmt]
+
 
 class TestBatchedWrites:
     # Records and row entries are joined 512 to a write, never written one by one.
@@ -704,7 +736,7 @@ class TestStartup:
             "assert not missing, missing")
         assert loaded == ["normord", *(f"normord.{m}" for m in (
             "checks", "combinat", "forests", "grammar", "normal_form", "poly", "series",
-            "triangles"))]
+            "symmetric", "triangles"))]
 
     def test_dir_covers_the_exports(self):
         assert set(normord.__all__) <= set(dir(normord))

@@ -25,6 +25,7 @@ from normord import (
     catalan_number,
     ctilde_xx,
     e_expand,
+    family_columns,
     family_row,
     family_rows,
     gamma_expand,
@@ -220,11 +221,27 @@ class TestFamilyRows:
             assert len(reads) == 1
             assert got == dict(family_rows(family, n))[n]
 
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_columns_hold_the_rows(self, family):
+        # Each level's columns hold its row's entries in index order, zero
+        # values dropped; beta's row comes in step order, so it is sorted
+        # here, and catalan's one column ((), 0, [c]) holds c at ().  The rows
+        # come from a walk of their own, so a reader that changed a level's
+        # columns would change the next level that family_columns steps.
+        start = FAMILIES[family].start
+        width = len(FAMILIES[family].indices)
+        pairs = zip(family_columns(family, start + 10), family_rows(family, start + 10),
+                    strict=True)
+        for (n, cols), (m, row) in pairs:
+            entries = [((*prefix, l)[:width], v)
+                       for prefix, lo, vals in cols for l, v in enumerate(vals, lo) if v]
+            assert (n, entries) == (m, sorted(row.items()))
+
     @pytest.mark.parametrize("family", ["A", "S2", "bessel", "catalan"])
     def test_one_below_start_message(self, family, capsys):
         start = FAMILIES[family].start
         want = f"family {family!r} starts at n = {start}"
-        for read in (family_rows, family_row, build_triangle):
+        for read in (family_rows, family_columns, family_row, build_triangle):
             with pytest.raises(ValueError) as info:
                 read(family, start - 1)
             assert str(info.value) == want, read
