@@ -12,7 +12,8 @@ triangle
     (``triangles.family_columns``), with no dict row or index tuple.
 enumerate
     Stream combinatorial objects with their statistics as json lines
-    (or a compact text form).
+    (or a compact text form).  A word's letters fill the record template
+    directly, one ``%d`` slot each, so no id string is built for a word.
 verify
     Run one named check or the whole registry; exit 0 only if all pass.
 
@@ -34,7 +35,7 @@ import json
 import sys
 from itertools import chain, compress, count, islice, tee
 from operator import itemgetter
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from .combinat import _ENUMERATORS, CAPS, SCANS
 
@@ -117,7 +118,7 @@ def _cmd_triangle(args: argparse.Namespace, out) -> int:
 
 # -- enumerate -------------------------------------------------------------
 
-OBJECT_NAMES = tuple(sorted(SCANS)) + tuple(sorted(set(CAPS) - set(SCANS)))
+OBJECT_NAMES = (*sorted(SCANS), *sorted(CAPS.keys() - SCANS))
 
 
 def _object_id(obj: tuple) -> str:
@@ -132,14 +133,15 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
 
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    wanted: Optional[List[str]] = None
+    wanted = None
     if args.stats is not None:
         wanted = [s.strip() for s in args.stats.split(",") if s.strip()]
         if not wanted:
             raise ValueError("--stats must name at least one statistic")
-    # Each record fills one %-template built here: object ids, forest encodings
-    # and statistic names are plain ASCII with nothing to escape in json.  The
-    # walk is teed, one copy per field, and zip builds each record's fields.
+    # Each record fills one %-template built here: letters, object ids, forest
+    # encodings and statistic names are plain ASCII with nothing to escape in
+    # json.  The walk is teed, one copy for the object and one per scan or
+    # census, and C-level map and zip chains build each record's fields.
     if args.objects not in SCANS:
         if wanted is not None:
             raise ValueError("--stats applies to statistic-bearing objects, not forests")
@@ -152,30 +154,34 @@ def _cmd_enumerate(args: argparse.Namespace, out) -> int:
         else:
             line, order = "%s trees=%d x=%d y=%d z=%d\n", itemgetter(4, 3, 0, 1, 2)
         fields = map(order, map(tuple.__add__, map(census, words), zip(copy)))
-        _write_batched(out, map(line.__mod__, fields))
-        return 0
-    # Over its cap, the enumerator raises ValueError when called, before any output.
-    walk = _ENUMERATORS[args.objects](args.n)
-    scans = SCANS[args.objects]
-    missing = [s for s in wanted or () if s not in scans]
-    if missing:
-        known = ", ".join(sorted(scans))
-        raise ValueError(f"unknown statistic(s) {', '.join(missing)}; known: {known}")
-    names = sorted(scans if wanted is None else set(wanted))
-    if args.format == "json":
-        line = '{"object": "%%s", "stats": {%s}}\n' % ", ".join(f'"{s}": %d' for s in names)
     else:
-        line = " ".join(["%s", *(f"{s}=%d" for s in names)]) + "\n"
-    objs, *copies = tee(walk, len(names) + 1)
-    fields = zip(map(_object_id, objs), *[map(scans[s], c) for s, c in zip(names, copies)])
-    _write_batched(out, map(line.__mod__, fields))
-    return 0
-
-
-def _write_batched(out, records) -> None:
-    """Write the records, none of them empty, 512 per ``write``."""
+        # Over its cap, the enumerator raises ValueError when called, before any output.
+        walk = _ENUMERATORS[args.objects](args.n)
+        scans = SCANS[args.objects]
+        missing = [s for s in wanted or () if s not in scans]
+        if missing:
+            raise ValueError(f"unknown statistic(s) {', '.join(missing)}; "
+                             f"known: {', '.join(sorted(scans))}")
+        names = sorted(scans if wanted is None else set(wanted))
+        # Every word of one kind and size has the length of the walk's first
+        # object, read off the one walk, so the template gets a %d slot per
+        # letter and a record's fields are the word plus its stats.  A tuple
+        # of blocks keeps one %s slot, filled by its id.
+        first = next(walk)
+        word = not (first and isinstance(first[0], tuple))
+        obj = ",".join(["%d"] * len(first)) if word else "%s"
+        if args.format == "json":
+            line = '{"object": "%s", "stats": {%s}}\n' % (obj, ", ".join(f'"{s}": %d' for s in names))
+        else:
+            line = " ".join([obj, *(f"{s}=%d" for s in names)]) + "\n"
+        objs, *copies = tee(chain((first,), walk), len(names) + 1)
+        stats = zip(*[map(scans[s], c) for s, c in zip(names, copies)])
+        fields = map(tuple.__add__, objs if word else zip(map(_object_id, objs)), stats)
+    # The records, none of them empty, are written 512 per write.
+    records = map(line.__mod__, fields)
     while text := "".join(islice(records, 512)):
         out.write(text)
+    return 0
 
 
 # -- verify ----------------------------------------------------------------
@@ -210,7 +216,7 @@ class _Parser(argparse.ArgumentParser):
     printed.  Each help is a plain string whenever argparse reads it.
     """
 
-    late_help: tuple = ()
+    late_help = ()
 
     def format_help(self) -> str:
         for action, text in self.late_help:
@@ -282,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Iterable[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(None if argv is None else list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 from itertools import permutations as _one_line_words
 from itertools import product as _product
 from operator import eq, gt, lt, neg
@@ -116,7 +116,7 @@ def descents(word: tuple[int, ...]) -> int:
 
 
 def excedances(word: tuple[int, ...]) -> int:
-    return sum(1 for i, v in enumerate(word, start=1) if v > i)
+    return sum(map(gt, word, count(1)))
 
 
 def standard_cycles(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

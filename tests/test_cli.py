@@ -292,6 +292,22 @@ class TestEnumerate:
         assert (code, out) == (2, "")
         assert err == "error: permutations enumeration capped at n = 2 (requested 3)\n"
 
+    @pytest.mark.parametrize("objects", sorted(SCANS))
+    def test_one_walk_per_command(self, objects, monkeypatch):
+        # The word template is read off the first object of the command's one
+        # walk, so every object is drawn once and no second walk starts.
+        enumerator, calls, drawn = combinat._ENUMERATORS[objects], [], []
+
+        def counted(n):
+            calls.append(n)
+            return map(lambda obj: drawn.append(obj) or obj, enumerator(n))
+
+        monkeypatch.setitem(combinat._ENUMERATORS, objects, counted)
+        code, out, err = run("enumerate", "--objects", objects, "--n", "3")
+        assert (code, err) == (0, "")
+        assert calls == [3]
+        assert drawn == list(enumerator(3)) and len(out.splitlines()) == len(drawn)
+
     def test_object_id_follows_the_object_shape(self):
         # A word joins its letters by ","; a tuple of blocks joins its words by "|".
         assert _object_id(()) == ""
@@ -342,6 +358,35 @@ class TestRecordRoundTrip:
                         records.append({"object": word, "trees": trees,
                                         "leaves": {"x": lx, "y": ly, "z": lz}})
                 assert_lines_are_records(out, records)
+
+    @pytest.mark.parametrize("objects", sorted(SCANS))
+    def test_enumerate_text(self, objects):
+        # A word's letters fill one slot each; a text line must still read as
+        # the object's id, then each chosen statistic once, in sorted order.
+        scans = SCANS[objects]
+        names = sorted(scans)
+        for n in range(6):
+            for stats in [None, names[0], ",".join(reversed(names)), f"{names[-1]},{names[-1]}"]:
+                argv = ["enumerate", "--objects", objects, "--n", str(n), "--format", "text"]
+                code, out, err = run(*argv, *(() if stats is None else ("--stats", stats)))
+                assert (code, err) == (0, "")
+                chosen = names if stats is None else sorted(set(stats.split(",")))
+                objs = list(combinat._ENUMERATORS[objects](n))
+                lines = out.splitlines()
+                assert len(lines) == len(objs)
+                for line, obj in zip(lines, objs):
+                    first, *pairs = line.split(" ")
+                    assert first == _object_id(obj)
+                    assert [pair.split("=") for pair in pairs] == [
+                        [s, str(scans[s](obj))] for s in chosen]
+
+    def test_enumerate_json_seven_letter_words(self):
+        code, out, err = run("enumerate", "--objects", "permutations", "--n", "7")
+        assert (code, err) == (0, "")
+        scans = SCANS["permutations"]
+        assert_lines_are_records(out, [
+            {"object": _object_id(word), "stats": {s: scan(word) for s, scan in scans.items()}}
+            for word in combinat._ENUMERATORS["permutations"](7)])
 
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_triangle_json(self, family):
