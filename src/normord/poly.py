@@ -433,7 +433,7 @@ class Polynomial:
     @staticmethod
     def from_json_dict(data: Mapping) -> "Polynomial":
         return Polynomial(
-            ({str(s): int(e) for s, e in t["monomial"].items()}, Fraction(t["coeff"]))
+            (t["monomial"], Fraction(c) if isinstance(c := t["coeff"], str) else c)
             for t in data["terms"]
         )
 

@@ -7,24 +7,23 @@ brute-force enumeration.  Bessel is the one exception: its rows are the
 closed form (n+j)!/(2^j (n-j)! j!), the side that the ``bessel-closed-form``
 check holds against the diagonal recurrence.  One walk per read checks the
 family and its start level and pairs each level start..max_n with its
-state, holding only the state it last made.  A shaped family folds its step
-over the levels from its base row as columns, the runs of entries along the
-last index; Ap weights each entry of A's columns, and bessel's closed form
-makes one column per level.  Beta folds its dict step from a copy of its
-base row, and catalan convolves the numbers its own walk has built, one
-dict row {(): c} per level.  ``family_columns(family, max_n)`` hands out
-each level's columns in index order, the walk's own state where it is
-columns, and ``normord triangle`` formats its rows from them;
-``family_rows`` hands out each row as a new dict, read off the columns in
-index order (beta's in step order).  ``family_row`` steps a new walk to its
-level and reads that state alone, so each call returns a new dict that no
-other caller shares; ``build_triangle`` reads one walk for all its levels.
-Keys are plain index tuples.
+state, holding only the state it last made.  Every state is the row's
+columns, the runs of entries along the last index, in index order.  A
+stepped family folds its step over the levels from its base row's columns;
+Ap weights each entry of A's columns, bessel's closed form makes one column
+per level, and catalan convolves the numbers its own walk has built, one
+column ((), 0, [c]) per level.  ``family_columns(family, max_n)`` hands out
+each level's columns, and ``normord triangle`` formats its rows from them;
+``family_rows`` hands out each row as a new dict read off its columns.
+``family_row`` steps a new walk to its level and reads that state alone, so
+each call returns a new dict that no other caller shares;
+``build_triangle`` reads one walk for all its levels.  Keys are plain index
+tuples.
 
 Families, their step and their row keys.  Thirteen families share one of
 two step shapes and state only their move table, each weight an integer
 affine form in (n, k, l); each step works a column at a time.  Beta keeps
-its own dict step, and Ap is read off A's walk: Ap(n; k, l) = A(n; k, l) *
+its own step, and Ap is read off A's walk: Ap(n; k, l) = A(n; k, l) *
 p^(l - k), so Ap stores polynomials in p:
 
     pair      A, a, gamma, C          (k, l)     unit move to (k+1, l+1)
@@ -90,11 +89,12 @@ _XYZ = _X * variable("y") * _Z
 # so along a column each move's weights are one range and each move is one
 # C-level map(mul, ...).  A column's keep and mid runs, and the unit move
 # carried over from column k-1, are summed by map(add, ...), padded to one
-# span where their starts or lengths differ; zero ends are trimmed.  Beta, with four moves over three indices
-# and columns of about three entries, keeps its own dict step, each move
-# added in place.  Ap is not stepped: Ap(n; k, l) = A(n; k, l) * p^(l - k),
-# since mid is the one move of A that changes l - k and the one that
-# carries p, so Ap's rows are A's walk with each entry weighted.
+# span where their starts or lengths differ; zero ends are trimmed.  Beta,
+# four moves over three indices with runs of about two entries, adds each
+# move into a dict row in place and hands that row on as columns.  Ap is
+# not stepped: Ap(n; k, l) = A(n; k, l) * p^(l - k), since mid is the one
+# move of A that changes l - k and the one that carries p, so Ap's rows
+# are A's walk with each entry weighted.
 Column = tuple[tuple, int, list]
 Columns = list[Column]
 Step = Callable[[Columns, int], Columns]
@@ -154,18 +154,19 @@ def _single(cols: Columns, n: int, stay: Form, up: Form) -> Columns:
     return [_column(prefix, lo, _spread(col, s0 + sn * n + sk * lo, sk, u0 + un * n + uk * lo, uk))]
 
 
-def _step_beta(prev: Row, n: int) -> dict:
+def _step_beta(cols: Columns, n: int) -> Columns:
     nxt: dict = {}
     get = nxt.get
-    for (k, j, l), v in prev.items():
-        if w := (l + k) * v:
-            nxt[key] = w if (old := get(key := (k, j + 1, l))) is None else old + w
-        if w := 2 * j * v:
-            nxt[key] = w if (old := get(key := (k, j - 1, l + 1))) is None else old + w
-        if w := 3 * (2 * n - 2 * k - 2 * j - 3 * l) * v:
-            nxt[key] = w if (old := get(key := (k, j, l + 1))) is None else old + w
-        nxt[key] = v if (old := get(key := (k + 1, j, l))) is None else old + v
-    return nxt
+    for (k, j), lo, col in cols:
+        for l, v in enumerate(col, lo):
+            if w := (l + k) * v:
+                nxt[key] = w if (old := get(key := (k, j + 1, l))) is None else old + w
+            if w := 2 * j * v:
+                nxt[key] = w if (old := get(key := (k, j - 1, l + 1))) is None else old + w
+            if w := 3 * (2 * n - 2 * k - 2 * j - 3 * l) * v:
+                nxt[key] = w if (old := get(key := (k, j, l + 1))) is None else old + w
+            nxt[key] = v if (old := get(key := (k + 1, j, l))) is None else old + v
+    return _grouped(nxt)
 
 
 def _bessel_columns(n: int) -> Columns:
@@ -180,11 +181,11 @@ def _bessel_columns(n: int) -> Columns:
     return [((), 0, col)]
 
 
-def _rows_catalan() -> Iterator[dict]:
+def _rows_catalan() -> Iterator[Columns]:
     # Each Catalan number is the convolution of all before it.
     c = [1]
     while True:
-        yield {(): c[-1]}
+        yield [((), 0, [c[-1]])]
         c.append(sum(map(mul, c, reversed(c))))
 
 
@@ -192,36 +193,34 @@ def _rows_catalan() -> Iterator[dict]:
 class FamilySpec:
     """A family's index names, start level and base row, and how its rows are made.
 
-    A stepped family folds ``step`` over the levels from its base row.  A
-    shaped step maps columns to columns, starting from one column per base
-    entry; with ``columns`` False (beta) the step maps a dict row to the
-    next, whose entries come in step order.  A family without a step walks
-    ``rows()``, whose states are columns where ``columns`` is True (Ap,
-    bessel) and dict rows otherwise (catalan).  ``read`` maps a state that
-    is columns to the family's columns: Ap's states are A's columns, and by
-    default ``read`` copies the list of the state's own.
+    Every walk state is columns.  A stepped family folds ``step``, which
+    maps one level's columns to the next's, over the levels from one column
+    per base entry.  A family without a step walks ``rows()``, one state
+    per level.  ``read`` maps a state to the family's columns: Ap's states
+    are A's columns, and by default ``read`` copies the list of the state's
+    own.
     """
 
     indices: tuple[str, ...]
     start: int
     base: Mapping[tuple, Entry]
-    step: Step | Callable[[Row, int], dict] | None = None
-    rows: Callable[[], Iterator] | None = None
+    step: Step | None = None
+    rows: Callable[[], Iterator[Columns]] | None = None
     read: Callable[[Columns], Columns] = list
-    columns: bool = True
 
 
 def _states(spec: FamilySpec) -> Iterator:
     """The step states of a stepped family from its start level up, each stepped from the last."""
-    base = _grouped(spec.base) if spec.columns else dict(spec.base)
-    return accumulate(count(spec.start), spec.step, initial=base)
+    return accumulate(count(spec.start), spec.step, initial=_grouped(spec.base))
 
 
-def _row(cols: Columns) -> dict:
+def _row(cols: Columns, width: int) -> dict:
     """The row held by ``cols`` as a new dict in index order, its zero entries left out."""
     row: dict = {}
     for prefix, lo, col in cols:
-        row.update(compress(zip(zip(*map(repeat, prefix), count(lo)), col), col))
+        # An index ``width`` long: catalan's one column ((), 0, [c]) holds c at ().
+        keys = zip(*map(repeat, prefix), count(lo)) if width else repeat(())
+        row.update(compress(zip(keys, col), col))
     return row
 
 
@@ -235,8 +234,8 @@ def _ap_columns(cols: Columns) -> Columns:
 
 
 def _grouped(row: Row) -> Columns:
-    """A dict row as columns in index order, one per entry; catalan's {(): c} is ((), 0, [c])."""
-    return [(idx[:-1], *(idx[-1:] or (0,)), [v]) for idx, v in sorted(row.items())]
+    """A dict row as columns in index order, one per entry."""
+    return [(idx[:-1], idx[-1], [v]) for idx, v in sorted(row.items())]
 
 
 FAMILIES: dict[str, FamilySpec] = {
@@ -250,7 +249,7 @@ FAMILIES: dict[str, FamilySpec] = {
         _pair, keep=(0, 0, 1, 0), mid=(2, 2, -4, 0), dl=1)),
     "C": FamilySpec(("k", "l"), 1, {(1, 1): 1}, partial(
         _pair, keep=(0, 0, 1, 0), mid=(2, -1, -1, 0), dl=1)),
-    "beta": FamilySpec(("k", "j", "l"), 1, {(1, 0, 0): 1}, _step_beta, columns=False),
+    "beta": FamilySpec(("k", "j", "l"), 1, {(1, 0, 0): 1}, _step_beta),
     "B": FamilySpec(("k", "l"), 1, {(1, 0): 1}, partial(
         _pair, keep=(0, 1, 2, 0), mid=(2, -1, -2, 0), dl=0)),
     "E": FamilySpec(("k", "l"), 1, {(1, 0): 1}, partial(
@@ -272,7 +271,7 @@ FAMILIES: dict[str, FamilySpec] = {
     "lah": FamilySpec(("k",), 1, {(1,): 1}, partial(
         _single, stay=(1, 1, 0), up=(0, 0, 1))),
     "bessel": FamilySpec(("j",), 0, {(0,): 1}, rows=lambda: map(_bessel_columns, count())),
-    "catalan": FamilySpec((), 0, {(): 1}, rows=_rows_catalan, columns=False),
+    "catalan": FamilySpec((), 0, {(): 1}, rows=_rows_catalan),
 }
 
 FAMILY_NAMES: tuple[str, ...] = tuple(FAMILIES)
@@ -301,12 +300,12 @@ def _walk(family: str, max_n: int) -> tuple[range, Iterator, FamilySpec]:
 def family_rows(family: str, max_n: int) -> Iterator[tuple[int, dict[tuple, Entry]]]:
     """(n, row n) for n = start..max_n of a family, each row a new dict.
 
-    The family and its start level are checked at the call, before any row.
-    Every family's rows but beta's iterate in index order.
+    Each row iterates in index order.  The family and its start level are
+    checked at the call, before any row.
     """
     levels, states, spec = _walk(family, max_n)
     # The levels come first in zip, so no row past max_n is stepped.
-    return zip(levels, map(_row, map(spec.read, states)) if spec.columns else states)
+    return zip(levels, map(_row, map(spec.read, states), repeat(len(spec.indices))))
 
 
 def family_columns(family: str, max_n: int) -> Iterator[tuple[int, Columns]]:
@@ -320,7 +319,7 @@ def family_columns(family: str, max_n: int) -> Iterator[tuple[int, Columns]]:
     before any row.
     """
     levels, states, spec = _walk(family, max_n)
-    return zip(levels, map(spec.read if spec.columns else _grouped, states))
+    return zip(levels, map(spec.read, states))
 
 
 def family_row(family: str, n: int) -> dict[tuple, Entry]:
@@ -330,7 +329,7 @@ def family_row(family: str, n: int) -> dict[tuple, Entry]:
     """
     levels, states, spec = _walk(family, n)
     state = deque(zip(levels, states), maxlen=1)[0][1]
-    return _row(spec.read(state)) if spec.columns else state
+    return _row(spec.read(state), len(spec.indices))
 
 
 def build_triangle(family: str, max_n: int) -> dict[tuple, Entry]:

@@ -186,12 +186,13 @@ class TestTriangle:
         code, out, err = run("triangle", "--family", "A", "--n", "0")
         assert (code, out, err) == (2, "", "error: family 'A' starts at n = 1\n")
 
-    @pytest.mark.parametrize("family", [f for f in STEPPED if f != "beta"])
+    @pytest.mark.parametrize("family", STEPPED)
     def test_command_builds_no_row_dict(self, family, monkeypatch):
         # Rows are formatted straight from the walk's columns, in every format.
         reads = []
         row = triangles._row
-        monkeypatch.setattr(triangles, "_row", lambda cols: reads.append(cols) or row(cols))
+        monkeypatch.setattr(triangles, "_row",
+                            lambda cols, width: reads.append(cols) or row(cols, width))
         for fmt in ("text", "csv", "json"):
             code, out, err = run("triangle", "--family", family,
                                  "--n", str(FAMILIES[family].start + 6), "--format", fmt)
@@ -201,23 +202,19 @@ class TestTriangle:
     @pytest.mark.parametrize("family", STEPPED)
     def test_command_drops_the_kept_row(self, family, monkeypatch):
         # The command steps each level below --n once, none past it, and holds
-        # no step state of its walk once it returns: beta's dict row, or
-        # another family's columns (Ap's are A's).
+        # no step state of its walk once it returns: the family's columns
+        # (Ap's are A's).
         start = FAMILIES[family].start
         spec = FAMILIES[STEPPER[family]]
         argv = ("triangle", "--family", family, "--n", str(start + 5))
         want = run(*argv)
         stepped = []
 
-        class Row(dict):
-            pass
-
         class Columns(list):
             pass
 
         def step(prev, n):
-            state = spec.step(prev, n)
-            state = (Row if isinstance(state, dict) else Columns)(state)
+            state = Columns(spec.step(prev, n))
             stepped.append((n, weakref.ref(state)))
             return state
 

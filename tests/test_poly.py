@@ -266,6 +266,19 @@ class TestJson:
         data = (10 ** 30 * x).to_json_dict()
         assert data["terms"][0]["coeff"] == str(10 ** 30)
 
+    def test_int_coefficient_reads_as_written(self):
+        data = {"terms": [{"monomial": {"x": 2}, "coeff": -3}]}
+        assert Polynomial.from_json_dict(data) == -3 * x ** 2
+
+    @pytest.mark.parametrize("term", [
+        {"monomial": {"x": 1.9}, "coeff": "1"},
+        {"monomial": {"x": "2"}, "coeff": "1"},
+        {"monomial": {"x": 1}, "coeff": 0.1},
+    ])
+    def test_non_exact_term_is_rejected(self, term):
+        with pytest.raises(TypeError):
+            Polynomial.from_json_dict({"terms": [term]})
+
 
 class TestProperties:
     """Randomized ring and round-trip laws with a fixed seed."""

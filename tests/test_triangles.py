@@ -203,17 +203,18 @@ class TestFamilyRows:
             assert sum(1 for _ in family_rows(family, top)) == top - start + 1
             assert steps == list(range(start, top))
 
-    @pytest.mark.parametrize("family", [f for f in STEPPED if f != "beta"])
+    @pytest.mark.parametrize("family", STEPPED)
     def test_shaped_rows_iterate_in_index_order(self, family):
         for n, row in family_rows(family, FAMILIES[family].start + 12):
             assert list(row) == sorted(row), (family, n)
 
-    @pytest.mark.parametrize("family", [f for f in STEPPED if f != "beta"])
+    @pytest.mark.parametrize("family", STEPPED)
     def test_family_row_reads_one_state(self, family, monkeypatch):
         # The walk steps to row n and turns only that level's columns into a dict.
         reads = []
         row = triangles._row
-        monkeypatch.setattr(triangles, "_row", lambda cols: reads.append(cols) or row(cols))
+        monkeypatch.setattr(triangles, "_row",
+                            lambda cols, width: reads.append(cols) or row(cols, width))
         start = FAMILIES[family].start
         for n in (start, start + 1, start + 9):
             reads.clear()
@@ -224,10 +225,9 @@ class TestFamilyRows:
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_columns_hold_the_rows(self, family):
         # Each level's columns hold its row's entries in index order, zero
-        # values dropped; beta's row comes in step order, so it is sorted
-        # here, and catalan's one column ((), 0, [c]) holds c at ().  The rows
-        # come from a walk of their own, so a reader that changed a level's
-        # columns would change the next level that family_columns steps.
+        # values dropped, and catalan's one column ((), 0, [c]) holds c at ().
+        # The rows come from a walk of their own, so a reader that changed a
+        # level's columns would change the next level that family_columns steps.
         start = FAMILIES[family].start
         width = len(FAMILIES[family].indices)
         pairs = zip(family_columns(family, start + 10), family_rows(family, start + 10),
@@ -397,7 +397,7 @@ def test_column_steps_match_dict_steps(seed):
         for n in range(1, 9):
             cols = step(cols, n, **table)
             row = {idx: v for idx, v in ref(row, n, **table).items() if v}
-            assert list(triangles._row(cols).items()) == sorted(row.items()), (table, n)
+            assert list(triangles._row(cols, len(base)).items()) == sorted(row.items()), (table, n)
             assert all(col[:1] != [0] and col[-1:] != [0] for _, _, col in cols), (table, n)
 
 
