@@ -47,6 +47,9 @@ class Grammar:
     rules: Mapping[str, Polynomial] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.rules, Mapping):
+            raise TypeError(f"rules must be a mapping, got {type(self.rules).__name__}; "
+                            "see Grammar.from_text and Grammar.preset")
         clean: dict[str, Polynomial] = {}
         for name, rhs in self.rules.items():
             if not isinstance(name, str):

@@ -16,9 +16,10 @@ with c_0 = 1 at order 0.  D itself is never a ring element here; a
 normal form is just the vector of polynomial coefficients indexed by the
 power of D.
 
-Only the recursion runs on packed exponents (``_Packer`` below; Monagan &
-Pearce, CASC 2007).  Over the sorted symbols of w and the rules, symbol i
-owns bit field i, the ``width`` bits from bit i*width up, and a monomial is
+Only the recursion runs on packed exponents (Monagan & Pearce, CASC 2007),
+in a format that ``normal_order_power`` builds for each call and that no
+other code reads.  Over the sorted symbols of w and the rules, symbol i owns
+bit field i, the ``width`` bits from bit i*width up, and a monomial is
 the one int sum_i e_i << (i*width), so a product is one addition.  Keys
 carry no bias, so Laurent exponents need no special case: reading a field
 first adds ``half = 2**(width-1)`` in every field, then shifts and masks.
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .grammar import Grammar
-from .poly import ONE, ZERO, Pairs, Polynomial, Scalar
+from .poly import ONE, ZERO, Pairs, Polynomial, Scalar, variable
 
 Packed = dict[int, Scalar]
 
@@ -143,32 +144,32 @@ class NormalForm:
         return self.render()
 
 
-class _Packer:
-    """Packed exponent vectors over one fixed symbol order, in the module's format.
+def normal_order_power(
+    w: Polynomial | Scalar, grammar: Grammar, n: int
+) -> NormalForm:
+    """Expand (w * D_grammar)^n into normal form (``n >= 0``)."""
+    if not isinstance(grammar, Grammar):
+        raise TypeError(f"grammar must be a Grammar, got {type(grammar).__name__}")
+    if not isinstance(n, int):
+        raise TypeError(f"operator power must be an int, got {type(n).__name__}")
+    if n < 0:
+        raise ValueError("operator power must be nonnegative")
+    wp = Polynomial._coerce(w, "multiplier must be a polynomial or exact scalar")
+    rules = {s: r * variable(s) ** -1 for s, r in grammar.rules.items()}
+    symbols = sorted(wp.variables().union(rules, *(r.variables() for r in rules.values())))
+    # One step multiplies each monomial by a term of w and at most one term
+    # of some rule(s)/s, so after n steps no exponent exceeds n times the
+    # sum of their largest; taking n at least 1 also fits w*rule(s)/s.
+    bound = max(n, 1) * (_max_exponent([wp]) + _max_exponent(rules.values()))
+    width = bound.bit_length() + 1
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    # The power of D is one more field, above the symbol fields; it is never
+    # negative, so it takes no bias and (key + bias) >> top reads it.
+    top = len(symbols) * width
+    shift = dict(zip(symbols, range(0, top, width)))
+    bias = half * sum(1 << at for at in shift.values())
 
-    The caller computes ``bound`` from its inputs so that every exponent of
-    every monomial it keys lies in ``[-bound, bound]``; ``pack`` raises
-    ``ArithmeticError`` on an input exponent outside it.
-    """
-
-    __slots__ = ("symbols", "bound", "shift", "width", "mask", "half", "bias", "_pairs")
-
-    def __init__(self, symbols: Iterable[str], bound: int):
-        self.symbols = tuple(sorted(set(symbols)))
-        self.bound = bound
-        width = bound.bit_length() + 1
-        self.width = width
-        self.mask = (1 << width) - 1
-        self.half = 1 << (width - 1)
-        self.shift = {s: i * width for i, s in enumerate(self.symbols)}
-        self.bias = sum(self.half << i * width for i in range(len(self.symbols)))
-        # Per symbol, exponent -> its (symbol, exponent) pair, so the
-        # keys ``unpack`` builds share pair tuples as products do.
-        self._pairs: tuple[dict[int, tuple[str, int]], ...] = tuple({} for _ in self.symbols)
-
-    def pack(self, p: Polynomial) -> Packed:
-        """The terms of ``p`` keyed by packed monomial."""
-        shift, bound = self.shift, self.bound
+    def pack(p: Polynomial) -> Packed:
         out: Packed = {}
         for k, c in p._terms.items():
             key = 0
@@ -179,54 +180,12 @@ class _Packer:
             out[key] = c
         return out
 
-    def unpack(self, packed: Packed) -> Polynomial:
-        """The polynomial of a packed dict (symbol fields only); zero coefficients are dropped."""
-        fields = tuple(zip(self.symbols, self._pairs))
-        width, mask, half, bias = self.width, self.mask, self.half, self.bias
-        acc: dict[Pairs, Scalar] = {}
-        for key, c in packed.items():
-            k = key + bias
-            pairs = []
-            for s, shared in fields:
-                e = (k & mask) - half
-                if e:
-                    pair = shared.get(e)
-                    if pair is None:
-                        pair = shared[e] = (s, e)
-                    pairs.append(pair)
-                k >>= width
-            acc[tuple(pairs)] = c
-        return Polynomial._collect(acc)
-
-
-def normal_order_power(
-    w: Polynomial | Scalar, grammar: Grammar, n: int
-) -> NormalForm:
-    """Expand (w * D_grammar)^n into normal form (``n >= 0``)."""
-    if not isinstance(n, int):
-        raise TypeError(f"operator power must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError("operator power must be nonnegative")
-    wp = Polynomial._coerce(w, "multiplier must be a polynomial or exact scalar")
-    rules = {s: Polynomial._collect(dict(t)) for s, t in grammar._table.items()}
-    # One step multiplies each monomial by a term of w and at most one term
-    # of some rule(s)/s, so after n steps no exponent exceeds n times the
-    # sum of their largest; taking n at least 1 also fits w*rule(s)/s.
-    packer = _Packer(
-        wp.variables().union(rules, *(r.variables() for r in rules.values())),
-        max(n, 1) * (_max_exponent([wp]) + _max_exponent(rules.values())),
-    )
-    mask, half, bias = packer.mask, packer.half, packer.bias
-    # The power of D is one more field, above the symbol fields, which
-    # ``unpack`` never reads; it is never negative, so it takes no bias and
-    # (key + bias) >> top reads it.
-    top = len(packer.symbols) * packer.width
-    pw = packer.pack(wp)
+    pw = pack(wp)
     # w*D(m) is the sum over symbols s of e_s * m * (w * rule(s)/s): one move
     # (shift of s, key, coefficient) per term of rule(s)/s and term of w.
     # Each term of w also moves m one power of D up, the w * c_(k-1) of c'_k.
-    moves = [(packer.shift[s], wk + rk, wc * rc) for s, r in rules.items()
-             for rk, rc in packer.pack(r).items() for wk, wc in pw.items()]
+    moves = [(shift[s], wk + rk, wc * rc) for s, r in rules.items()
+             for rk, rc in pack(r).items() for wk, wc in pw.items()]
     ups = [(wk + (1 << top), wc) for wk, wc in pw.items()]
     row: Packed = {0: 1}
     for _ in range(n):
@@ -236,8 +195,8 @@ def normal_order_power(
             if not c:  # a term cancelled in the row; keep it from spreading
                 continue
             biased = key + bias
-            for shift, tk, tc in moves:
-                e = (biased >> shift & mask) - half
+            for at, tk, tc in moves:
+                e = (biased >> at & mask) - half
                 if e:
                     k = key + tk
                     acc[k] = get(k, 0) + c * (e * tc)
@@ -252,8 +211,24 @@ def normal_order_power(
     for key, c in row.items():
         parts[(key + bias) >> top][key] = c
     row.clear()
+    # Per symbol, exponent -> its (symbol, exponent) pair, so the keys built
+    # here share pair tuples as products do.
+    fields = [(s, {}) for s in symbols]
     coeffs = []
     for k, part in enumerate(parts):
         parts[k] = None
-        coeffs.append(packer.unpack(part))
+        terms: dict[Pairs, Scalar] = {}
+        for key, c in part.items():
+            key += bias
+            pairs = []
+            for s, shared in fields:
+                e = (key & mask) - half
+                if e:
+                    pair = shared.get(e)
+                    if pair is None:
+                        pair = shared[e] = (s, e)
+                    pairs.append(pair)
+                key >>= width
+            terms[tuple(pairs)] = c
+        coeffs.append(Polynomial._collect(terms))
     return NormalForm(grammar=grammar, multiplier=wp, order=n, coeffs=tuple(coeffs))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import prod
 
-from .poly import ONE, ZERO, Polynomial, _exponent, variable
+from .poly import ONE, ZERO, Polynomial, Scalar, _exponent, variable
 
 # e_expand's basis, and gamma_expand's pair with the symbol that slices it.
 _E_BASIS = ("x", "y", "z")
@@ -51,7 +51,7 @@ def _elementary(f: Polynomial, symbols: tuple[str, ...], what: str) -> dict[tupl
     return out
 
 
-def gamma_expand(f: Polynomial) -> dict[tuple[int, int], int]:
+def gamma_expand(f: Polynomial | Scalar) -> dict[tuple[int, int], int]:
     """Expand each z^k slice in the basis (xy)^l * (x+y)^(d-2l) = e2^l * e1^(d-2l).
 
     Every slice must be an ordinary polynomial in x and y, homogeneous and
@@ -59,6 +59,7 @@ def gamma_expand(f: Polynomial) -> dict[tuple[int, int], int]:
     coefficient; coefficients may be negative for inputs outside the
     positivity results.
     """
+    f = Polynomial._coerce(f, "gamma_expand expects a polynomial or exact scalar")
     out: dict[tuple[int, int], int] = {}
     for k, g in f.slices(_SLICE).items():
         if k < 0:
@@ -70,11 +71,12 @@ def gamma_expand(f: Polynomial) -> dict[tuple[int, int], int]:
     return out
 
 
-def e_expand(f: Polynomial) -> dict[tuple[int, int, int], int]:
+def e_expand(f: Polynomial | Scalar) -> dict[tuple[int, int, int], int]:
     """Expand a polynomial symmetric in x, y, z in the elementary basis.
 
     Returns (i, j, k) -> coefficient with f = sum c * e1^i * e2^j * e3^k,
     where e1, e2, e3 are the elementary symmetric polynomials in x, y, z.
     Raises ValueError if f is not symmetric.
     """
+    f = Polynomial._coerce(f, "e_expand expects a polynomial or exact scalar")
     return _elementary(f, _E_BASIS, "input")

@@ -119,6 +119,14 @@ class TestConstruction:
             Grammar({key: variable("x")})
         assert str(info.value) == f"rule key {key!r} is not a symbol name"
 
+    @pytest.mark.parametrize("rules", ["x -> y", [("x", variable("y"))]])
+    def test_constructor_rejects_rules_that_are_not_a_mapping(self, rules):
+        with pytest.raises(TypeError) as info:
+            Grammar(rules)
+        message = str(info.value)
+        assert f"got {type(rules).__name__};" in message
+        assert "Grammar.from_text" in message and "Grammar.preset" in message
+
     def test_constructor_rejects_rules_that_are_not_polynomials(self):
         with pytest.raises(TypeError, match="rule for 'x' is not a polynomial"):
             Grammar({"x": "y"})

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import normord.normal_form
 from conftest import SMALL_PRESETS, random_polynomial
 from normord import (
     PRESETS,
@@ -21,7 +22,6 @@ from normord import (
     parse,
     variable,
 )
-from normord.normal_form import _Packer
 from normord.poly import ONE, ZERO
 from test_poly import assert_canonical
 
@@ -283,6 +283,26 @@ class TestPackedEdges:
                 assert nf.coeffs == (ZERO,) * (n + 1)
                 assert nf.render() == "0"
 
+    def test_coefficients_share_one_pair_per_symbol_and_exponent(self):
+        nf = normal_order_power(parse("x^-1*y + x*y^2"), Grammar.preset("type-b"), 5)
+        shared: dict[tuple[str, int], set[int]] = {}
+        for c in nf.coeffs:
+            for m, _ in c.terms():
+                for pair in m:
+                    shared.setdefault(pair, set()).add(id(pair))
+        assert len(shared) > 10
+        assert all(len(ids) == 1 for ids in shared.values()), shared
+
+    def test_exponent_outside_the_packing_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(normord.normal_form, "_max_exponent", lambda polys: 0)
+        with pytest.raises(ArithmeticError, match="exceeds the packing bound 0"):
+            normal_order_power(x, Grammar.preset("eulerian-xy"), 2)
+
+    def test_grammar_must_be_a_grammar(self):
+        for g in ("eulerian-xy", {"x": y}):
+            with pytest.raises(TypeError, match=f"grammar must be a Grammar, got {type(g).__name__}"):
+                normal_order_power(x, g, 3)
+
     def test_non_int_power_raises(self):
         for n in (2.0, 1.5, "2"):
             with pytest.raises(TypeError, match="operator power must be an int"):
@@ -299,64 +319,6 @@ class TestPackedEdges:
             nf.specialize("q")
         with pytest.raises(TypeError, match="apply_to expects a polynomial or exact scalar"):
             nf.apply_to(1.5)
-
-
-class TestPacker:
-    """Packed exponents: one int per monomial, products by key addition."""
-
-    def test_round_trip_and_products(self):
-        rng = random.Random(7717)
-        for _ in range(200):
-            a = random_polynomial(rng, "wxyz", rationals=True, min_exp=-3)
-            b = random_polynomial(rng, "xyu", rationals=True, min_exp=-3)
-            packer = _Packer(a.variables() | b.variables() | {"v"}, 6)
-            pa, pb = packer.pack(a), packer.pack(b)
-            assert packer.unpack(pa) == a
-            product: dict[int, object] = {}
-            for k1, c1 in pa.items():
-                for k2, c2 in pb.items():
-                    product[k1 + k2] = product.get(k1 + k2, 0) + c1 * c2
-            assert_canonical(packer.unpack(product))
-            assert packer.unpack(product) == a * b
-            for m, _ in a.terms():
-                key = next(iter(packer.pack(Polynomial({m: 1}))))
-                ((pairs, _),) = packer.unpack({key: 1}).terms()
-                for s in packer.symbols:
-                    assert dict(pairs).get(s, 0) == dict(m).get(s, 0)
-                # A count kept in the bits above the symbol fields is not read.
-                above = key + (5 << len(packer.symbols) * packer.width)
-                assert list(packer.unpack({above: 1}).terms()) == [(pairs, 1)]
-
-    def test_field_width_follows_the_bound(self):
-        big = 2 ** 70
-        packer = _Packer("xy", 2 * big)
-        p = mono(3, x=big, y=-big) + mono(-1, x=-big)
-        key, = packer.pack(mono(1, x=big, y=-big))
-        assert packer.unpack({key + key: 1}) == mono(1, x=2 * big, y=-2 * big)
-        assert packer.unpack(packer.pack(p)) == p
-
-    def test_exponent_outside_the_bound_raises(self):
-        packer = _Packer("xy", 3)
-        assert packer.unpack(packer.pack(x ** 3 * y ** -3)) == x ** 3 * y ** -3
-        for bad in (x ** 4, y ** -4, x * y ** 5):
-            with pytest.raises(ArithmeticError):
-                packer.pack(bad)
-
-    def test_unpacked_monomials_share_pairs(self):
-        packer = _Packer("xy", 4)
-        a = packer.unpack(packer.pack(x * y + x * y ** 2))
-        b = packer.unpack(packer.pack(x ** -1 * y ** 2))
-        (m1, _), (m2, _) = sorted(a.terms(), key=lambda t: sum(e for _, e in t[0]))
-        ((m3, _),) = b.terms()
-        assert m1[0] is m2[0]
-        assert m2[1] is m3[1]
-
-    def test_unpack_drops_zero_coefficients(self):
-        packer = _Packer("x", 1)
-        p = packer.unpack({0: 0, 1: Fraction(4, 2)})
-        assert p == 2 * x
-        ((_, c),) = p.terms()
-        assert type(c) is int
 
 
 class TestSpecialize:

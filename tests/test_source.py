@@ -33,7 +33,8 @@ def test_every_export_exists():
 
 
 def test_private_triangle_names_stay_in_triangles():
-    # Other modules read rows through family_rows, never the walk's internals.
+    # Other modules read rows through the public readers (the CLI through
+    # family_columns), never the walk's internals.
     found = [
         f"{path.name}:{node.lineno} {alias.name}"
         for path in SOURCES if path.name != "triangles.py"
@@ -59,15 +60,13 @@ def test_standard_library_only():
     assert SOURCES and not found, found
 
 
-def test_packed_format_lives_in_normal_form():
-    # The packed exponent format has one home, the kernel that reads its
-    # fields: no other module defines, imports or even names ``_Packer``.
-    defined = [
-        path.name
-        for path in SOURCES
+def test_grammar_table_stays_in_grammar():
+    # ``Grammar.derive`` is the one reader of its rule table; every other
+    # module, the packed kernel among them, reads ``Grammar.rules``.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name != "grammar.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
-        if isinstance(node, ast.ClassDef) and node.name == "_Packer"
+        if isinstance(node, ast.Attribute) and node.attr == "_table"
     ]
-    named = [path.name for path in SOURCES
-             if path.name != "normal_form.py" and "_Packer" in path.read_text(encoding="utf-8")]
-    assert defined == ["normal_form.py"] and not named, (defined, named)
+    assert not found, found

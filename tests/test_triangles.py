@@ -747,6 +747,12 @@ class TestGammaExpand:
         got = [(n, sorted(gamma_expand(assemble("a", n)).items())) for n in range(11)]
         assert _digest(got) == "967419adb29606297dcefc7f48cf74063e38d0718c9e8482670fe261839979f9"
 
+    def test_scalar_input_expands_as_a_constant(self):
+        assert gamma_expand(5) == {(0, 0): 5}
+        for bad in ("x", 1.5, None):
+            with pytest.raises(TypeError, match="gamma_expand expects a polynomial or exact scalar"):
+                gamma_expand(bad)
+
     def test_checks_the_basis_of_a_polynomial_without_slices(self):
         # The zero polynomial has no slices, so it expands to nothing.
         assert gamma_expand(Polynomial()) == {}
@@ -819,6 +825,12 @@ class TestEExpand:
             for k in range(1, n + 1):
                 got.append(((n, k), sorted(e_expand(nf.coefficient(k)).items())))
         assert _digest(got) == "562180c9d3d2e65db1ca75c4d41a34b113e0eef4319a5f98ed33fa2165766ab1"
+
+    def test_scalar_input_expands_as_a_constant(self):
+        assert e_expand(3) == {(0, 0, 0): 3}
+        for bad in ("x", 1.5, None):
+            with pytest.raises(TypeError, match="e_expand expects a polynomial or exact scalar"):
+                e_expand(bad)
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError, match="negative exponents"):
