@@ -365,7 +365,10 @@ def stat_keys(kind: str, n: int, names: tuple[str, ...]) -> Iterator[tuple[int, 
 def stat_polynomial(kind: str, n: int, assignment: Mapping[str, str]) -> Polynomial:
     """Tally, over the objects of ``kind`` on [n], the product symbol^statistic.
 
-    ``assignment`` maps statistic names to symbol names; only the assigned
-    statistics are computed.
+    ``assignment`` maps statistic names to symbol names (a non-mapping
+    raises TypeError); only the assigned statistics are computed.
     """
+    if not isinstance(assignment, Mapping):
+        raise TypeError("assignment {statistic: symbol} required, "
+                        f"got {type(assignment).__name__}")
     return tally(stat_keys(kind, n, tuple(assignment)), tuple(assignment.values()))

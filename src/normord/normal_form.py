@@ -20,21 +20,28 @@ Only the recursion runs on packed exponents (Monagan & Pearce, CASC 2007),
 in a format that ``normal_order_power`` builds for each call and that no
 other code reads.  Over the sorted symbols of w and the rules, symbol i owns
 bit field i, the ``width`` bits from bit i*width up, and a monomial is
-the one int sum_i e_i << (i*width), so a product is one addition.  Keys
-carry no bias, so Laurent exponents need no special case: reading a field
-first adds ``half = 2**(width-1)`` in every field, then shifts and masks.
-The width is the least that holds every exponent in [-bound, bound], and
-packing an exponent outside that bound raises ``ArithmeticError``.  The
-whole row sum_k c_k D^k is one dict, the power k of D being one more bit
-field above the symbol fields.  A step is one pass over the row.  Each term
-m moves once per term of each w * rule(s)/s, weighted by the exponent e_s
-it reads from m's field for s (the w*D(c_k) part), and once per term of w
-into the field of D one power up (the w*c_(k-1) part).  Each move
-multiplies m by one term of w and at most one term of a rule(s)/s, so after
-n steps no exponent exceeds n*(W + R), with W and R the largest exponent
-magnitudes in w and in the rules; that bound sets the field width.  At the
-end the row splits by D's power and each coefficient converts back to pair
-keys once.
+the one int sum_i e_i << (i*width), so a product is one addition.  The row's
+keys carry a bias of ``half = 2**(width-1)`` in every symbol field, so every
+field is nonnegative and Laurent exponents need no special case: a field
+reads as ``(key >> at & mask) - half``.  The keys of w and of the rules are
+packed without the bias, so adding one to a row key keeps the bias.  The
+width is the least that holds every exponent in [-bound, bound], and packing
+an exponent outside that bound raises ``ArithmeticError``.  The whole row
+sum_k c_k D^k is one dict, the power k of D being one more bit field above
+the symbol fields, read as ``key >> top``.  A step is one loop over the row
+per move, moves outer and terms inner.  Each term of w is one up move, into
+the field of D one power up (the w*c_(k-1) part); the first seeds the step's
+dict in one comprehension.  Each term of w * rule(s)/s is one derivative
+move, weighted by the exponent e_s a term m reads from its field for s (the
+w*D(c_k) part).  Each move multiplies m by one term of w and at most one
+term of a rule(s)/s, so after n steps no exponent exceeds n*(W + R), with W
+and R the largest exponent magnitudes in w and in the rules; that bound sets
+the field width.  At the end the row splits by D's power and each
+coefficient converts back to pair keys once.  Two variants were measured and
+are not used: a list of the row's (key, c) pairs, taken once per step, holds
+a second copy of the row and raised the expand benchmark's peak RSS; and a
+per-move table indexed by field value has 2**width entries, which no bound
+limits (``x**(2**70)`` takes a field of more than 70 bits).
 
 The two readers of a normal form, ``specialize`` (D^k -> v^k) and
 ``apply_to`` (D^k -> D^k(f)), are one direct sum of coeffs[k] * values[k]
@@ -155,6 +162,9 @@ def normal_order_power(
     if n < 0:
         raise ValueError("operator power must be nonnegative")
     wp = Polynomial._coerce(w, "multiplier must be a polynomial or exact scalar")
+    if wp.is_zero:  # w = 0 has no up move: (0*D)^0 = 1, and (0*D)^n = 0 after
+        coeffs = (ZERO,) * (n + 1) if n else (ONE,)
+        return NormalForm(grammar=grammar, multiplier=wp, order=n, coeffs=coeffs)
     rules = {s: r * variable(s) ** -1 for s, r in grammar.rules.items()}
     symbols = sorted(wp.variables().union(rules, *(r.variables() for r in rules.values())))
     # One step multiplies each monomial by a term of w and at most one term
@@ -164,7 +174,7 @@ def normal_order_power(
     width = bound.bit_length() + 1
     mask, half = (1 << width) - 1, 1 << (width - 1)
     # The power of D is one more field, above the symbol fields; it is never
-    # negative, so it takes no bias and (key + bias) >> top reads it.
+    # negative, so it takes no bias and key >> top reads it.
     top = len(symbols) * width
     shift = dict(zip(symbols, range(0, top, width)))
     bias = half * sum(1 << at for at in shift.values())
@@ -184,32 +194,34 @@ def normal_order_power(
     # w*D(m) is the sum over symbols s of e_s * m * (w * rule(s)/s): one move
     # (shift of s, key, coefficient) per term of rule(s)/s and term of w.
     # Each term of w also moves m one power of D up, the w * c_(k-1) of c'_k.
+    # Move keys are unbiased, so adding one to a biased row key keeps it biased.
     moves = [(shift[s], wk + rk, wc * rc) for s, r in rules.items()
              for rk, rc in pack(r).items() for wk, wc in pw.items()]
-    ups = [(wk + (1 << top), wc) for wk, wc in pw.items()]
-    row: Packed = {0: 1}
+    (up, uc), *ups = [(wk + (1 << top), wc) for wk, wc in pw.items()]
+    row: Packed = {bias: 1}
     for _ in range(n):
-        acc: Packed = {}
+        # A term that cancelled in the row is skipped by every move, so it
+        # does not spread.
+        acc: Packed = {key + up: c * uc for key, c in row.items() if c}
         get = acc.get
-        for key, c in row.items():
-            if not c:  # a term cancelled in the row; keep it from spreading
-                continue
-            biased = key + bias
-            for at, tk, tc in moves:
-                e = (biased >> at & mask) - half
-                if e:
+        for tk, tc in ups:
+            for key, c in row.items():
+                if c:
+                    k = key + tk
+                    acc[k] = get(k, 0) + c * tc
+        for at, tk, tc in moves:
+            for key, c in row.items():
+                e = (key >> at & mask) - half
+                if e and c:
                     k = key + tk
                     acc[k] = get(k, 0) + c * (e * tc)
-            for tk, tc in ups:
-                k = key + tk
-                acc[k] = get(k, 0) + c * tc
         row = acc
     # Split the row by D's power, then convert each coefficient as its packed
     # form is dropped, so the packed and the converted row are never held
     # whole at once.
     parts: list[Packed] = [{} for _ in range(n + 1)]
     for key, c in row.items():
-        parts[(key + bias) >> top][key] = c
+        parts[key >> top][key] = c
     row.clear()
     # Per symbol, exponent -> its (symbol, exponent) pair, so the keys built
     # here share pair tuples as products do.
@@ -219,7 +231,6 @@ def normal_order_power(
         parts[k] = None
         terms: dict[Pairs, Scalar] = {}
         for key, c in part.items():
-            key += bias
             pairs = []
             for s, shared in fields:
                 e = (key & mask) - half

@@ -348,11 +348,13 @@ def indexed_polynomial(entries: Mapping[tuple, Entry], n: int, exps: ExponentMap
     """Sum of entry * prod(symbol^e) over ``entries``, each e read from its form in ``exps``.
 
     Entries that land on the same monomial add up; polynomial entries (the
-    ``Ap`` family) are multiplied through.  The map is checked once: a map
-    that is not a mapping, or a form coefficient that is not an int, raises
-    TypeError; a bad symbol name, or a form whose length is not the index
-    length + 2, raises ValueError.
+    ``Ap`` family) are multiplied through.  The map is checked once: entries
+    or a map that is not a mapping, or a form coefficient that is not an
+    int, raises TypeError; a bad symbol name, or a form whose length is not
+    the index length + 2, raises ValueError.
     """
+    if not isinstance(entries, Mapping):
+        raise TypeError(f"entries {{index: entry}} required, got {type(entries).__name__}")
     if not isinstance(exps, Mapping):
         raise TypeError(f"exponent map {{symbol: form}} required, got {type(exps).__name__}")
     width = len(next(iter(entries), ())) + 2

@@ -385,6 +385,12 @@ class TestDistributions:
 
 
 class TestStatPolynomial:
+    @pytest.mark.parametrize("assignment", [("des",), ["des"], "des"])
+    def test_non_mapping_assignment_raises_type_error(self, assignment):
+        kind = type(assignment).__name__
+        with pytest.raises(TypeError, match=rf"^assignment \{{statistic: symbol\}} required, got {kind}$"):
+            stat_polynomial("permutations", 3, assignment)
+
     def test_missing_statistic(self):
         with pytest.raises(KeyError) as exc:
             stat_polynomial("permutations", 2, {"nope": "x"})

@@ -152,6 +152,37 @@ DEEP_DIGESTS = {
     ),
 }
 
+# The same digests for the expand benchmark's multi-term extras, the only
+# deep inputs whose w has more than one term, so that a step takes more than
+# one up move; recorded from the pair-tuple recursion and equal to the
+# entries of perfbench/expected.json.
+DEEP_MULTI_TERM_DIGESTS = {
+    ("eulerian-xy", "x+y", 14): (
+        "c762c11862f867a3312b4f461f2e3247aea886a0431d1816ea361b8dbf6dd8ef",
+        "47a17fe51bd20ddbf7c0eb4c441aaa1fbd96fe7f886a8f22777481e2bc30a828",
+    ),
+    ("swap", "x+y", 14): (
+        "819cdf265f61598d968b6ca79a3c86b001602096875c5d7ff4bae7b6097db34a",
+        "f6ef8b843921b6e80c3e101afb8ac260d1e6fd11a36a11e9f778a1e88b7298b1",
+    ),
+    ("second-order", "y+1", 15): (
+        "a665b338a02d80cb3d60b601654504e9bf72fe30d7522e6262abf23a9987aed5",
+        "c31197acd94bdfe1d751a9ebefdf64ed0354b58a215d5d7b4c3bbf7aa072382d",
+    ),
+    ("eulerian-ab", "a+b", 13): (
+        "4cc7be9b764606cf939a7fd24502a47220911e7cecab52f6166192c94c1d0fa5",
+        "77e47a76aff33ab8a605abeb01707bc94968f647ba22072daf2be337ec7e26d7",
+    ),
+    ("pq-eulerian", "2*x+y", 10): (
+        "d9b54bc6a37ffb30b0a0ff45b8203a36c1462fae2f8d849ed040741d1e706a28",
+        "1061c71aa70329004d997601624a24ec2f1a12313d402ee14dc1950f568e68a8",
+    ),
+    ("stirling-dual", "b+1", 18): (
+        "43663f1aec869785b31c1b838efcba22d6dc7f7ab06235b3688b77d5d74cd893",
+        "d0940dfa06c7e7c939a0c573d41194c2514ec2a326105ff6f713bd5265776d91",
+    ),
+}
+
 
 class TestGoldens:
     def test_square_under_eulerian(self):
@@ -239,6 +270,15 @@ class TestStructure:
 
     def test_deep_digests(self):
         for (name, w_text, n), (render_sha, specialize_sha) in DEEP_DIGESTS.items():
+            nf = normal_order_power(parse(w_text), Grammar.preset(name), n)
+            assert hashlib.sha256(nf.render().encode()).hexdigest() == render_sha, (name, n)
+            at_q = nf.specialize(q).render()
+            assert hashlib.sha256(at_q.encode()).hexdigest() == specialize_sha, (name, n)
+
+    def test_deep_multi_term_digests(self):
+        items = DEEP_MULTI_TERM_DIGESTS.items()
+        for (name, w_text, n), (render_sha, specialize_sha) in items:
+            assert len(list(parse(w_text).terms())) > 1, w_text
             nf = normal_order_power(parse(w_text), Grammar.preset(name), n)
             assert hashlib.sha256(nf.render().encode()).hexdigest() == render_sha, (name, n)
             at_q = nf.specialize(q).render()

@@ -487,6 +487,13 @@ class TestExponentForms:
         with pytest.raises(TypeError, match="exponent map"):
             row_polynomial("S2", 3, lambda n, k: {"x": k})
 
+    @pytest.mark.parametrize("entries", [[(1,)], [((1,), 2)]])
+    def test_list_entries_raise_type_error(self, entries):
+        # A list of pairs would otherwise read each pair as an index and
+        # fail the form-length check instead.
+        with pytest.raises(TypeError, match=r"^entries \{index: entry\} required, got list$"):
+            indexed_polynomial(entries, 3, {"x": (0, 1, 0)})
+
     @pytest.mark.parametrize("symbol", ["2x", "x y", "", 3])
     def test_bad_symbol_raises_value_error(self, symbol):
         with pytest.raises(ValueError, match="bad symbol name"):
